@@ -1,0 +1,200 @@
+"""Per-modality trainable adapter bundles and the model parameter registry.
+
+An adapter is everything one modality owns: learnable query tokens, one
+low-rank pair per self-attention q/v projection per backbone layer, and
+(when the modality's native feature width differs from the hidden size)
+an affine alignment map. Every tensor is registered under a dotted name
+prefixed by the modality, which is what makes masked per-modality
+optimizer updates possible.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+
+import numpy as np
+
+from modfuse import tensor as T
+from modfuse.backbone import INIT_STD
+from modfuse.rng import component_rng
+
+
+@dataclass(frozen=True)
+class Modality:
+    name: str
+    role: str = "supportive"  # "major" or "supportive"
+
+    def __post_init__(self):
+        if self.role not in ("major", "supportive"):
+            raise ValueError(f"unknown modality role '{self.role}'")
+
+
+@dataclass
+class FeatureBatch:
+    modality: str
+    features: np.ndarray  # [B, S, f]
+
+
+@dataclass
+class LoraPair:
+    down: T.Tensor  # [d, r], zero at init so the adapter starts neutral
+    up: T.Tensor    # [r, d], scaled-normal
+
+
+@dataclass
+class MMQAdapter:
+    modality: Modality
+    queries: T.Tensor                      # [T, d]
+    lora: list[dict[str, LoraPair]]        # per layer, sites "q" and "v"
+    align_w: T.Tensor | None               # [f, d] iff f != d
+    align_b: T.Tensor | None
+    feat_dim: int
+
+    def named_tensors(self):
+        m = self.modality.name
+        yield f"{m}.queries", self.queries
+        for i, site in enumerate(self.lora):
+            for key, pair in site.items():
+                yield f"{m}.lora.{i}.{key}.down", pair.down
+                yield f"{m}.lora.{i}.{key}.up", pair.up
+        if self.align_w is not None:
+            yield f"{m}.align.w", self.align_w
+            yield f"{m}.align.b", self.align_b
+
+
+def mmqa_create(modality: Modality, d: int, r: int, tokens: int, layers: int,
+                feat_dim: int, seed: int, dtype=np.float32) -> MMQAdapter:
+    """Deterministic adapter init: down-projections zero, the rest scaled-normal."""
+    if r >= d:
+        raise ValueError(f"adapter rank {r} must be smaller than hidden size {d}")
+    rng = component_rng(seed, f"adapter.{modality.name}")
+    queries = T.Tensor(rng.normal(0.0, INIT_STD, size=(tokens, d)),
+                       requires_grad=True, dtype=dtype)
+    lora = []
+    for _ in range(layers):
+        site = {}
+        for key in ("q", "v"):
+            site[key] = LoraPair(
+                down=T.Tensor(np.zeros((d, r)), requires_grad=True, dtype=dtype),
+                up=T.Tensor(rng.normal(0.0, INIT_STD, size=(r, d)),
+                            requires_grad=True, dtype=dtype),
+            )
+        lora.append(site)
+    align_w = align_b = None
+    if feat_dim != d:
+        align_w = T.Tensor(rng.normal(0.0, INIT_STD, size=(feat_dim, d)),
+                           requires_grad=True, dtype=dtype)
+        align_b = T.Tensor(np.zeros(d), requires_grad=True, dtype=dtype)
+    return MMQAdapter(modality=modality, queries=queries, lora=lora,
+                      align_w=align_w, align_b=align_b, feat_dim=feat_dim)
+
+
+def align_features(adapter: MMQAdapter, feats: FeatureBatch) -> T.Tensor:
+    """Map native-width features onto the hidden size (identity when equal)."""
+    if feats.modality != adapter.modality.name:
+        raise ValueError(f"features for '{feats.modality}' passed to the "
+                         f"'{adapter.modality.name}' adapter")
+    arr = feats.features
+    if arr.ndim != 3 or arr.shape[-1] != adapter.feat_dim:
+        raise ValueError(f"expected features [B, S, {adapter.feat_dim}], "
+                         f"got {arr.shape}")
+    x = T.Tensor(arr, dtype=adapter.queries.dtype)
+    if adapter.align_w is None:
+        return x
+    return T.matmul(x, adapter.align_w) + adapter.align_b
+
+
+@dataclass
+class RegistryEntry:
+    tensor: T.Tensor
+    trainable: bool
+    tag: str
+
+
+@dataclass
+class Census:
+    tensor_count: int
+    scalar_count: int
+
+
+class ParamRegistry:
+    """Dotted name -> (tensor, trainable flag, ownership tag).
+
+    Tags are modality names, "fusion", "shared", or "frozen"; they drive
+    masked updates, checksums, the checkpoint namespace, and the
+    parameter census.
+    """
+
+    def __init__(self):
+        self.entries: dict[str, RegistryEntry] = {}
+
+    def register(self, name: str, tensor: T.Tensor, trainable: bool, tag: str):
+        if name in self.entries:
+            raise ValueError(f"duplicate registry name '{name}'")
+        if trainable != tensor.requires_grad:
+            raise ValueError(f"'{name}': trainable flag disagrees with tensor")
+        if tag == "frozen" and trainable:
+            raise ValueError(f"'{name}': frozen tensors cannot be trainable")
+        self.entries[name] = RegistryEntry(tensor, trainable, tag)
+
+    def __contains__(self, name: str) -> bool:
+        return name in self.entries
+
+    def __getitem__(self, name: str) -> RegistryEntry:
+        return self.entries[name]
+
+    def tags(self) -> set[str]:
+        return {e.tag for e in self.entries.values()}
+
+    def named(self, tags=None, trainable_only: bool = False):
+        """Entries in registration order, optionally filtered."""
+        out = []
+        for name, e in self.entries.items():
+            if tags is not None and e.tag not in tags:
+                continue
+            if trainable_only and not e.trainable:
+                continue
+            out.append((name, e.tensor))
+        return out
+
+    def trainable_tensors(self) -> list[T.Tensor]:
+        return [e.tensor for e in self.entries.values() if e.trainable]
+
+    def checksum(self, tags=None) -> str:
+        """Hex digest over raw data bytes of the selected entries."""
+        import hashlib
+        h = hashlib.sha256()
+        for name, e in self.entries.items():
+            if tags is not None and e.tag not in tags:
+                continue
+            h.update(name.encode())
+            h.update(e.tensor.data.tobytes())
+        return h.hexdigest()
+
+
+STRUCTURAL_TAGS = ("fusion", "shared", "frozen")
+
+
+def count_trainable(registry: ParamRegistry, tag_filter: str = "all") -> Census:
+    """Census of trainable tensors/scalars, for one tag or the whole model.
+
+    The structural tags are always queryable (a model may legitimately
+    have no fusion parameters); anything else must be a registered tag.
+    """
+    known = registry.tags() | set(STRUCTURAL_TAGS)
+    if tag_filter != "all" and tag_filter not in known:
+        raise ValueError(f"unknown registry tag '{tag_filter}'")
+    tensors = 0
+    scalars = 0
+    for e in registry.entries.values():
+        if not e.trainable:
+            continue
+        if tag_filter != "all" and e.tag != tag_filter:
+            continue
+        tensors += 1
+        scalars += e.tensor.size
+    return Census(tensor_count=tensors, scalar_count=scalars)
+
+
+def total_scalars(registry: ParamRegistry) -> int:
+    return sum(e.tensor.size for e in registry.entries.values())

@@ -1,0 +1,194 @@
+"""Frozen shared query transformer.
+
+Stacked pre-norm blocks, each running self-attention over the query
+tokens (with optional low-rank adaptation on the query and value
+projections), cross-attention from query tokens to modality features,
+and a feed-forward sublayer, all with residual connections. The backbone
+is initialized once and never trained; all task capacity lives in the
+per-modality adapters.
+
+Modality features carry no positional encoding, so the cross-attention
+treats them as an unordered set and the output is invariant to permuting
+feature positions.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass, field
+
+import numpy as np
+
+from modfuse import tensor as T
+from modfuse.rng import component_rng
+
+INIT_STD = 0.02
+
+
+def _init(rng: np.random.Generator, shape, dtype) -> T.Tensor:
+    return T.Tensor(rng.normal(0.0, INIT_STD, size=shape), dtype=dtype)
+
+
+@dataclass
+class AttentionWeights:
+    wq: T.Tensor
+    wk: T.Tensor
+    wv: T.Tensor
+    wo: T.Tensor
+
+
+@dataclass
+class LayerNormWeights:
+    gain: T.Tensor
+    bias: T.Tensor
+
+
+@dataclass
+class BackboneLayer:
+    ln1: LayerNormWeights
+    self_attn: AttentionWeights
+    ln2: LayerNormWeights
+    cross_attn: AttentionWeights
+    ln3: LayerNormWeights
+    ffn_w1: T.Tensor
+    ffn_w2: T.Tensor
+
+
+@dataclass
+class Backbone:
+    d: int
+    heads: int
+    tokens: int
+    layers: list[BackboneLayer] = field(default_factory=list)
+
+    def named_tensors(self):
+        for i, layer in enumerate(self.layers):
+            base = f"backbone.layers.{i}"
+            yield f"{base}.ln1.gain", layer.ln1.gain
+            yield f"{base}.ln1.bias", layer.ln1.bias
+            for site in ("wq", "wk", "wv", "wo"):
+                yield f"{base}.selfattn.{site}", getattr(layer.self_attn, site)
+            yield f"{base}.ln2.gain", layer.ln2.gain
+            yield f"{base}.ln2.bias", layer.ln2.bias
+            for site in ("wq", "wk", "wv", "wo"):
+                yield f"{base}.crossattn.{site}", getattr(layer.cross_attn, site)
+            yield f"{base}.ln3.gain", layer.ln3.gain
+            yield f"{base}.ln3.bias", layer.ln3.bias
+            yield f"{base}.ffn.w1", layer.ffn_w1
+            yield f"{base}.ffn.w2", layer.ffn_w2
+
+
+def _init_ln(d: int, dtype) -> LayerNormWeights:
+    return LayerNormWeights(gain=T.Tensor(np.ones(d), dtype=dtype),
+                            bias=T.Tensor(np.zeros(d), dtype=dtype))
+
+
+def _init_attn(rng, d: int, dtype) -> AttentionWeights:
+    return AttentionWeights(wq=_init(rng, (d, d), dtype),
+                            wk=_init(rng, (d, d), dtype),
+                            wv=_init(rng, (d, d), dtype),
+                            wo=_init(rng, (d, d), dtype))
+
+
+def init_backbone(seed: int, d: int, layers: int, heads: int, tokens: int,
+                  dtype=np.float32) -> Backbone:
+    """Deterministic scaled-normal init; every tensor stays frozen."""
+    if d <= 0 or layers <= 0 or heads <= 0 or tokens <= 0:
+        raise ValueError("backbone dims must be positive")
+    if d % heads != 0:
+        raise ValueError(f"hidden size {d} not divisible by {heads} heads")
+    rng = component_rng(seed, "backbone")
+    out = Backbone(d=d, heads=heads, tokens=tokens)
+    for _ in range(layers):
+        out.layers.append(BackboneLayer(
+            ln1=_init_ln(d, dtype),
+            self_attn=_init_attn(rng, d, dtype),
+            ln2=_init_ln(d, dtype),
+            cross_attn=_init_attn(rng, d, dtype),
+            ln3=_init_ln(d, dtype),
+            ffn_w1=_init(rng, (d, 4 * d), dtype),
+            ffn_w2=_init(rng, (4 * d, d), dtype),
+        ))
+    return out
+
+
+def lora_linear(x: T.Tensor, w: T.Tensor, lora=None) -> T.Tensor:
+    """x @ w plus a rank-r correction (x @ down) @ up when ``lora`` is given.
+
+    The correction is computed as two sequential thin products; the dense
+    d-by-d delta is never materialized.
+    """
+    base = T.matmul(x, w)
+    if lora is None:
+        return base
+    down, up = lora.down, lora.up
+    if down.shape[1] != up.shape[0]:
+        raise ValueError(f"rank mismatch: down {down.shape} vs up {up.shape}")
+    if down.shape[0] != w.shape[0] or up.shape[1] != w.shape[1]:
+        raise ValueError("adapter shapes do not match the frozen projection")
+    return base + T.matmul(T.matmul(x, down), up)
+
+
+def split_heads(x: T.Tensor, heads: int) -> T.Tensor:
+    b, s, d = x.shape
+    x = T.reshape(x, (b, s, heads, d // heads))
+    return T.transpose(x, (0, 2, 1, 3))
+
+
+def merge_heads(x: T.Tensor) -> T.Tensor:
+    b, h, s, dh = x.shape
+    return T.reshape(T.transpose(x, (0, 2, 1, 3)), (b, s, h * dh))
+
+
+def attention(q_in: T.Tensor, kv_in: T.Tensor, weights: AttentionWeights,
+              heads: int, lora_q=None, lora_v=None,
+              attn_probes: list | None = None) -> T.Tensor:
+    """Multi-head scaled dot-product attention from q_in onto kv_in."""
+    q = lora_linear(q_in, weights.wq, lora_q)
+    k = T.matmul(kv_in, weights.wk)
+    v = lora_linear(kv_in, weights.wv, lora_v)
+    dh = q.shape[-1] // heads
+    qh = split_heads(q, heads)
+    kh = split_heads(k, heads)
+    vh = split_heads(v, heads)
+    scores = T.matmul(qh, T.transpose(kh, (0, 1, 3, 2))) * (1.0 / math.sqrt(dh))
+    probs = T.softmax(scores, axis=-1)
+    if attn_probes is not None:
+        attn_probes.append(probs.data)
+    out = merge_heads(T.matmul(probs, vh))
+    return T.matmul(out, weights.wo)
+
+
+def ffn(x: T.Tensor, w1: T.Tensor, w2: T.Tensor) -> T.Tensor:
+    return T.matmul(T.silu(T.matmul(x, w1)), w2)
+
+
+def qformer_forward(backbone: Backbone, adapter, feats,
+                    attn_probes: list | None = None) -> T.Tensor:
+    """Compress one modality's features into the adapter's query tokens.
+
+    ``adapter`` supplies the learnable queries, per-layer low-rank pairs
+    for the self-attention q/v projections, and the feature alignment
+    map; ``feats`` is that modality's FeatureBatch. Output [B, T, d].
+    """
+    from modfuse.adapters import align_features
+
+    if adapter.modality.name != feats.modality:
+        raise ValueError(f"adapter is for '{adapter.modality.name}' but "
+                         f"features are '{feats.modality}'")
+    aligned = align_features(adapter, feats)
+    b = aligned.shape[0]
+    tcount, d = adapter.queries.shape
+    x = T.broadcast_to(T.reshape(adapter.queries, (1, tcount, d)), (b, tcount, d))
+    for i, layer in enumerate(backbone.layers):
+        site = adapter.lora[i]
+        h = T.layer_norm(x, layer.ln1.gain, layer.ln1.bias)
+        x = x + attention(h, h, layer.self_attn, backbone.heads,
+                          lora_q=site["q"], lora_v=site["v"],
+                          attn_probes=attn_probes)
+        h = T.layer_norm(x, layer.ln2.gain, layer.ln2.bias)
+        x = x + attention(h, aligned, layer.cross_attn, backbone.heads,
+                          attn_probes=attn_probes)
+        h = T.layer_norm(x, layer.ln3.gain, layer.ln3.bias)
+        x = x + ffn(h, layer.ffn_w1, layer.ffn_w2)
+    return x

@@ -1,0 +1,236 @@
+"""Fusion of supportive-modality tokens into a fixed token budget.
+
+The default strategy merges every supportive modality's query tokens by
+channel-wise concatenation, projects them back to the hidden size, and
+scales the result elementwise by its own sigmoid before appending it to
+the major modality's tokens. The output token count is therefore 2T no
+matter how many modalities are attached. Four alternative strategies
+(plain concatenation, a learned token-axis map, a top-1 mixture of
+experts, and prompt cross-attention) plus a parameter-free bypass cover
+the ablation axis.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+
+import numpy as np
+
+from modfuse import tensor as T
+from modfuse.backbone import INIT_STD, AttentionWeights, attention
+from modfuse.rng import component_rng
+
+STRATEGIES = ("SelfGated", "Concat", "Linear", "MoE", "CrossAttention", "Bypass")
+MOE_EXPERTS = 4
+FUSED_TAG = "fused"
+
+
+@dataclass
+class FusedTokens:
+    tokens: T.Tensor          # [B, T_out, d]
+    provenance: list[str]     # one source label per output token
+
+
+@dataclass
+class FusionModule:
+    strategy: str
+    n: int          # total modality count, major included
+    tokens: int     # T, per-modality query token count
+    d: int
+    heads: int
+    params: dict[str, T.Tensor] = field(default_factory=dict)
+
+    def named_tensors(self):
+        for name, t in self.params.items():
+            yield f"fusion.{name}", t
+
+
+def token_budget(strategy: str, n: int, tokens: int) -> int:
+    """Fused token count as a pure function of (strategy, n, T)."""
+    if strategy not in STRATEGIES:
+        raise ValueError(f"unknown fusion strategy '{strategy}'")
+    if n < 1:
+        raise ValueError("modality count must be at least 1")
+    if n == 1:
+        return tokens
+    if strategy in ("Concat", "Bypass"):
+        return n * tokens
+    if strategy == "Linear":
+        return tokens
+    return 2 * tokens
+
+
+def create_fusion(strategy: str, n: int, tokens: int, d: int, heads: int,
+                  seed: int, dtype=np.float32) -> FusionModule:
+    """Initialize strategy parameters for ``n`` total modalities."""
+    if strategy not in STRATEGIES:
+        raise ValueError(f"unknown fusion strategy '{strategy}'")
+    module = FusionModule(strategy=strategy, n=n, tokens=tokens, d=d, heads=heads)
+    if n == 1 or strategy in ("Concat", "Bypass"):
+        return module
+    rng = component_rng(seed, f"fusion.{strategy}")
+    wide = (n - 1) * d
+
+    def normal(shape):
+        return T.Tensor(rng.normal(0.0, INIT_STD, size=shape),
+                        requires_grad=True, dtype=dtype)
+
+    def zeros(shape):
+        return T.Tensor(np.zeros(shape), requires_grad=True, dtype=dtype)
+
+    p = module.params
+    if strategy == "SelfGated":
+        p["merge.w"] = normal((wide, d))
+        p["merge.b"] = zeros(d)
+    elif strategy == "Linear":
+        p["mix.w"] = normal((n * tokens, tokens))
+    elif strategy == "MoE":
+        p["gate.w"] = normal((wide, MOE_EXPERTS))
+        p["gate.b"] = zeros(MOE_EXPERTS)
+        for e in range(MOE_EXPERTS):
+            p[f"experts.{e}.w"] = normal((wide, d))
+            p[f"experts.{e}.b"] = zeros(d)
+    elif strategy == "CrossAttention":
+        p["prompts"] = normal((tokens, d))
+        p["attn.wq"] = normal((d, d))
+        p["attn.wk"] = normal((d, d))
+        p["attn.wv"] = normal((d, d))
+        p["attn.wo"] = normal((d, d))
+    return module
+
+
+def _channel_concat(supportive: list[T.Tensor]) -> T.Tensor:
+    tcount = supportive[0].shape[1]
+    for s in supportive[1:]:
+        if s.shape[1] != tcount:
+            raise ValueError("supportive token counts differ; equal T required")
+    return supportive[0] if len(supportive) == 1 else T.concat(supportive, axis=-1)
+
+
+def fuse_self_gated(fusion: FusionModule, q_major: T.Tensor,
+                    supportive: list[T.Tensor]) -> FusedTokens:
+    """[q_major ; g * sigmoid(g)] where g projects the supportive channels."""
+    if not supportive:
+        raise ValueError("self-gated fusion needs at least one supportive "
+                         "modality; use the Bypass strategy instead")
+    merged = _channel_concat(supportive)
+    g = T.matmul(merged, fusion.params["merge.w"]) + fusion.params["merge.b"]
+    gated = T.silu(g)
+    tokens = T.concat([q_major, gated], axis=1)
+    tcount = q_major.shape[1]
+    return FusedTokens(tokens, ["major"] * tcount + [FUSED_TAG] * tcount)
+
+
+def _fuse_concat(q_major, supportive, names):
+    tokens = T.concat([q_major] + supportive, axis=1)
+    tcount = q_major.shape[1]
+    prov = ["major"] * tcount
+    for name in names:
+        prov += [name] * tcount
+    return FusedTokens(tokens, prov)
+
+
+def _fuse_linear(fusion, q_major, supportive):
+    stacked = T.concat([q_major] + supportive, axis=1)     # [B, nT, d]
+    flipped = T.transpose(stacked, (0, 2, 1))              # [B, d, nT]
+    mixed = T.matmul(flipped, fusion.params["mix.w"])      # [B, d, T]
+    tokens = T.transpose(mixed, (0, 2, 1))
+    return FusedTokens(tokens, [FUSED_TAG] * fusion.tokens)
+
+
+def _fuse_moe(fusion, q_major, supportive):
+    x = _channel_concat(supportive)                        # [B, T, (n-1)d]
+    p = fusion.params
+    logits = T.matmul(x, p["gate.w"]) + p["gate.b"]        # [B, T, E]
+    probs = T.softmax(logits, axis=-1)
+    # hard top-1 routing; the selected probability scales the expert output
+    # so the gate still receives gradient
+    choice = np.argmax(probs.data, axis=-1)
+    onehot = np.eye(MOE_EXPERTS, dtype=probs.data.dtype)[choice]
+    scaled = probs * T.Tensor(onehot)
+    out = None
+    for e in range(MOE_EXPERTS):
+        column = np.zeros(MOE_EXPERTS, dtype=probs.data.dtype)
+        column[e] = 1.0
+        weight = T.tsum(scaled * T.Tensor(column), axis=-1, keepdims=True)
+        y = T.matmul(x, p[f"experts.{e}.w"]) + p[f"experts.{e}.b"]
+        term = y * weight
+        out = term if out is None else out + term
+    tokens = T.concat([q_major, out], axis=1)
+    tcount = q_major.shape[1]
+    return FusedTokens(tokens, ["major"] * tcount + [FUSED_TAG] * tcount)
+
+
+def _fuse_cross_attention(fusion, q_major, supportive):
+    everything = T.concat([q_major] + supportive, axis=1)  # [B, nT, d]
+    p = fusion.params
+    b = everything.shape[0]
+    tcount, d = p["prompts"].shape
+    prompts = T.broadcast_to(T.reshape(p["prompts"], (1, tcount, d)),
+                             (b, tcount, d))
+    weights = AttentionWeights(wq=p["attn.wq"], wk=p["attn.wk"],
+                               wv=p["attn.wv"], wo=p["attn.wo"])
+    attended = attention(prompts, everything, weights, fusion.heads)
+    tokens = T.concat([q_major, attended], axis=1)
+    return FusedTokens(tokens, ["major"] * q_major.shape[1] + [FUSED_TAG] * tcount)
+
+
+def fuse_variant(fusion: FusionModule, q_major: T.Tensor,
+                 supportive: list[T.Tensor],
+                 supportive_names: list[str] | None = None) -> FusedTokens:
+    """Dispatch on the configured strategy.
+
+    With no supportive modalities every strategy degenerates to passing
+    the major tokens through untouched (token budget T).
+    """
+    if fusion.strategy not in STRATEGIES:
+        raise ValueError(f"unknown fusion strategy '{fusion.strategy}'")
+    if not supportive:
+        return FusedTokens(q_major, ["major"] * q_major.shape[1])
+    if supportive_names is None:
+        supportive_names = [f"supportive.{i}" for i in range(len(supportive))]
+    if fusion.strategy == "SelfGated":
+        out = fuse_self_gated(fusion, q_major, supportive)
+    elif fusion.strategy in ("Concat", "Bypass"):
+        out = _fuse_concat(q_major, supportive, supportive_names)
+    elif fusion.strategy == "Linear":
+        out = _fuse_linear(fusion, q_major, supportive)
+    elif fusion.strategy == "MoE":
+        out = _fuse_moe(fusion, q_major, supportive)
+    else:
+        out = _fuse_cross_attention(fusion, q_major, supportive)
+    expected = token_budget(fusion.strategy, len(supportive) + 1, fusion.tokens)
+    if out.tokens.shape[1] != expected:
+        raise AssertionError(f"fused token count {out.tokens.shape[1]} "
+                             f"violates the budget {expected}")
+    return out
+
+
+def create_prefixes(order: list[str], d: int, seed: int,
+                    dtype=np.float32) -> dict[str, T.Tensor]:
+    """One learnable d-vector per modality plus one for the fused block."""
+    rng = component_rng(seed, "prefixes")
+    out = {}
+    for name in list(order) + [FUSED_TAG]:
+        out[name] = T.Tensor(rng.normal(0.0, INIT_STD, size=(d,)),
+                             requires_grad=True, dtype=dtype)
+    return out
+
+
+def prefix_schedule(strategy: str, order: list[str], major: str) -> list[str]:
+    """Which prefix vectors front the reasoner input, in order.
+
+    Block structure mirrors the fused output: per-modality prefixes for
+    concatenation-style outputs, the major's prefix plus one shared
+    "fused" prefix when supportive tokens are merged, and just the fused
+    prefix when the output is a single merged block.
+    """
+    if strategy not in STRATEGIES:
+        raise ValueError(f"unknown fusion strategy '{strategy}'")
+    if len(order) == 1:
+        return [major]
+    if strategy in ("Concat", "Bypass"):
+        return [major] + [m for m in order if m != major]
+    if strategy == "Linear":
+        return [FUSED_TAG]
+    return [major, FUSED_TAG]

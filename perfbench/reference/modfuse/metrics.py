@@ -1,0 +1,108 @@
+"""JSONL training metrics.
+
+One record per epoch, schema-versioned, with canonical key order and no
+timestamps, so a rerun of the same config writes byte-identical files.
+"""
+
+from __future__ import annotations
+
+import json
+
+import numpy as np
+
+from modfuse.fusion import token_budget
+from modfuse.model import FusionModel
+from modfuse.reasoner import reasoner_flops
+from modfuse.training import TrainReport, census_summary
+
+SCHEMA_VERSION = 1
+QUESTION_TOKENS = 3
+
+
+def _plain(value):
+    """Recursively convert numpy scalars and containers to JSON types."""
+    if isinstance(value, dict):
+        return {str(k): _plain(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_plain(v) for v in value]
+    if isinstance(value, (np.floating, np.integer)):
+        return value.item()
+    return value
+
+
+def model_flops(model: FusionModel) -> int:
+    """Analytic per-example cost of the frozen reasoning stage."""
+    return reasoner_flops(len(model.order), model.dims.tokens,
+                          QUESTION_TOKENS, model.strategy, model.dims.d,
+                          model.dims.resolved_head_width(),
+                          model.dims.head_layers)
+
+
+def run_records(model: FusionModel, report: TrainReport) -> list[dict]:
+    """One metrics record per trained epoch."""
+    census = census_summary(model)
+    budget = token_budget(model.strategy, len(model.order), model.dims.tokens)
+    flops = model_flops(model)
+    records = []
+    for e in report.epochs:
+        records.append({
+            "schema": SCHEMA_VERSION,
+            "epoch": e.epoch,
+            "mode": report.mode,
+            "loss": round(e.loss, 8),
+            "accuracy": {k: round(v, 6) for k, v in e.accuracy.items()},
+            "grad_mag": {m: round(v, 10) for m, v in e.grad_mag.items()},
+            "indicator": {m: (None if v is None else round(v, 10))
+                          for m, v in e.indicator.items()},
+            "active": list(e.active),
+            "census": census,
+            "token_budget": budget,
+            "flops": flops,
+        })
+    return records
+
+
+def dumps_record(record: dict) -> str:
+    return json.dumps(_plain(record), sort_keys=True,
+                      separators=(",", ":"))
+
+
+def write_jsonl(path: str, records: list[dict]) -> None:
+    with open(path, "w", encoding="utf-8") as f:
+        for record in records:
+            f.write(dumps_record(record) + "\n")
+
+
+def read_jsonl(path: str) -> list[dict]:
+    records = []
+    with open(path, "r", encoding="utf-8") as f:
+        for line in f:
+            line = line.strip()
+            if line:
+                records.append(json.loads(line))
+    return records
+
+
+def summarize(records: list[dict]) -> dict:
+    """Final-epoch snapshot of one run's record stream."""
+    if not records:
+        raise ValueError("no records to summarize")
+    last = records[-1]
+    exits = {}
+    for rec in records:
+        for m in rec.get("grad_mag", {}):
+            active = rec.get("active", [])
+            if m not in active and m not in exits:
+                exits[m] = rec["epoch"]
+    return {
+        "epochs": last["epoch"],
+        "mode": last["mode"],
+        "loss": last["loss"],
+        "accuracy": last["accuracy"],
+        "active": last["active"],
+        "exits": exits,
+        "token_budget": last["token_budget"],
+        "flops": last["flops"],
+        "trainable": last["census"]["trainable"],
+        "total": last["census"]["total"],
+    }

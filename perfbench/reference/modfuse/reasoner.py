@@ -1,0 +1,180 @@
+"""Frozen answer head: a stand-in for the downstream language model.
+
+Consumes [prefix tokens; fused modality tokens; question tokens],
+projects them into its own (wider) hidden size, runs a small frozen
+transformer encoder with full attention, mean-pools, and classifies
+over the closed answer vocabulary. Frozen after random init, so all
+task-solving capacity must come from the adapters and the fusion
+module. A config flag may make the final classifier trainable; that
+escape hatch is reported in metrics whenever it is on.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass, field
+
+import numpy as np
+
+from modfuse import tensor as T
+from modfuse.backbone import (AttentionWeights, LayerNormWeights, attention,
+                              ffn, INIT_STD)
+from modfuse.rng import component_rng
+
+# Init gains for the frozen reservoir, as multiples of the backbone's
+# conservative INIT_STD. At that small scale a frozen random transformer
+# is nearly inert: pre-softmax attention scores sit within a fraction of
+# a unit of each other (attention collapses to uniform pooling) and the
+# gated feed-forward units stay in their linear region, so products of
+# question and content tokens never reach the classifier. Scaling the
+# frozen matrices up gives sharp, input-dependent attention patterns and
+# active nonlinearities, turning the head into a usable random-feature
+# reservoir — the same spectral-scale tuning that echo-state networks
+# need. Query/key matrices get an extra factor because scores are
+# bilinear in them.
+HEAD_GAIN = 6.0
+ATTN_GAIN = 12.0
+
+
+@dataclass
+class HeadLayer:
+    ln1: LayerNormWeights
+    attn: AttentionWeights
+    ln2: LayerNormWeights
+    ffn_w1: T.Tensor
+    ffn_w2: T.Tensor
+
+
+@dataclass
+class AnswerHead:
+    d: int            # incoming token width
+    width: int        # internal hidden size
+    heads: int
+    classes: int
+    vocab: int
+    embed: T.Tensor           # [vocab, d] question-token table
+    in_w: T.Tensor            # [d, width]
+    in_b: T.Tensor            # [width]
+    cls_w: T.Tensor           # [width, classes]
+    cls_b: T.Tensor           # [classes]
+    train_classifier: bool
+    layers: list[HeadLayer] = field(default_factory=list)
+
+    def named_tensors(self):
+        yield "head.embed", self.embed
+        yield "head.input.w", self.in_w
+        yield "head.input.b", self.in_b
+        for i, layer in enumerate(self.layers):
+            base = f"head.layers.{i}"
+            yield f"{base}.ln1.gain", layer.ln1.gain
+            yield f"{base}.ln1.bias", layer.ln1.bias
+            for site in ("wq", "wk", "wv", "wo"):
+                yield f"{base}.attn.{site}", getattr(layer.attn, site)
+            yield f"{base}.ln2.gain", layer.ln2.gain
+            yield f"{base}.ln2.bias", layer.ln2.bias
+            yield f"{base}.ffn.w1", layer.ffn_w1
+            yield f"{base}.ffn.w2", layer.ffn_w2
+
+    def classifier_tensors(self):
+        yield "head.classifier.w", self.cls_w
+        yield "head.classifier.b", self.cls_b
+
+
+def create_head(seed: int, d: int, width: int, heads: int, layers: int,
+                vocab: int, classes: int, train_classifier: bool = False,
+                dtype=np.float32) -> AnswerHead:
+    if width % heads != 0:
+        raise ValueError(f"head width {width} not divisible by {heads} heads")
+    rng = component_rng(seed, "head")
+
+    def normal(shape, gain=1.0, trainable=False):
+        return T.Tensor(rng.normal(0.0, gain * INIT_STD, size=shape),
+                        requires_grad=trainable, dtype=dtype)
+
+    def ln():
+        return LayerNormWeights(gain=T.Tensor(np.ones(width), dtype=dtype),
+                                bias=T.Tensor(np.zeros(width), dtype=dtype))
+
+    head = AnswerHead(
+        d=d, width=width, heads=heads, classes=classes, vocab=vocab,
+        embed=normal((vocab, d)),
+        in_w=normal((d, width), gain=HEAD_GAIN),
+        in_b=T.Tensor(np.zeros(width), dtype=dtype),
+        cls_w=normal((width, classes), gain=HEAD_GAIN,
+                     trainable=train_classifier),
+        cls_b=T.Tensor(np.zeros(classes), requires_grad=train_classifier,
+                       dtype=dtype),
+        train_classifier=train_classifier,
+    )
+    for _ in range(layers):
+        head.layers.append(HeadLayer(
+            ln1=ln(),
+            attn=AttentionWeights(wq=normal((width, width), gain=ATTN_GAIN),
+                                  wk=normal((width, width), gain=ATTN_GAIN),
+                                  wv=normal((width, width), gain=HEAD_GAIN),
+                                  wo=normal((width, width), gain=HEAD_GAIN)),
+            ln2=ln(),
+            ffn_w1=normal((width, 4 * width), gain=HEAD_GAIN),
+            ffn_w2=normal((4 * width, width), gain=HEAD_GAIN),
+        ))
+    return head
+
+
+def assemble_input(fused, prefixes: dict[str, T.Tensor],
+                   schedule: list[str], lang: T.Tensor | None) -> T.Tensor:
+    """[prefix block; fused tokens; question tokens], all width d.
+
+    ``schedule`` lists which prefix vectors to use, in order; ``lang``
+    may be None for question-free probes.
+    """
+    tokens = fused.tokens
+    b, _, d = tokens.shape
+    parts = []
+    if schedule:
+        rows = [T.reshape(prefixes[name], (1, 1, d)) for name in schedule]
+        block = T.concat(rows, axis=1) if len(rows) > 1 else rows[0]
+        parts.append(T.broadcast_to(block, (b, len(schedule), d)))
+    parts.append(tokens)
+    if lang is not None:
+        if lang.shape[-1] != d:
+            raise ValueError(f"question tokens width {lang.shape[-1]} != {d}")
+        parts.append(lang)
+    return T.concat(parts, axis=1) if len(parts) > 1 else parts[0]
+
+
+def predict(head: AnswerHead, assembled: T.Tensor) -> T.Tensor:
+    """Deterministic answer logits [B, classes]; argmax is the prediction."""
+    x = T.matmul(assembled, head.in_w) + head.in_b
+    for layer in head.layers:
+        h = T.layer_norm(x, layer.ln1.gain, layer.ln1.bias)
+        x = x + attention(h, h, layer.attn, head.heads)
+        h = T.layer_norm(x, layer.ln2.gain, layer.ln2.bias)
+        x = x + ffn(h, layer.ffn_w1, layer.ffn_w2)
+    pooled = T.tmean(x, axis=1)
+    return T.matmul(pooled, head.cls_w) + head.cls_b
+
+
+def reasoner_flops(n: int, tokens: int, q_len: int, strategy: str, d: int,
+                   width: int | None = None, layers: int = 2) -> int:
+    """Analytic multiply-accumulate estimate for one example.
+
+    Sequence length comes from the fused token budget plus prefixes and
+    question tokens; the count is dominated by attention (seq^2 * width)
+    and feed-forward (seq * width^2) terms.
+    """
+    from modfuse.fusion import prefix_schedule, token_budget
+
+    if width is None:
+        width = 2 * d
+    budget = token_budget(strategy, n, tokens)
+    # prefix count depends only on (strategy, n)
+    names = [f"m{i}" for i in range(n)]
+    p = len(prefix_schedule(strategy, names, names[0]))
+    seq = p + budget + q_len
+    per_layer = 4 * seq * width * width      # q, k, v, o projections
+    per_layer += 2 * seq * seq * width       # scores and weighted sum
+    per_layer += 8 * seq * width * width     # feed-forward, expansion 4x
+    total = layers * per_layer
+    total += seq * d * width                 # input projection
+    total += width                           # pooling
+    return int(total)
