@@ -227,6 +227,10 @@ def _enumerate_questions(spec: BenchSpec, template: str):
     return [Question(template, (x,)) for x in range(spec.alphabet)]
 
 
+# upper end of the noise range where unimodal_bayes_accuracy is exact
+MAX_BAYES_NOISE = 0.1
+
+
 def unimodal_bayes_accuracy(spec: BenchSpec, visible) -> dict[str, float]:
     """Exact best-achievable per-template accuracy by full enumeration.
 
@@ -235,7 +239,11 @@ def unimodal_bayes_accuracy(spec: BenchSpec, visible) -> dict[str, float]:
     (documented range: noise <= 0.1 with unit-norm codebooks). For each
     question, latent grids are grouped by what the predictor observes
     and the majority answer inside each group is counted correct.
+    Raises ValueError for a noise level outside the documented range.
     """
+    if not 0.0 <= spec.noise <= MAX_BAYES_NOISE:
+        raise ValueError(f"unimodal_bayes_accuracy is exact only for noise "
+                         f"in [0, {MAX_BAYES_NOISE}], got {spec.noise}")
     names = spec.names
     visible_idx = {names.index(v) for v in visible}
     out = {}

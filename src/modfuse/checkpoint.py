@@ -16,9 +16,10 @@ Layout (little-endian throughout):
     end     4 bytes b"END!"
 
 Every registry entry is stored, frozen ones included, so a restore
-reproduces the model bit for bit. Saves stage to a temporary file and
-commit with an atomic rename. Loads verify the stored digest against
-the embedded config text and fail on truncation with the byte offset;
+reproduces the model bit for bit. Saves stage to a uniquely named
+temporary file beside the target, commit with an atomic rename and sync
+the directory. Loads verify the stored digest against the embedded
+config text and fail on truncation with the byte offset;
 ``force`` downgrades mismatches to warnings and skips tensors whose
 name or shape no longer fits, which is how a checkpoint from a smaller
 modality set is carried into an extended model.
@@ -26,8 +27,10 @@ modality set is carried into an extended model.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import os
+import secrets
 import struct
 from dataclasses import dataclass, field
 
@@ -148,14 +151,31 @@ def checkpoint_bytes(registry: ParamRegistry, config: RunConfig) -> bytes:
 
 def save_checkpoint(path: str, registry: ParamRegistry,
                     config: RunConfig) -> None:
-    """Stage to a sibling temp file, then commit with an atomic rename."""
+    """Stage to a uniquely named sibling, then commit with an atomic rename.
+
+    The unique name keeps concurrent saves to one path from sharing a
+    staging file; the staging file is removed if the write fails, and
+    the directory is synced so the rename itself is durable.
+    """
     data = checkpoint_bytes(registry, config)
-    tmp = path + ".staging"
-    with open(tmp, "wb") as f:
-        f.write(data)
-        f.flush()
-        os.fsync(f.fileno())
-    os.replace(tmp, path)
+    tmp = f"{path}.{secrets.token_hex(8)}.staging"
+    # O_EXCL never reuses an existing file; mode 0o666 honours the umask
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with os.fdopen(fd, "wb") as f:
+            f.write(data)
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
+    dir_fd = os.open(os.path.dirname(os.path.abspath(path)), os.O_RDONLY)
+    try:
+        os.fsync(dir_fd)
+    finally:
+        os.close(dir_fd)
 
 
 def parse_checkpoint(data: bytes, force: bool = False) -> Checkpoint:

@@ -7,6 +7,7 @@ function of registered parameters and the input batch.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -104,18 +105,32 @@ class FusionModel:
     def supportive(self) -> list[str]:
         return [m for m in self.order if m != self.major]
 
-    def modality_tokens(self, features: dict[str, np.ndarray]) -> dict[str, T.Tensor]:
+    def modality_tokens(self, features: dict[str, np.ndarray],
+                        taped: set[str] | None = None) -> dict[str, T.Tensor]:
+        """Query-transformer tokens per modality.
+
+        Only the modalities in ``taped`` (every one when None) are put on
+        the tape; the rest run forward-only and carry no gradient.
+        """
         out = {}
         for m in self.order:
             if m not in features:
                 raise ValueError(f"batch is missing features for '{m}'")
-            out[m] = qformer_forward(self.backbone, self.adapters[m],
-                                     FeatureBatch(m, features[m]))
+            untaped = taped is not None and m not in taped
+            with T.no_grad() if untaped else contextlib.nullcontext():
+                out[m] = qformer_forward(self.backbone, self.adapters[m],
+                                         FeatureBatch(m, features[m]))
         return out
 
     def forward(self, features: dict[str, np.ndarray],
-                question_ids: np.ndarray | None) -> T.Tensor:
-        tokens = self.modality_tokens(features)
+                question_ids: np.ndarray | None,
+                taped: set[str] | None = None) -> T.Tensor:
+        """Answer logits. ``taped`` names the tags whose tensors go on the
+        tape: modality names for their query transformers and "shared" for
+        the prefixes; None tapes everything. Fusion and the answer head are
+        always taped.
+        """
+        tokens = self.modality_tokens(features, taped)
         fused = fuse_variant(self.fusion, tokens[self.major],
                              [tokens[m] for m in self.supportive],
                              supportive_names=self.supportive)
@@ -123,12 +138,17 @@ class FusionModel:
         if question_ids is not None:
             lang = T.embedding(self.head.embed, question_ids)
         schedule = prefix_schedule(self.strategy, self.order, self.major)
-        x = assemble_input(fused, self.prefixes, schedule, lang)
+        prefixes = self.prefixes
+        if taped is not None and "shared" not in taped:
+            prefixes = {m: T.Tensor(p.data) for m, p in prefixes.items()}
+        x = assemble_input(fused, prefixes, schedule, lang)
         return predict(self.head, x)
 
     def loss(self, features: dict[str, np.ndarray], question_ids: np.ndarray,
-             answers: np.ndarray) -> T.Tensor:
-        return T.cross_entropy(self.forward(features, question_ids), answers)
+             answers: np.ndarray,
+             taped: set[str] | None = None) -> T.Tensor:
+        return T.cross_entropy(self.forward(features, question_ids, taped),
+                               answers)
 
     def predict_classes(self, features: dict[str, np.ndarray],
                         question_ids: np.ndarray) -> np.ndarray:

@@ -46,8 +46,10 @@ def _as_array(data, dtype) -> np.ndarray:
 
 
 def _check_finite(arr: np.ndarray, op: str) -> None:
-    # a single reduction: any NaN or Inf in arr propagates into the sum
-    if not np.isfinite(arr.sum()):
+    # a single reduction: any NaN or Inf in arr propagates into the sum.
+    # A sum of finite values can itself overflow, so a non-finite sum is
+    # confirmed element by element before it is reported.
+    if not np.isfinite(arr.sum()) and not np.isfinite(arr).all():
         raise FloatingPointError(f"non-finite values produced by op '{op}'")
 
 

@@ -1,13 +1,17 @@
 """Modality-sequential training with gradient-driven early exit.
 
-In sequential mode every minibatch triggers one full forward/backward
-pass per active modality, and each pass updates only that modality's
-adapter plus the fusion parameters. Per-modality mean gradient
+Every update goes through one masked step, :func:`train_step`, which is
+given the set of tags to update. In sequential mode every minibatch
+triggers one step per active modality, updating that modality's adapter
+plus the fusion parameters; only that modality's query transformer is
+put on the tape, the others run forward-only. Per-modality mean gradient
 magnitudes are averaged over each epoch; once a modality's latest
 average falls to or below tau times the mean of its history, that
-modality stops receiving updates (its tokens keep feeding fusion).
-Joint mode is the conventional alternative: one pass per minibatch,
-all trainable tensors updated together.
+modality stops receiving updates (its tokens keep feeding fusion). Once
+every modality has exited, each minibatch takes one fusion-only step.
+Joint mode is the conventional alternative: one step per minibatch, all
+trainable tensors of active modalities, fusion and prefixes updated
+together.
 """
 
 from __future__ import annotations
@@ -140,43 +144,31 @@ def masked_params(model: FusionModel, tags: set[str]):
             if model.registry[name].tag in tags]
 
 
-def sequential_step(model: FusionModel, opt: T.Adam, batch: Dataset,
-                    modality: str) -> tuple[float, float]:
-    """One masked update: only ``modality`` and fusion tensors move.
+def train_step(model: FusionModel, opt: T.Adam, batch: Dataset,
+               tags: set[str]) -> tuple[float, dict[str, float]]:
+    """One masked update of exactly the trainable tensors tagged in ``tags``.
 
-    Returns (loss, mean gradient magnitude of the modality's tensors).
+    ``tags`` holds modality names, "fusion" and "shared". Only the query
+    transformers of the modalities in ``tags`` (and the prefixes if
+    "shared" is in it) go on the tape, so backward reaches the updated
+    tensors and nothing else. With no tensor to update, the loss is
+    computed without a tape and nothing moves.
+
+    Returns (loss, mean gradient magnitude of each modality in ``tags``).
     """
-    if modality not in model.order:
-        raise ValueError(f"modality '{modality}' not in this model")
-    trainable = model.registry.trainable_tensors()
-    loss = model.loss(batch.features, batch.questions, batch.answers)
-    T.backward(loss, leaves=trainable)
-    gmag = grad_magnitude(model.registry, modality)
-    opt.step(masked_params(model, {modality, "fusion"}))
-    return float(loss.data), gmag
-
-
-def fusion_only_step(model: FusionModel, opt: T.Adam, batch: Dataset) -> float:
-    """Update fusion parameters alone; used once every modality has exited."""
-    params = masked_params(model, {"fusion"})
+    unknown = set(tags) - set(model.order) - {"fusion", "shared"}
+    if unknown:
+        raise ValueError(f"tags {sorted(unknown)} not in this model")
+    params = masked_params(model, tags)
+    args = (batch.features, batch.questions, batch.answers)
     if not params:
-        return 0.0
-    trainable = model.registry.trainable_tensors()
-    loss = model.loss(batch.features, batch.questions, batch.answers)
-    T.backward(loss, leaves=trainable)
+        with T.no_grad():
+            return float(model.loss(*args).data), {}
+    loss = model.loss(*args, taped=tags)
+    T.backward(loss, leaves=[t for _, t in params])
+    gmags = {m: grad_magnitude(model.registry, m)
+             for m in model.order if m in tags}
     opt.step(params)
-    return float(loss.data)
-
-
-def joint_step(model: FusionModel, opt: T.Adam, batch: Dataset,
-               active: list[str]) -> tuple[float, dict[str, float]]:
-    """One update of every trainable tensor except exited adapters."""
-    trainable = model.registry.trainable_tensors()
-    loss = model.loss(batch.features, batch.questions, batch.answers)
-    T.backward(loss, leaves=trainable)
-    gmags = {m: grad_magnitude(model.registry, m) for m in active}
-    tags = set(active) | {"fusion", "shared"}
-    opt.step(masked_params(model, tags))
     return float(loss.data), gmags
 
 
@@ -212,21 +204,18 @@ def train_epoch(model: FusionModel, opt: T.Adam, train: Dataset,
         if config.shuffle_modalities:
             active = [str(m) for m in rng.permutation(active)]
         if config.mode == "joint":
-            loss, gmags = joint_step(model, opt, batch, active)
+            step_tags = [set(active) | {"fusion", "shared"}]
+        elif active:
+            step_tags = [{m, "fusion"} for m in active]
+        else:
+            step_tags = [{"fusion"}]
+        for tags in step_tags:
+            loss, gmags = train_step(model, opt, batch, tags)
             losses.append(loss)
             for m, g in gmags.items():
                 sums[m] += g
                 counts[m] += 1
                 update_steps[m] = update_steps.get(m, 0) + 1
-        elif active:
-            for m in active:
-                loss, gmag = sequential_step(model, opt, batch, m)
-                losses.append(loss)
-                sums[m] += gmag
-                counts[m] += 1
-                update_steps[m] = update_steps.get(m, 0) + 1
-        else:
-            losses.append(fusion_only_step(model, opt, batch))
     averages = {}
     for m in model.order:
         if counts[m]:
@@ -279,7 +268,7 @@ def warm_start(model: FusionModel, train: Dataset, config: TrainConfig) -> None:
             continue
         rng = np.random.default_rng(np.random.SeedSequence([config.seed, 77, i]))
         for idx in _batches(len(subset), config.batch_size, rng):
-            sequential_step(model, opt, subset.slice(idx), m)
+            train_step(model, opt, subset.slice(idx), {m, "fusion"})
 
 
 def census_summary(model: FusionModel) -> dict[str, int]:

@@ -28,7 +28,7 @@ from modfuse.reasoner import reasoner_flops
 from modfuse.runner import run_gradcheck, run_train
 from modfuse.training import (TrainConfig, census_summary,
                               early_exit_indicator, fit, predict_dataset,
-                              replay_exits, sequential_step, should_exit)
+                              replay_exits, should_exit, train_step)
 
 
 def _report(name: str, detail: str) -> None:
@@ -121,7 +121,7 @@ def test_sequential_steps_update_only_target_and_fusion():
     for step in range(100):
         target = order[step % len(order)]
         before = _tensor_digests(model.registry)
-        sequential_step(model, opt, batch, target)
+        train_step(model, opt, batch, {target, "fusion"})
         after = _tensor_digests(model.registry)
         changed = {n for n in before if before[n] != after[n]}
         allowed = {n for n in before

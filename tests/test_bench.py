@@ -129,6 +129,12 @@ class TestGeneration:
 
 
 class TestBayesBounds:
+    def test_noise_outside_documented_range_rejected(self):
+        unimodal_bayes_accuracy(toy_spec(noise=0.1), ["video"])
+        for noise in (0.2, -0.05):
+            with pytest.raises(ValueError, match="noise"):
+                unimodal_bayes_accuracy(toy_spec(noise=noise), ["video"])
+
     def test_equal_one_visible(self):
         bounds = unimodal_bayes_accuracy(toy_spec(), ["video"])
         assert abs(bounds["equal"] - 0.8) < 1e-12

@@ -1,5 +1,9 @@
 """Checkpoint format: round trips, corruption handling, force loads."""
 
+import os
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -82,6 +86,56 @@ class TestRoundTrip:
     def test_staging_leaves_no_temp_file(self, tmp_path):
         model, cfg = make()
         save_checkpoint(str(tmp_path / "m.ckpt"), model.registry, cfg)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["m.ckpt"]
+
+    def test_failed_save_removes_staging_file(self, tmp_path, monkeypatch):
+        model, cfg = make()
+
+        def fail(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(str(tmp_path / "m.ckpt"), model.registry, cfg)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_concurrent_saves_to_one_path(self, tmp_path):
+        # more writers than cores, each saving its own model repeatedly;
+        # the survivor must be one whole payload, never a mix or an error
+        writers = min(8, (os.cpu_count() or 1) + 1)
+        path = str(tmp_path / "m.ckpt")
+        saved = []
+        for i in range(writers):
+            cfg = parse_config(TWO + f"model.seed = {i}\n")
+            saved.append((build_model(cfg).registry, cfg))
+        payloads = {checkpoint_bytes(reg, cfg) for reg, cfg in saved}
+        assert len(payloads) == writers
+        errors = []
+
+        def writer(registry, cfg):
+            try:
+                for _ in range(20):
+                    save_checkpoint(path, registry, cfg)
+            except Exception as exc:  # reported by the assertion below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=writer, args=pair)
+                   for pair in saved]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        with open(path, "rb") as f:
+            data = f.read()
+        assert data in payloads
+        parse_checkpoint(data)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["m.ckpt"]
 
 

@@ -91,6 +91,23 @@ class TestOpProperties:
         with pytest.raises(FloatingPointError):
             T.Tensor([np.nan, 1.0])
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered in reduce")
+    def test_finite_values_whose_sum_overflows_accepted(self):
+        big = T.Tensor(np.array([3e38, 3e38], np.float32))
+        part = T.Tensor(np.array([2e38], np.float32))
+        joined = T.concat([part, part], axis=0)
+        assert np.array_equal(big.data, np.array([3e38, 3e38], np.float32))
+        assert np.array_equal(joined.data, np.array([2e38, 2e38], np.float32))
+
+    def test_non_finite_values_name_the_op(self):
+        with pytest.raises(FloatingPointError, match="op 'leaf'"):
+            T.Tensor(np.array([3e38, np.inf], np.float32))
+        big = T.Tensor(np.array([3e38, 1.0], np.float32))
+        with pytest.raises(FloatingPointError, match="op 'scale'"):
+            T.mul(big, 10.0)
+        with pytest.raises(FloatingPointError, match="op 'add'"):
+            T.add(big, big)
+
     def test_cross_entropy_rejects_bad_target(self):
         logits = T.Tensor(np.zeros((2, 3)))
         with pytest.raises(ValueError):

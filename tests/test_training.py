@@ -8,9 +8,10 @@ from modfuse.adapters import ParamRegistry
 from modfuse.bench import BenchModality, BenchSpec, gen_dataset
 from modfuse.model import FusionModel, ModalitySpec, ModelDims
 from modfuse.training import (GradHistory, TrainConfig, early_exit_indicator,
-                              evaluate, fit, fusion_only_step, grad_magnitude,
-                              joint_step, replay_exits, sequential_step,
-                              should_exit, train_epoch, warm_start)
+                              evaluate, fit, grad_magnitude, masked_params,
+                              replay_exits, should_exit, train_epoch,
+                              train_step, warm_start)
+from modfuse import model as model_module
 from modfuse import tensor as T
 
 
@@ -102,7 +103,8 @@ class TestSequentialStep:
         reg = model.registry
         before = {tag: reg.checksum({tag}) for tag in
                   ("video", "audio", "depth", "fusion", "shared", "frozen")}
-        loss, gmag = sequential_step(model, opt, batch, "audio")
+        loss, gmags = train_step(model, opt, batch, {"audio", "fusion"})
+        gmag = gmags["audio"]
         assert np.isfinite(loss) and gmag > 0
         after = {tag: reg.checksum({tag}) for tag in before}
         assert after["audio"] != before["audio"]
@@ -115,8 +117,8 @@ class TestSequentialStep:
         model = build_model(spec)
         train, _ = gen_dataset(spec)
         with pytest.raises(ValueError, match="not in this model"):
-            sequential_step(model, T.Adam(), train.slice(np.arange(4)),
-                            "thermal")
+            train_step(model, T.Adam(), train.slice(np.arange(4)),
+                       {"thermal", "fusion"})
 
     def test_fusion_only_step(self):
         spec = small_spec(n=2)
@@ -126,7 +128,7 @@ class TestSequentialStep:
         reg = model.registry
         before = {tag: reg.checksum({tag}) for tag in
                   ("video", "audio", "fusion", "shared")}
-        fusion_only_step(model, opt, train.slice(np.arange(8)))
+        train_step(model, opt, train.slice(np.arange(8)), {"fusion"})
         assert reg.checksum({"fusion"}) != before["fusion"]
         for tag in ("video", "audio", "shared"):
             assert reg.checksum({tag}) == before[tag]
@@ -139,8 +141,8 @@ class TestSequentialStep:
         reg = model.registry
         before = {tag: reg.checksum({tag}) for tag in
                   ("video", "audio", "fusion", "shared", "frozen")}
-        loss, gmags = joint_step(model, opt, train.slice(np.arange(8)),
-                                 ["video", "audio"])
+        loss, gmags = train_step(model, opt, train.slice(np.arange(8)),
+                                 {"video", "audio", "fusion", "shared"})
         assert set(gmags) == {"video", "audio"}
         for tag in ("video", "audio", "fusion", "shared"):
             assert reg.checksum({tag}) != before[tag]
@@ -152,8 +154,94 @@ class TestSequentialStep:
         train, _ = gen_dataset(spec)
         opt = T.Adam(lr=1e-2)
         before = model.registry.checksum({"audio"})
-        joint_step(model, opt, train.slice(np.arange(8)), ["video"])
+        train_step(model, opt, train.slice(np.arange(8)),
+                   {"video", "fusion", "shared"})
         assert model.registry.checksum({"audio"}) == before
+
+
+# the update sets train_epoch passes: sequential, all exited, joint
+STEP_TAGS = [{"audio", "fusion"}, {"fusion"},
+             {"video", "audio", "depth", "fusion", "shared"}]
+
+
+class TestTrainStep:
+    @pytest.mark.parametrize("tags", STEP_TAGS,
+                             ids=["sequential", "fusion-only", "joint"])
+    def test_grads_equal_full_tape(self, tags):
+        spec = small_spec(n=3)
+        model = build_model(spec, train_classifier=True)
+        train, _ = gen_dataset(spec)
+        batch = train.slice(np.arange(8))
+        loss = model.loss(batch.features, batch.questions, batch.answers)
+        T.backward(loss, leaves=model.registry.trainable_tensors())
+        updated = masked_params(model, tags)
+        full = {name: t.grad.copy() for name, t in updated}
+        step_loss, _ = train_step(model, T.Adam(lr=1e-2), batch, tags)
+        assert step_loss == float(loss.data)
+        assert updated and all(np.array_equal(t.grad, full[name])
+                               for name, t in updated)
+
+    @pytest.mark.parametrize("tags", STEP_TAGS,
+                             ids=["sequential", "fusion-only", "joint"])
+    def test_only_tagged_qformers_taped(self, tags, monkeypatch):
+        spec = small_spec(n=3)
+        model = build_model(spec)
+        train, _ = gen_dataset(spec)
+        taped = {}
+        qformer = model_module.qformer_forward
+
+        def recording(backbone, adapter, feats):
+            out = qformer(backbone, adapter, feats)
+            taped[feats.modality] = out.requires_grad
+            return out
+
+        monkeypatch.setattr(model_module, "qformer_forward", recording)
+        train_step(model, T.Adam(), train.slice(np.arange(4)), tags)
+        assert taped == {m: m in tags for m in model.order}
+
+    @pytest.mark.parametrize("tags", STEP_TAGS,
+                             ids=["sequential", "fusion-only", "joint"])
+    def test_backward_reaches_only_updated_tensors(self, tags):
+        spec = small_spec(n=3)
+        model = build_model(spec, train_classifier=True)
+        train, _ = gen_dataset(spec)
+        train_step(model, T.Adam(), train.slice(np.arange(4)), tags)
+        updated = {name for name, _ in masked_params(model, tags)}
+        for name, t in model.registry.named(trainable_only=True):
+            assert (t.grad is not None) == (name in updated), name
+
+    def test_non_modality_tags_rejected(self):
+        spec = small_spec(n=2)
+        model = build_model(spec)
+        train, _ = gen_dataset(spec)
+        with pytest.raises(ValueError, match="not in this model"):
+            train_step(model, T.Adam(), train.slice(np.arange(4)),
+                       {"frozen"})
+
+    def test_nothing_to_update_still_reports_loss(self):
+        spec = small_spec(n=2)
+        model = build_model(spec, strategy="Concat")
+        train, _ = gen_dataset(spec)
+        batch = train.slice(np.arange(8))
+        before = model.registry.checksum()
+        loss, gmags = train_step(model, T.Adam(), batch, {"fusion"})
+        expected = model.loss(batch.features, batch.questions, batch.answers)
+        assert loss == float(expected.data) > 0.0
+        assert gmags == {}
+        assert model.registry.checksum() == before
+
+    def test_loss_recorded_after_every_modality_exits(self):
+        # Concat without a trainable classifier has no fusion tensors, so
+        # the fusion-only epochs after the exits update nothing; their
+        # loss must still be the minibatch loss, not 0
+        spec = small_spec(n=2)
+        model = build_model(spec, strategy="Concat")
+        train, test = gen_dataset(spec)
+        report = fit(model, train, test,
+                     TrainConfig(epochs=4, batch_size=32, seed=5, tau=10.0,
+                                 early_exit=True))
+        assert [e.active for e in report.epochs[2:]] == [[], []]
+        assert all(e.loss > 0.0 for e in report.epochs)
 
 
 class TestEpochAndFit:
