@@ -14,7 +14,6 @@ feature positions.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -129,17 +128,6 @@ def lora_linear(x: T.Tensor, w: T.Tensor, lora=None) -> T.Tensor:
     return base + T.matmul(T.matmul(x, down), up)
 
 
-def split_heads(x: T.Tensor, heads: int) -> T.Tensor:
-    b, s, d = x.shape
-    x = T.reshape(x, (b, s, heads, d // heads))
-    return T.transpose(x, (0, 2, 1, 3))
-
-
-def merge_heads(x: T.Tensor) -> T.Tensor:
-    b, h, s, dh = x.shape
-    return T.reshape(T.transpose(x, (0, 2, 1, 3)), (b, s, h * dh))
-
-
 def attention(q_in: T.Tensor, kv_in: T.Tensor, weights: AttentionWeights,
               heads: int, lora_q=None, lora_v=None,
               attn_probes: list | None = None) -> T.Tensor:
@@ -147,16 +135,8 @@ def attention(q_in: T.Tensor, kv_in: T.Tensor, weights: AttentionWeights,
     q = lora_linear(q_in, weights.wq, lora_q)
     k = T.matmul(kv_in, weights.wk)
     v = lora_linear(kv_in, weights.wv, lora_v)
-    dh = q.shape[-1] // heads
-    qh = split_heads(q, heads)
-    kh = split_heads(k, heads)
-    vh = split_heads(v, heads)
-    scores = T.matmul(qh, T.transpose(kh, (0, 1, 3, 2))) * (1.0 / math.sqrt(dh))
-    probs = T.softmax(scores, axis=-1)
-    if attn_probes is not None:
-        attn_probes.append(probs.data)
-    out = merge_heads(T.matmul(probs, vh))
-    return T.matmul(out, weights.wo)
+    return T.matmul(T.attention(q, k, v, heads, probes=attn_probes),
+                    weights.wo)
 
 
 def ffn(x: T.Tensor, w1: T.Tensor, w2: T.Tensor) -> T.Tensor:

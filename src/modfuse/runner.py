@@ -18,7 +18,6 @@ from modfuse.checkpoint import (load_checkpoint, model_from_checkpoint,
                                 save_checkpoint)
 from modfuse.config import RunConfig, build_model
 from modfuse.metrics import run_records, summarize, write_jsonl
-from modfuse.model import FusionModel
 from modfuse.training import fit, predict_dataset
 
 OUT_ROOT_ENV = "MODFUSE_OUT_ROOT"
@@ -71,25 +70,6 @@ def run_train(config: RunConfig, outdir: str, log=None) -> dict:
             "metrics": metrics_path, "report": report, "model": model}
 
 
-def masked_features(features: dict[str, np.ndarray],
-                    visible: set[str]) -> dict[str, np.ndarray]:
-    """Zero the features of every modality not in ``visible``."""
-    return {m: (f if m in visible else np.zeros_like(f))
-            for m, f in features.items()}
-
-
-def eval_model(model: FusionModel, data, visible: set[str] | None = None,
-               batch_size: int = 256) -> np.ndarray:
-    if visible is None:
-        return predict_dataset(model, data, batch_size)
-    preds = np.empty(len(data), dtype=np.int64)
-    for lo in range(0, len(data), batch_size):
-        part = data.slice(np.arange(lo, min(lo + batch_size, len(data))))
-        preds[lo:lo + len(part)] = model.predict_classes(
-            masked_features(part.features, visible), part.questions)
-    return preds
-
-
 def run_eval(ckpt_path: str, modalities: list[str] | None = None,
              easy_hard: bool = False, reference: str | None = None,
              force: bool = False, log=None) -> dict:
@@ -109,7 +89,7 @@ def run_eval(ckpt_path: str, modalities: list[str] | None = None,
             raise ValueError(f"unknown modalities {unknown}; "
                              f"model has {model.order}")
         visible = set(modalities)
-    preds = eval_model(model, test, visible)
+    preds = predict_dataset(model, test, visible=visible)
     out = {"accuracy": accuracy_by_template(preds, test),
            "visible": sorted(visible) if visible else list(model.order),
            "examples": len(test)}
@@ -122,7 +102,7 @@ def run_eval(ckpt_path: str, modalities: list[str] | None = None,
         if ref_config.spec != config.spec:
             raise ValueError("reference checkpoint was trained on a "
                              "different benchmark")
-        ref_preds = eval_model(ref_model, test)
+        ref_preds = predict_dataset(ref_model, test)
         easy_idx, hard_idx = split_easy_hard(ref_preds, test)
         out["easy"] = accuracy_by_template(preds[easy_idx],
                                            test.slice(easy_idx))

@@ -4,7 +4,11 @@ A ``Tensor`` wraps a numpy array together with an optional gradient and a
 backward closure. Operations build a tape (a DAG of parent links); calling
 :func:`backward` on a scalar loss walks the tape in reverse topological
 order and accumulates gradients into every reachable leaf that has
-``requires_grad`` set.
+``requires_grad`` set. Each op hands :func:`_make` a closure that receives
+the output's gradient as its argument (``node._backward_fn(node.grad)``)
+and refers only to the op's inputs, never to its output, so a tape holds
+no reference cycles and is freed by reference counting once the last
+reference to its output goes.
 
 Training runs in float32; :func:`grad_check` verifies analytic gradients
 against central finite differences and is meant to be run on float64
@@ -16,6 +20,7 @@ surfaces at the op that produced it rather than three modules later.
 from __future__ import annotations
 
 import contextlib
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
@@ -46,10 +51,8 @@ def _as_array(data, dtype) -> np.ndarray:
 
 
 def _check_finite(arr: np.ndarray, op: str) -> None:
-    # a single reduction: any NaN or Inf in arr propagates into the sum.
-    # A sum of finite values can itself overflow, so a non-finite sum is
-    # confirmed element by element before it is reported.
-    if not np.isfinite(arr.sum()) and not np.isfinite(arr).all():
+    # element-wise, so it is exact: a sum could overflow on finite values
+    if not np.isfinite(arr).all():
         raise FloatingPointError(f"non-finite values produced by op '{op}'")
 
 
@@ -71,7 +74,7 @@ class Tensor:
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
         self._parents: tuple[Tensor, ...] = ()
-        self._backward_fn: Callable[[], None] | None = None
+        self._backward_fn: Callable[[np.ndarray], None] | None = None
         self._op = "leaf"
 
     @property
@@ -135,7 +138,7 @@ class Tensor:
 
 
 def _make(data: np.ndarray, parents: Sequence[Tensor], op: str,
-          backward_fn: Callable[[], None] | None) -> Tensor:
+          backward_fn: Callable[[np.ndarray], None]) -> Tensor:
     _check_finite(data, op)
     out = Tensor.__new__(Tensor)
     out.data = data
@@ -173,44 +176,36 @@ def unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 def add(a: Tensor, b) -> Tensor:
     b = _coerce(b, a)
-    out_data = a.data + b.data
-    out = _make(out_data, (a, b), "add", None)
 
-    def backward_fn():
-        g = out.grad
+    def backward_fn(g):
         if a.requires_grad:
             a.accumulate(unbroadcast(g, a.shape))
         if b.requires_grad:
             b.accumulate(unbroadcast(g, b.shape))
 
-    out._backward_fn = backward_fn if out.requires_grad else None
-    return out
+    return _make(a.data + b.data, (a, b), "add", backward_fn)
 
 
 def mul(a: Tensor, b) -> Tensor:
     if not isinstance(b, Tensor):
         scalar = float(b)
-        out = _make(a.data * np.asarray(scalar, dtype=a.dtype), (a,), "scale", None)
 
-        def backward_scalar():
+        def backward_scalar(g):
             if a.requires_grad:
-                a.accumulate(out.grad * scalar)
+                a.accumulate(g * scalar)
 
-        out._backward_fn = backward_scalar if out.requires_grad else None
-        return out
+        return _make(a.data * np.asarray(scalar, dtype=a.dtype), (a,), "scale",
+                     backward_scalar)
 
     b = _coerce(b, a)
-    out = _make(a.data * b.data, (a, b), "mul", None)
 
-    def backward_fn():
-        g = out.grad
+    def backward_fn(g):
         if a.requires_grad:
             a.accumulate(unbroadcast(g * b.data, a.shape))
         if b.requires_grad:
             b.accumulate(unbroadcast(g * a.data, b.shape))
 
-    out._backward_fn = backward_fn if out.requires_grad else None
-    return out
+    return _make(a.data * b.data, (a, b), "mul", backward_fn)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -218,10 +213,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     b = _coerce(b, a)
     if a.ndim < 2 or b.ndim < 2:
         raise ValueError("matmul requires operands of rank >= 2")
-    out = _make(a.data @ b.data, (a, b), "matmul", None)
 
-    def backward_fn():
-        g = out.grad
+    def backward_fn(g):
         if a.requires_grad:
             ga = g @ np.swapaxes(b.data, -1, -2)
             a.accumulate(unbroadcast(ga, a.shape))
@@ -235,33 +228,28 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
                 gb = unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape)
             b.accumulate(gb)
 
-    out._backward_fn = backward_fn if out.requires_grad else None
-    return out
+    return _make(a.data @ b.data, (a, b), "matmul", backward_fn)
 
 
 def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
     shape = tuple(shape)
-    out = _make(a.data.reshape(shape), (a,), "reshape", None)
 
-    def backward_fn():
+    def backward_fn(g):
         if a.requires_grad:
-            a.accumulate(out.grad.reshape(a.shape))
+            a.accumulate(g.reshape(a.shape))
 
-    out._backward_fn = backward_fn if out.requires_grad else None
-    return out
+    return _make(a.data.reshape(shape), (a,), "reshape", backward_fn)
 
 
 def transpose(a: Tensor, axes: Sequence[int]) -> Tensor:
     axes = tuple(axes)
-    out = _make(np.transpose(a.data, axes), (a,), "transpose", None)
     inverse = tuple(np.argsort(axes))
 
-    def backward_fn():
+    def backward_fn(g):
         if a.requires_grad:
-            a.accumulate(np.transpose(out.grad, inverse))
+            a.accumulate(np.transpose(g, inverse))
 
-    out._backward_fn = backward_fn if out.requires_grad else None
-    return out
+    return _make(np.transpose(a.data, axes), (a,), "transpose", backward_fn)
 
 
 def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
@@ -271,47 +259,40 @@ def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
     for t in tensors[1:]:
         if t.dtype != tensors[0].dtype:
             raise TypeError("concat requires matching dtypes")
-    out = _make(np.concatenate([t.data for t in tensors], axis=axis),
-                tensors, "concat", None)
     sizes = [t.shape[axis] for t in tensors]
     offsets = np.cumsum([0] + sizes)
 
-    def backward_fn():
-        g = out.grad
+    def backward_fn(g):
         for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
             if t.requires_grad:
                 idx = [slice(None)] * g.ndim
                 idx[axis] = slice(lo, hi)
                 t.accumulate(g[tuple(idx)])
 
-    out._backward_fn = backward_fn if out.requires_grad else None
-    return out
+    return _make(np.concatenate([t.data for t in tensors], axis=axis),
+                 tensors, "concat", backward_fn)
 
 
 def broadcast_to(a: Tensor, shape: Sequence[int]) -> Tensor:
     shape = tuple(shape)
-    out = _make(np.broadcast_to(a.data, shape).copy(), (a,), "broadcast", None)
 
-    def backward_fn():
+    def backward_fn(g):
         if a.requires_grad:
-            a.accumulate(unbroadcast(out.grad, a.shape))
+            a.accumulate(unbroadcast(g, a.shape))
 
-    out._backward_fn = backward_fn if out.requires_grad else None
-    return out
+    return _make(np.broadcast_to(a.data, shape).copy(), (a,), "broadcast",
+                 backward_fn)
 
 
 def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    out = _make(a.data.sum(axis=axis, keepdims=keepdims), (a,), "sum", None)
-
-    def backward_fn():
+    def backward_fn(g):
         if a.requires_grad:
-            g = out.grad
             if axis is not None and not keepdims:
                 g = np.expand_dims(g, axis)
             a.accumulate(np.broadcast_to(g, a.shape))
 
-    out._backward_fn = backward_fn if out.requires_grad else None
-    return out
+    return _make(a.data.sum(axis=axis, keepdims=keepdims), (a,), "sum",
+                 backward_fn)
 
 
 def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
@@ -320,66 +301,127 @@ def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     else:
         count = a.shape[axis] if isinstance(axis, int) else int(
             np.prod([a.shape[i] for i in axis]))
-    out = _make(a.data.mean(axis=axis, keepdims=keepdims), (a,), "mean", None)
 
-    def backward_fn():
+    def backward_fn(g):
         if a.requires_grad:
-            g = out.grad
             if axis is not None and not keepdims:
                 g = np.expand_dims(g, axis)
             a.accumulate(np.broadcast_to(g, a.shape) / count)
 
-    out._backward_fn = backward_fn if out.requires_grad else None
-    return out
+    return _make(a.data.mean(axis=axis, keepdims=keepdims), (a,), "mean",
+                 backward_fn)
 
 
 # nonlinearities
 
 def _sigmoid_data(x: np.ndarray) -> np.ndarray:
-    # exp of -|x| never overflows; the two where-branches are the usual
-    # stable forms for positive and negative inputs
-    t = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + t), t / (1.0 + t))
+    # t = exp(-|x|) never overflows. The numerator is 1 where x >= 0 (there
+    # t <= 1) and t elsewhere, so one division gives the two usual stable
+    # forms, 1 / (1 + t) and t / (1 + t), bit for bit and without a branch.
+    t = np.abs(x)
+    np.negative(t, out=t)
+    np.exp(t, out=t)
+    n = np.maximum((x >= 0).astype(x.dtype), t)
+    t += 1
+    n /= t
+    return n
 
 
 def sigmoid(a: Tensor) -> Tensor:
     y = _sigmoid_data(a.data)
-    out = _make(y, (a,), "sigmoid", None)
 
-    def backward_fn():
+    def backward_fn(g):
         if a.requires_grad:
-            a.accumulate(out.grad * y * (1.0 - y))
+            a.accumulate(g * y * (1.0 - y))
 
-    out._backward_fn = backward_fn if out.requires_grad else None
-    return out
+    return _make(y, (a,), "sigmoid", backward_fn)
 
 
 def silu(a: Tensor) -> Tensor:
     """x * sigmoid(x), the smooth self-gating nonlinearity."""
     s = _sigmoid_data(a.data)
-    out = _make(a.data * s, (a,), "silu", None)
 
-    def backward_fn():
+    def backward_fn(g):
         if a.requires_grad:
-            a.accumulate(out.grad * (s + a.data * s * (1.0 - s)))
+            a.accumulate(g * (s + a.data * s * (1.0 - s)))
 
-    out._backward_fn = backward_fn if out.requires_grad else None
-    return out
+    return _make(a.data * s, (a,), "silu", backward_fn)
+
+
+def _softmax_data(x: np.ndarray, axis: int) -> np.ndarray:
+    e = np.exp(x - x.max(axis=axis, keepdims=True))
+    return e / e.sum(axis=axis, keepdims=True)
+
+
+def _softmax_grad(g: np.ndarray, y: np.ndarray, axis: int) -> np.ndarray:
+    return (g - (g * y).sum(axis=axis, keepdims=True)) * y
 
 
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=axis, keepdims=True)
-    out = _make(y, (a,), "softmax", None)
+    y = _softmax_data(a.data, axis)
 
-    def backward_fn():
+    def backward_fn(g):
         if a.requires_grad:
-            g = out.grad
-            a.accumulate((g - (g * y).sum(axis=axis, keepdims=True)) * y)
+            a.accumulate(_softmax_grad(g, y, axis))
 
-    out._backward_fn = backward_fn if out.requires_grad else None
-    return out
+    return _make(y, (a,), "softmax", backward_fn)
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
+              probes: list | None = None) -> Tensor:
+    """Multi-head scaled dot-product attention of ``q`` onto ``k``/``v``.
+
+    q: [B, Sq, d]; k, v: [B, Sk, d]; output [B, Sq, d] with the heads
+    merged back. One op stands for the head split, the scaled scores, the
+    softmax, the weighted sum and the head merge; it runs the numpy calls
+    of that composition on the same array views, so its bytes equal it.
+    The raw scores are checked as well as the output, since the softmax
+    would turn a -inf score into a finite zero. ``probes``, if given,
+    receives the [B, heads, Sq, Sk] attention probabilities.
+    """
+    k = _coerce(k, q)
+    v = _coerce(v, q)
+    b, sq, d = q.shape
+    sk = k.shape[1]
+    dh = d // heads
+    scale = 1.0 / math.sqrt(dh)
+    qh = np.transpose(q.data.reshape(b, sq, heads, dh), (0, 2, 1, 3))
+    kh = np.transpose(k.data.reshape(b, sk, heads, dh), (0, 2, 1, 3))
+    vh = np.transpose(v.data.reshape(b, sk, heads, dh), (0, 2, 1, 3))
+    kt = np.transpose(kh, (0, 1, 3, 2))
+    scores = qh @ kt
+    _check_finite(scores, "attention")
+    probs = _softmax_data(scores * np.asarray(scale, dtype=q.dtype), -1)
+    if probes is not None:
+        probes.append(probs)
+    heads_out = np.transpose(probs @ vh, (0, 2, 1, 3))
+
+    def backward_fn(g):
+        # every np.array below is a copy Tensor.accumulate made in the
+        # composition, kept so that this runs the same numpy calls on
+        # arrays of the same layout
+        g_pv = np.array(np.transpose(np.array(g.reshape(b, sq, heads, dh)),
+                                     (0, 2, 1, 3)))
+        if q.requires_grad or k.requires_grad:
+            g_probs = np.array(g_pv @ np.swapaxes(vh, -1, -2))
+            g_scores = np.array(np.array(_softmax_grad(g_probs, probs, -1))
+                                * scale)
+            if q.requires_grad:
+                g_qh = np.array(g_scores @ np.swapaxes(kt, -1, -2))
+                q.accumulate(np.array(np.transpose(g_qh, (0, 2, 1, 3)))
+                             .reshape(q.shape))
+            if k.requires_grad:
+                g_kt = np.array(np.swapaxes(qh, -1, -2) @ g_scores)
+                g_kh = np.array(np.transpose(g_kt, (0, 1, 3, 2)))
+                k.accumulate(np.array(np.transpose(g_kh, (0, 2, 1, 3)))
+                             .reshape(k.shape))
+        if v.requires_grad:
+            g_vh = np.array(np.swapaxes(probs, -1, -2) @ g_pv)
+            v.accumulate(np.array(np.transpose(g_vh, (0, 2, 1, 3)))
+                         .reshape(v.shape))
+
+    return _make(heads_out.reshape(b, sq, d), (q, k, v), "attention",
+                 backward_fn)
 
 
 def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
@@ -389,10 +431,8 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     var = (centered * centered).mean(axis=-1, keepdims=True)
     inv_std = 1.0 / np.sqrt(var + eps)
     xhat = centered * inv_std
-    out = _make(xhat * gain.data + bias.data, (a, gain, bias), "layer_norm", None)
 
-    def backward_fn():
-        g = out.grad
+    def backward_fn(g):
         if bias.requires_grad:
             bias.accumulate(unbroadcast(g, bias.shape))
         if gain.requires_grad:
@@ -403,8 +443,8 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
             term2 = (gx * xhat).mean(axis=-1, keepdims=True)
             a.accumulate(inv_std * (gx - term1 - xhat * term2))
 
-    out._backward_fn = backward_fn if out.requires_grad else None
-    return out
+    return _make(xhat * gain.data + bias.data, (a, gain, bias), "layer_norm",
+                 backward_fn)
 
 
 def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
@@ -424,17 +464,15 @@ def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
     lse = zmax + np.log(np.exp(z - zmax).sum(axis=-1, keepdims=True))
     n = z.shape[0]
     nll = lse[:, 0] - z[np.arange(n), targets]
-    out = _make(np.asarray(nll.mean(), dtype=logits.dtype), (logits,),
-                "cross_entropy", None)
 
-    def backward_fn():
+    def backward_fn(g):
         if logits.requires_grad:
             probs = np.exp(z - lse)
             probs[np.arange(n), targets] -= 1.0
-            logits.accumulate(out.grad * probs / n)
+            logits.accumulate(g * probs / n)
 
-    out._backward_fn = backward_fn if out.requires_grad else None
-    return out
+    return _make(np.asarray(nll.mean(), dtype=logits.dtype), (logits,),
+                 "cross_entropy", backward_fn)
 
 
 def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
@@ -442,16 +480,14 @@ def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
     ids = np.asarray(ids)
     if not np.issubdtype(ids.dtype, np.integer):
         raise TypeError("embedding ids must be integers")
-    out = _make(table.data[ids], (table,), "embedding", None)
 
-    def backward_fn():
+    def backward_fn(g):
         if table.requires_grad:
-            g = np.zeros_like(table.data)
-            np.add.at(g, ids, out.grad)
-            table.accumulate(g)
+            grad = np.zeros_like(table.data)
+            np.add.at(grad, ids, g)
+            table.accumulate(grad)
 
-    out._backward_fn = backward_fn if out.requires_grad else None
-    return out
+    return _make(table.data[ids], (table,), "embedding", backward_fn)
 
 
 # tape traversal
@@ -493,7 +529,7 @@ def backward(loss: Tensor, leaves: Iterable[Tensor] | None = None) -> None:
     loss.grad = np.ones_like(loss.data)
     for node in reversed(order):
         if node._backward_fn is not None:
-            node._backward_fn()
+            node._backward_fn(node.grad)
     for node in order:
         if node.requires_grad and not node._parents and node.grad is not None:
             _check_finite(node.grad, "backward")

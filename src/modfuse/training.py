@@ -179,13 +179,25 @@ def evaluate(model: FusionModel, data: Dataset,
     return accuracy_by_template(preds, data)
 
 
-def predict_dataset(model: FusionModel, data: Dataset,
-                    batch_size: int = 256) -> np.ndarray:
+def masked_features(features: dict[str, np.ndarray],
+                    visible: set[str]) -> dict[str, np.ndarray]:
+    """Zero the features of every modality not in ``visible``."""
+    return {m: (f if m in visible else np.zeros_like(f))
+            for m, f in features.items()}
+
+
+def predict_dataset(model: FusionModel, data: Dataset, batch_size: int = 256,
+                    visible: set[str] | None = None) -> np.ndarray:
+    """Predicted classes, batch by batch; with ``visible``, the features of
+    every other modality are zeroed first."""
     preds = np.empty(len(data), dtype=np.int64)
     for lo in range(0, len(data), batch_size):
         part = data.slice(np.arange(lo, min(lo + batch_size, len(data))))
+        features = part.features
+        if visible is not None:
+            features = masked_features(features, visible)
         preds[lo:lo + len(part)] = model.predict_classes(
-            part.features, part.questions)
+            features, part.questions)
     return preds
 
 

@@ -178,6 +178,13 @@ class TestQformerForward:
         for p in probes:
             np.testing.assert_allclose(p.sum(axis=-1), 1.0, atol=1e-5)
 
+    def test_attention_probes_have_one_array_per_call_per_head(self):
+        probes = []
+        qformer_forward(self.bb, self.adapter, self.feats, attn_probes=probes)
+        # [batch, heads, queries, keys]: self-attention over the 4 query
+        # tokens, then cross-attention onto the 5 feature positions
+        assert [p.shape for p in probes] == [(2, 4, 4, 4), (2, 4, 4, 5)] * 2
+
     def test_identical_trainable_values_identical_output(self):
         other = make_adapter(seed=99)
         for (_, src), (_, dst) in zip(self.adapter.named_tensors(),

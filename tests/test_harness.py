@@ -11,9 +11,9 @@ from modfuse.cli import main
 from modfuse.config import build_model, parse_config
 from modfuse.metrics import (SCHEMA_VERSION, read_jsonl, run_records,
                              summarize, write_jsonl)
-from modfuse.runner import (masked_features, resolve_outdir, run_ablate,
-                            run_eval, run_gradcheck, run_train)
-from modfuse.training import TrainConfig, fit
+from modfuse.runner import (resolve_outdir, run_ablate, run_eval,
+                            run_gradcheck, run_train)
+from modfuse.training import TrainConfig, fit, masked_features
 
 SMALL = """
 modalities = video,audio

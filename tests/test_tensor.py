@@ -1,5 +1,8 @@
 """Tests for the autodiff engine: frozen values, properties, gradients."""
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -91,11 +94,12 @@ class TestOpProperties:
         with pytest.raises(FloatingPointError):
             T.Tensor([np.nan, 1.0])
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered in reduce")
     def test_finite_values_whose_sum_overflows_accepted(self):
-        big = T.Tensor(np.array([3e38, 3e38], np.float32))
-        part = T.Tensor(np.array([2e38], np.float32))
-        joined = T.concat([part, part], axis=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            big = T.Tensor(np.array([3e38, 3e38], np.float32))
+            part = T.Tensor(np.array([2e38], np.float32))
+            joined = T.concat([part, part], axis=0)
         assert np.array_equal(big.data, np.array([3e38, 3e38], np.float32))
         assert np.array_equal(joined.data, np.array([2e38, 2e38], np.float32))
 
@@ -123,6 +127,125 @@ class TestOpProperties:
         a = T.Tensor(np.ones((2, 2)), dtype=np.float32)
         out = T.silu(T.matmul(a, a) * 0.5)
         assert out.dtype == np.float32
+
+
+class TestSigmoidData:
+    @staticmethod
+    def two_branch(x):
+        # the usual stable pair of forms, the reference for the branch-free
+        # version
+        t = np.exp(-np.abs(x))
+        return np.where(x >= 0, 1.0 / (1.0 + t), t / (1.0 + t))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bit_equal_to_two_branch_form(self, dtype):
+        tiny = np.finfo(dtype).smallest_subnormal
+        edges = [0.0, tiny, 88.0, 104.0, 3e38, 746.0, 1e308]
+        with np.errstate(over="ignore"):
+            # 1e308 is inf in float32, which both forms map to 0 and 1
+            values = np.array(edges + [-e for e in edges], dtype=dtype)
+        rng = np.random.default_rng(5)
+        for x in [values, rng.normal(size=(32, 13, 256)).astype(dtype),
+                  (rng.normal(size=(7, 9)) * 60).astype(dtype)]:
+            got = T._sigmoid_data(x)
+            want = self.two_branch(x)
+            assert got.dtype == want.dtype == dtype
+            assert got.tobytes() == want.tobytes()
+
+
+def composed_attention(q, k, v, heads):
+    """The op-by-op composition the fused attention op replaces."""
+    b, sq, d = q.shape
+    dh = d // heads
+
+    def split(x):
+        x = T.reshape(x, (x.shape[0], x.shape[1], heads, dh))
+        return T.transpose(x, (0, 2, 1, 3))
+
+    scores = T.matmul(split(q), T.transpose(split(k), (0, 1, 3, 2)))
+    probs = T.softmax(scores * (1.0 / math.sqrt(dh)), axis=-1)
+    out = T.transpose(T.matmul(probs, split(v)), (0, 2, 1, 3))
+    return T.reshape(out, (b, sq, d)), probs.data
+
+
+class TestAttention:
+    def _inputs(self, dtype, sq, sk, d=12, b=3, seed=0):
+        rng = np.random.default_rng(seed)
+
+        def leaf(shape):
+            return T.Tensor(rng.normal(size=shape), requires_grad=True,
+                            dtype=dtype)
+
+        return leaf((b, sq, d)), leaf((b, sk, d)), leaf((b, sk, d)), rng
+
+    def _run(self, attend, q_in, kv_in, weights, upstream):
+        # q, k and v are projections of taped inputs, as in backbone.attention
+        wq, wk, wv = weights
+        q, k, v = T.matmul(q_in, wq), T.matmul(kv_in, wk), T.matmul(kv_in, wv)
+        out, probs = attend(q, k, v)
+        T.backward(T.tsum(out * upstream))
+        return out, probs, [t.grad for t in (q, k, v, q_in, kv_in)]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("case", ["self", "cross"])
+    def test_bit_equal_to_composition(self, dtype, case):
+        heads, sq, sk = 3, 4, (4 if case == "self" else 7)
+        x, y, _, rng = self._inputs(dtype, sq, sk)
+        weights = [T.Tensor(rng.normal(size=(12, 12)), dtype=dtype)
+                   for _ in range(3)]
+        upstream = T.Tensor(rng.normal(size=(3, sq, 12)), dtype=dtype)
+        kv = x if case == "self" else y
+
+        def fused(q, k, v):
+            probes = []
+            out = T.attention(q, k, v, heads, probes=probes)
+            assert len(probes) == 1
+            return out, probes[0]
+
+        got = self._run(fused, x, kv, weights, upstream)
+        for t in (x, y):
+            t.grad = None
+        want = self._run(lambda q, k, v: composed_attention(q, k, v, heads),
+                         x, kv, weights, upstream)
+        assert got[0].dtype == dtype and got[0].shape == (3, sq, 12)
+        assert got[1].shape == (3, heads, sq, sk)
+        assert np.array_equal(got[0].data, want[0].data)
+        assert np.array_equal(got[1], want[1])
+        for g, w in zip(got[2], want[2]):
+            assert g is not None and np.array_equal(g, w)
+
+    @pytest.mark.parametrize("sk", [4, 6])
+    def test_grad_check(self, sk):
+        q, k, v, rng = self._inputs(np.float64, 4, sk, d=8, b=2, seed=3)
+        upstream = T.Tensor(rng.normal(size=(2, 4, 8)), dtype=np.float64)
+
+        def f():
+            return T.tsum(T.attention(q, k, v, 2) * upstream)
+
+        report = T.grad_check(f, {"q": q, "k": k, "v": v})
+        assert report.max_rel_err < 1e-4, report.summary()
+
+    def test_untaped_inputs_get_no_gradient(self):
+        q, k, v, _ = self._inputs(np.float64, 2, 3)
+        k.requires_grad = False
+        T.backward(T.tsum(T.attention(q, k, v, 2)))
+        assert q.grad is not None and v.grad is not None and k.grad is None
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_overflowing_scores_name_the_op(self, sign):
+        # one key's score overflows to +inf or -inf in float32; the softmax
+        # would turn a -inf score into a finite zero, so the raw scores
+        # must be checked
+        q = T.Tensor(np.full((1, 2, 4), 1e20), dtype=np.float32)
+        keys = np.ones((1, 3, 4))
+        keys[0, 1] = sign * 1e20
+        k = T.Tensor(keys, dtype=np.float32)
+        v = T.Tensor(np.ones((1, 3, 4)), dtype=np.float32)
+        with pytest.raises(FloatingPointError, match="op 'attention'"):
+            T.attention(q, k, v, 2)
+        with T.no_grad(), pytest.raises(FloatingPointError,
+                                        match="op 'attention'"):
+            T.attention(q, k, v, 2)
 
 
 class TestBackward:
@@ -241,8 +364,8 @@ class TestGradCheck:
             out = w * w
             correct = out._backward_fn
 
-            def wrong():
-                correct()
+            def wrong(g):
+                correct(g)
                 w.grad *= 1.5
 
             out._backward_fn = wrong

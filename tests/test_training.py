@@ -1,5 +1,7 @@
 """Trainer behavior: masked updates, gradient tracking, early exit."""
 
+import gc
+
 import numpy as np
 import pytest
 
@@ -209,6 +211,23 @@ class TestTrainStep:
         updated = {name for name, _ in masked_params(model, tags)}
         for name, t in model.registry.named(trainable_only=True):
             assert (t.grad is not None) == (name in updated), name
+
+    @pytest.mark.parametrize("tags", [STEP_TAGS[0], STEP_TAGS[2]],
+                             ids=["sequential", "joint"])
+    def test_step_leaves_no_cyclic_garbage(self, tags):
+        # backward closures never refer to their op's output, so a finished
+        # step's tape is freed by reference counting alone
+        spec = small_spec(n=3)
+        model = build_model(spec, train_classifier=True)
+        train, _ = gen_dataset(spec)
+        batch = train.slice(np.arange(8))
+        gc.collect()
+        gc.disable()
+        try:
+            train_step(model, T.Adam(), batch, tags)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_non_modality_tags_rejected(self):
         spec = small_spec(n=2)
