@@ -16,14 +16,13 @@ import hashlib
 import numpy as np
 
 from modfuse import tensor as T
-from modfuse.adapters import FeatureBatch, Modality, mmqa_create
+from modfuse.adapters import FeatureBatch, mmqa_create
 from modfuse.backbone import init_backbone, qformer_forward
 
 D, LAYERS, HEADS, TOKENS, RANK = 32, 2, 4, 4, 4
 backbone = init_backbone(seed=0, d=D, layers=LAYERS, heads=HEADS,
                          tokens=TOKENS)
-adapter = mmqa_create(Modality("audio", "supportive"), D, RANK, TOKENS,
-                      LAYERS, feat_dim=24, seed=0)
+adapter = mmqa_create("audio", D, RANK, TOKENS, LAYERS, feat_dim=24, seed=0)
 
 rng = np.random.default_rng(1)
 feats = FeatureBatch("audio", rng.normal(size=(2, 6, 24)).astype(np.float32))
@@ -34,8 +33,7 @@ print("=== a fresh adapter is exactly neutral ===")
 # backbone bit for bit -- attaching a new modality cannot disturb an
 # existing model.
 out = qformer_forward(backbone, adapter, feats)
-bare = mmqa_create(Modality("audio", "supportive"), D, RANK, TOKENS,
-                   LAYERS, feat_dim=24, seed=0)
+bare = mmqa_create("audio", D, RANK, TOKENS, LAYERS, feat_dim=24, seed=0)
 bare.lora = [{"q": None, "v": None} for _ in bare.lora]
 reference = qformer_forward(backbone, bare, feats)
 print("adapter output shape:", out.shape)

@@ -14,7 +14,7 @@ so a run's exit decisions can be audited exactly.
 import numpy as np
 
 from modfuse.bench import BenchModality, BenchSpec, gen_dataset
-from modfuse.model import FusionModel, ModalitySpec, ModelDims
+from modfuse.model import FusionModel, ModelDims
 from modfuse.training import TrainConfig, fit, replay_exits
 
 spec = BenchSpec(modalities=(BenchModality("video", 16, 8),
@@ -22,11 +22,8 @@ spec = BenchSpec(modalities=(BenchModality("video", 16, 8),
                              BenchModality("depth", 48, 4)),
                  alphabet=5, train_size=1024, test_size=512, seed=0)
 train, test = gen_dataset(spec)
-model = FusionModel(ModelDims(rank=8),
-                    [ModalitySpec("video", 16, "major"),
-                     ModalitySpec("audio", 24), ModalitySpec("depth", 48)],
-                    "SelfGated", spec.vocab, spec.classes, seed=0,
-                    train_classifier=True)
+model = FusionModel(ModelDims(rank=8), spec.modalities, "video", "SelfGated",
+                    spec.vocab, spec.classes, seed=0, train_classifier=True)
 
 config = TrainConfig(lr=3e-3, epochs=8, batch_size=32, seed=1,
                      early_exit=True, tau=0.6)

@@ -10,7 +10,7 @@ from modfuse.bench import (
 )
 from modfuse.config import RunConfig, build_model, load_config, parse_config
 from modfuse.fusion import STRATEGIES, token_budget
-from modfuse.model import FusionModel, ModalitySpec, ModelDims
+from modfuse.model import FusionModel, ModelDims
 from modfuse.tensor import (
     Adam,
     GradCheckReport,

@@ -10,23 +10,13 @@ optimizer updates possible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from modfuse import tensor as T
 from modfuse.backbone import INIT_STD
 from modfuse.rng import component_rng
-
-
-@dataclass(frozen=True)
-class Modality:
-    name: str
-    role: str = "supportive"  # "major" or "supportive"
-
-    def __post_init__(self):
-        if self.role not in ("major", "supportive"):
-            raise ValueError(f"unknown modality role '{self.role}'")
 
 
 @dataclass
@@ -43,7 +33,7 @@ class LoraPair:
 
 @dataclass
 class MMQAdapter:
-    modality: Modality
+    name: str                              # the modality this adapter serves
     queries: T.Tensor                      # [T, d]
     lora: list[dict[str, LoraPair]]        # per layer, sites "q" and "v"
     align_w: T.Tensor | None               # [f, d] iff f != d
@@ -51,7 +41,7 @@ class MMQAdapter:
     feat_dim: int
 
     def named_tensors(self):
-        m = self.modality.name
+        m = self.name
         yield f"{m}.queries", self.queries
         for i, site in enumerate(self.lora):
             for key, pair in site.items():
@@ -62,12 +52,12 @@ class MMQAdapter:
             yield f"{m}.align.b", self.align_b
 
 
-def mmqa_create(modality: Modality, d: int, r: int, tokens: int, layers: int,
+def mmqa_create(name: str, d: int, r: int, tokens: int, layers: int,
                 feat_dim: int, seed: int, dtype=np.float32) -> MMQAdapter:
     """Deterministic adapter init: down-projections zero, the rest scaled-normal."""
     if r >= d:
         raise ValueError(f"adapter rank {r} must be smaller than hidden size {d}")
-    rng = component_rng(seed, f"adapter.{modality.name}")
+    rng = component_rng(seed, f"adapter.{name}")
     queries = T.Tensor(rng.normal(0.0, INIT_STD, size=(tokens, d)),
                        requires_grad=True, dtype=dtype)
     lora = []
@@ -85,15 +75,15 @@ def mmqa_create(modality: Modality, d: int, r: int, tokens: int, layers: int,
         align_w = T.Tensor(rng.normal(0.0, INIT_STD, size=(feat_dim, d)),
                            requires_grad=True, dtype=dtype)
         align_b = T.Tensor(np.zeros(d), requires_grad=True, dtype=dtype)
-    return MMQAdapter(modality=modality, queries=queries, lora=lora,
+    return MMQAdapter(name=name, queries=queries, lora=lora,
                       align_w=align_w, align_b=align_b, feat_dim=feat_dim)
 
 
 def align_features(adapter: MMQAdapter, feats: FeatureBatch) -> T.Tensor:
     """Map native-width features onto the hidden size (identity when equal)."""
-    if feats.modality != adapter.modality.name:
+    if feats.modality != adapter.name:
         raise ValueError(f"features for '{feats.modality}' passed to the "
-                         f"'{adapter.modality.name}' adapter")
+                         f"'{adapter.name}' adapter")
     arr = feats.features
     if arr.ndim != 3 or arr.shape[-1] != adapter.feat_dim:
         raise ValueError(f"expected features [B, S, {adapter.feat_dim}], "

@@ -153,9 +153,6 @@ def qformer_forward(backbone: Backbone, adapter, feats,
     """
     from modfuse.adapters import align_features
 
-    if adapter.modality.name != feats.modality:
-        raise ValueError(f"adapter is for '{adapter.modality.name}' but "
-                         f"features are '{feats.modality}'")
     aligned = align_features(adapter, feats)
     b = aligned.shape[0]
     tcount, d = adapter.queries.shape

@@ -51,6 +51,8 @@ class BenchSpec:
             raise ValueError("alphabet size must be at least 2")
         if not self.modalities:
             raise ValueError("at least one modality required")
+        if self.train_size < 1 or self.test_size < 1:
+            raise ValueError("train and test sizes must be positive")
 
     @property
     def n(self) -> int:

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 from modfuse.bench import BenchModality, BenchSpec
 from modfuse.fusion import STRATEGIES
-from modfuse.model import ModalitySpec, ModelDims
-from modfuse.training import MODES, TrainConfig
+from modfuse.model import FusionModel, ModelDims
+from modfuse.training import TrainConfig
 
 
 class ConfigError(ValueError):
@@ -113,12 +113,6 @@ class RunConfig:
             self.model_modalities = tuple(m.name
                                           for m in self.spec.modalities)
 
-    def modality_specs(self) -> list[ModalitySpec]:
-        by_name = {m.name: m for m in self.spec.modalities}
-        return [ModalitySpec(n, by_name[n].feat_dim,
-                             "major" if n == self.major else "supportive")
-                for n in self.model_modalities]
-
     def validate(self) -> None:
         names = [m.name for m in self.spec.modalities]
         if self.major not in names:
@@ -141,8 +135,6 @@ class RunConfig:
             raise ConfigError("model.d must be divisible by model.heads")
         if self.dims.resolved_head_width() % self.dims.heads:
             raise ConfigError("head width must be divisible by model.heads")
-        if self.train.mode not in MODES:
-            raise ConfigError(f"unknown training mode '{self.train.mode}'")
         try:
             self.train.validate()
         except ValueError as e:
@@ -253,8 +245,9 @@ def load_config(path: str) -> RunConfig:
 
 def build_model(config: RunConfig):
     """Construct the model a config describes."""
-    from modfuse.model import FusionModel
-    return FusionModel(config.dims, config.modality_specs(), config.strategy,
-                       config.spec.vocab, config.spec.classes,
-                       config.model_seed,
+    by_name = {m.name: m for m in config.spec.modalities}
+    return FusionModel(config.dims,
+                       [by_name[n] for n in config.model_modalities],
+                       config.major, config.strategy, config.spec.vocab,
+                       config.spec.classes, config.model_seed,
                        train_classifier=config.train_classifier)

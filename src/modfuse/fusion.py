@@ -6,8 +6,7 @@ scales the result elementwise by its own sigmoid before appending it to
 the major modality's tokens. The output token count is therefore 2T no
 matter how many modalities are attached. Four alternative strategies
 (plain concatenation, a learned token-axis map, a top-1 mixture of
-experts, and prompt cross-attention) plus a parameter-free bypass cover
-the ablation axis.
+experts, and prompt cross-attention) cover the ablation axis.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from modfuse import tensor as T
 from modfuse.backbone import INIT_STD, AttentionWeights, attention
 from modfuse.rng import component_rng
 
-STRATEGIES = ("SelfGated", "Concat", "Linear", "MoE", "CrossAttention", "Bypass")
+STRATEGIES = ("SelfGated", "Concat", "Linear", "MoE", "CrossAttention")
 MOE_EXPERTS = 4
 FUSED_TAG = "fused"
 
@@ -53,7 +52,7 @@ def token_budget(strategy: str, n: int, tokens: int) -> int:
         raise ValueError("modality count must be at least 1")
     if n == 1:
         return tokens
-    if strategy in ("Concat", "Bypass"):
+    if strategy == "Concat":
         return n * tokens
     if strategy == "Linear":
         return tokens
@@ -66,7 +65,7 @@ def create_fusion(strategy: str, n: int, tokens: int, d: int, heads: int,
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown fusion strategy '{strategy}'")
     module = FusionModule(strategy=strategy, n=n, tokens=tokens, d=d, heads=heads)
-    if n == 1 or strategy in ("Concat", "Bypass"):
+    if n == 1 or strategy == "Concat":
         return module
     rng = component_rng(seed, f"fusion.{strategy}")
     wide = (n - 1) * d
@@ -112,7 +111,8 @@ def fuse_self_gated(fusion: FusionModule, q_major: T.Tensor,
     """[q_major ; g * sigmoid(g)] where g projects the supportive channels."""
     if not supportive:
         raise ValueError("self-gated fusion needs at least one supportive "
-                         "modality; use the Bypass strategy instead")
+                         "modality; with none, fuse_variant passes the major "
+                         "tokens through")
     merged = _channel_concat(supportive)
     g = T.matmul(merged, fusion.params["merge.w"]) + fusion.params["merge.b"]
     gated = T.silu(g)
@@ -191,7 +191,7 @@ def fuse_variant(fusion: FusionModule, q_major: T.Tensor,
         supportive_names = [f"supportive.{i}" for i in range(len(supportive))]
     if fusion.strategy == "SelfGated":
         out = fuse_self_gated(fusion, q_major, supportive)
-    elif fusion.strategy in ("Concat", "Bypass"):
+    elif fusion.strategy == "Concat":
         out = _fuse_concat(q_major, supportive, supportive_names)
     elif fusion.strategy == "Linear":
         out = _fuse_linear(fusion, q_major, supportive)
@@ -229,7 +229,7 @@ def prefix_schedule(strategy: str, order: list[str], major: str) -> list[str]:
         raise ValueError(f"unknown fusion strategy '{strategy}'")
     if len(order) == 1:
         return [major]
-    if strategy in ("Concat", "Bypass"):
+    if strategy == "Concat":
         return [major] + [m for m in order if m != major]
     if strategy == "Linear":
         return [FUSED_TAG]

@@ -1,21 +1,24 @@
 """Full model assembly: backbone, adapters, fusion, prefixes, answer head.
 
-Builds a parameter registry over every component, enforcing exactly one
-major modality and unique dotted names. The forward pass is a pure
-function of registered parameters and the input batch.
+Builds a parameter registry over every component from uniquely named
+modalities, one of them named the major; every other is supportive.
+The forward pass is a pure function of registered parameters and the
+input batch.
 """
 
 from __future__ import annotations
 
 import contextlib
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
 from modfuse import tensor as T
-from modfuse.adapters import (FeatureBatch, MMQAdapter, Modality,
-                              ParamRegistry, mmqa_create)
+from modfuse.adapters import (FeatureBatch, MMQAdapter, ParamRegistry,
+                              mmqa_create)
 from modfuse.backbone import Backbone, init_backbone, qformer_forward
+from modfuse.bench import BenchModality
 from modfuse.fusion import (FusionModule, create_fusion, create_prefixes,
                             fuse_variant, prefix_schedule)
 from modfuse.reasoner import AnswerHead, assemble_input, create_head, predict
@@ -35,31 +38,24 @@ class ModelDims:
         return self.head_width if self.head_width > 0 else 2 * self.d
 
 
-@dataclass
-class ModalitySpec:
-    name: str
-    feat_dim: int
-    role: str = "supportive"
-
-
 class FusionModel:
     """One trained artifact: frozen core plus per-modality trainable bundles."""
 
-    def __init__(self, dims: ModelDims, modalities: list[ModalitySpec],
-                 strategy: str, vocab: int, classes: int, seed: int,
-                 train_classifier: bool = False, dtype=np.float32):
-        majors = [m.name for m in modalities if m.role == "major"]
-        if len(majors) != 1:
-            raise ValueError(f"exactly one major modality required, got {majors}")
+    def __init__(self, dims: ModelDims, modalities: Sequence[BenchModality],
+                 major: str, strategy: str, vocab: int, classes: int,
+                 seed: int, train_classifier: bool = False,
+                 dtype=np.float32):
         names = [m.name for m in modalities]
         if len(set(names)) != len(names):
             raise ValueError("duplicate modality names")
+        if major not in names:
+            raise ValueError(f"major modality '{major}' is not one of {names}")
         self.dims = dims
         self.dtype = dtype
         self.seed = seed
         self.strategy = strategy
         self.order = names
-        self.major = majors[0]
+        self.major = major
         self.vocab = vocab
         self.classes = classes
         self.train_classifier = train_classifier
@@ -67,10 +63,10 @@ class FusionModel:
         self.backbone: Backbone = init_backbone(
             seed, dims.d, dims.layers, dims.heads, dims.tokens, dtype=dtype)
         self.adapters: dict[str, MMQAdapter] = {}
-        for spec in modalities:
-            self.adapters[spec.name] = mmqa_create(
-                Modality(spec.name, spec.role), dims.d, dims.rank, dims.tokens,
-                dims.layers, spec.feat_dim, seed, dtype=dtype)
+        for m in modalities:
+            self.adapters[m.name] = mmqa_create(
+                m.name, dims.d, dims.rank, dims.tokens, dims.layers,
+                m.feat_dim, seed, dtype=dtype)
         self.fusion: FusionModule = create_fusion(
             strategy, len(names), dims.tokens, dims.d, dims.heads, seed,
             dtype=dtype)

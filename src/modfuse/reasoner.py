@@ -162,15 +162,13 @@ def reasoner_flops(n: int, tokens: int, q_len: int, strategy: str, d: int,
     question tokens; the count is dominated by attention (seq^2 * width)
     and feed-forward (seq * width^2) terms.
     """
-    from modfuse.fusion import prefix_schedule, token_budget
+    from modfuse.fusion import token_budget
 
     if width is None:
         width = 2 * d
     budget = token_budget(strategy, n, tokens)
-    # prefix count depends only on (strategy, n)
-    names = [f"m{i}" for i in range(n)]
-    p = len(prefix_schedule(strategy, names, names[0]))
-    seq = p + budget + q_len
+    # every fused block of T tokens is fronted by one prefix vector
+    seq = budget + budget // tokens + q_len
     per_layer = 4 * seq * width * width      # q, k, v, o projections
     per_layer += 2 * seq * seq * width       # scores and weighted sum
     per_layer += 8 * seq * width * width     # feed-forward, expansion 4x

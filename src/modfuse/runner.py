@@ -13,11 +13,14 @@ import os
 import numpy as np
 
 from modfuse import tensor as T
-from modfuse.bench import gen_dataset, split_easy_hard
+from modfuse.bench import (TEST_STREAM, TRAIN_STREAM, BenchModality,
+                           BenchSpec, accuracy_by_template, gen_dataset,
+                           gen_split, split_easy_hard)
 from modfuse.checkpoint import (load_checkpoint, model_from_checkpoint,
                                 save_checkpoint)
 from modfuse.config import RunConfig, build_model
 from modfuse.metrics import run_records, summarize, write_jsonl
+from modfuse.model import FusionModel, ModelDims
 from modfuse.training import fit, predict_dataset
 
 OUT_ROOT_ENV = "MODFUSE_OUT_ROOT"
@@ -74,14 +77,12 @@ def run_eval(ckpt_path: str, modalities: list[str] | None = None,
              easy_hard: bool = False, reference: str | None = None,
              force: bool = False, log=None) -> dict:
     """Evaluate a checkpoint on its own benchmark's test split."""
-    from modfuse.bench import accuracy_by_template
-
     ckpt = load_checkpoint(ckpt_path, force=force)
     model, config, warnings = model_from_checkpoint(ckpt, force=force)
     if log:
         for w in warnings:
             log(f"warning: {w}")
-    _, test = gen_dataset(config.spec)
+    test = gen_split(config.spec, config.spec.test_size, TEST_STREAM)
     visible = None
     if modalities is not None:
         unknown = [m for m in modalities if m not in model.order]
@@ -171,18 +172,12 @@ def run_gradcheck(d: int = 16, heads: int = 2, tokens: int = 2, rank: int = 2,
                   batch: int = 2, seed: int = 0,
                   sample: int | None = None) -> T.GradCheckReport:
     """Finite-difference check of the whole model at 64-bit precision."""
-    from modfuse.bench import BenchModality, BenchSpec
-    from modfuse.model import FusionModel, ModalitySpec, ModelDims
-
     spec = BenchSpec(modalities=(BenchModality("video", 6, 3),
-                                 BenchModality("audio", 5, 3)),
-                     train_size=max(batch, 2), test_size=2, seed=seed)
-    train, _ = gen_dataset(spec)
-    batch_data = train.slice(np.arange(batch))
+                                 BenchModality("audio", 5, 3)), seed=seed)
+    batch_data = gen_split(spec, batch, TRAIN_STREAM)
     dims = ModelDims(d=d, layers=2, heads=heads, tokens=tokens, rank=rank)
-    model = FusionModel(
-        dims, [ModalitySpec("video", 6, "major"), ModalitySpec("audio", 5)],
-        "SelfGated", spec.vocab, spec.classes, seed, dtype=np.float64)
+    model = FusionModel(dims, spec.modalities, "video", "SelfGated",
+                        spec.vocab, spec.classes, seed, dtype=np.float64)
     features = {m: f.astype(np.float64) for m, f in
                 batch_data.features.items()}
 

@@ -53,6 +53,8 @@ class TrainConfig:
             raise ValueError("early exit needs at least 2 epochs of history")
         if self.batch_size < 1 or self.epochs < 1:
             raise ValueError("batch size and epochs must be positive")
+        if self.eval_batch < 1:
+            raise ValueError("eval batch must be positive")
 
 
 @dataclass

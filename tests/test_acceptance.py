@@ -13,7 +13,7 @@ import time
 import numpy as np
 
 from modfuse import tensor as T
-from modfuse.adapters import FeatureBatch, Modality, mmqa_create
+from modfuse.adapters import FeatureBatch, mmqa_create
 from modfuse.backbone import init_backbone, lora_linear, qformer_forward
 from modfuse.bench import (BenchModality, BenchSpec, accuracy_by_template,
                            gen_dataset, split_easy_hard,
@@ -23,7 +23,7 @@ from modfuse.checkpoint import (checkpoint_bytes, load_checkpoint,
 from modfuse.config import parse_config
 from modfuse.fusion import (STRATEGIES, create_fusion, fuse_variant,
                             token_budget)
-from modfuse.model import FusionModel, ModalitySpec, ModelDims
+from modfuse.model import FusionModel, ModelDims
 from modfuse.reasoner import reasoner_flops
 from modfuse.runner import run_gradcheck, run_train
 from modfuse.training import (TrainConfig, census_summary,
@@ -43,15 +43,10 @@ def _toy_spec(train_size=64, test_size=32, seed=0):
                      seed=seed)
 
 
-def _toy_modalities():
-    return [ModalitySpec("video", 16, "major"), ModalitySpec("audio", 24),
-            ModalitySpec("depth", 48)]
-
-
 def _toy_model(strategy="SelfGated", seed=0, **dim_kwargs):
     spec = _toy_spec()
-    return FusionModel(ModelDims(**dim_kwargs), _toy_modalities(), strategy,
-                       spec.vocab, spec.classes, seed)
+    return FusionModel(ModelDims(**dim_kwargs), spec.modalities, "video",
+                       strategy, spec.vocab, spec.classes, seed)
 
 
 def _tensor_digests(registry) -> dict[str, str]:
@@ -80,10 +75,8 @@ def test_fresh_adapters_neutral_and_full_rank_matches_dense():
     bb = init_backbone(7, 32, 2, 4, 4, dtype=np.float64)
     feats = FeatureBatch(
         "video", np.random.default_rng(7).normal(size=(2, 5, 16)))
-    fresh = mmqa_create(Modality("video", "major"), 32, 4, 4, 2, 16, seed=7,
-                        dtype=np.float64)
-    bare = mmqa_create(Modality("video", "major"), 32, 4, 4, 2, 16, seed=7,
-                       dtype=np.float64)
+    fresh = mmqa_create("video", 32, 4, 4, 2, 16, seed=7, dtype=np.float64)
+    bare = mmqa_create("video", 32, 4, 4, 2, 16, seed=7, dtype=np.float64)
     bare.lora = [{"q": None, "v": None} for _ in bare.lora]
     out = qformer_forward(bb, fresh, feats)
     reference = qformer_forward(bb, bare, feats)
@@ -197,8 +190,7 @@ def test_multimodal_model_beats_single_modality_bounds():
     assert abs(bounds["equal"] - 0.80) < 1e-12
     assert abs(bounds["count"] - 0.64) < 1e-12
 
-    major_only = FusionModel(ModelDims(rank=8),
-                             [ModalitySpec("video", 16, "major")],
+    major_only = FusionModel(ModelDims(rank=8), spec.modalities[:1], "video",
                              "SelfGated", spec.vocab, spec.classes, 0,
                              train_classifier=True)
     fit(major_only, train, test,
@@ -208,8 +200,9 @@ def test_multimodal_model_beats_single_modality_bounds():
     assert acc_major["equal"] <= bounds["equal"] + 0.02, acc_major
     assert acc_major["count"] <= bounds["count"] + 0.02, acc_major
 
-    full = FusionModel(ModelDims(rank=8), _toy_modalities(), "SelfGated",
-                       spec.vocab, spec.classes, 0, train_classifier=True)
+    full = FusionModel(ModelDims(rank=8), spec.modalities, "video",
+                       "SelfGated", spec.vocab, spec.classes, 0,
+                       train_classifier=True)
     fit(full, train, test,
         TrainConfig(lr=3e-3, epochs=14, batch_size=32, seed=1))
     full_preds = predict_dataset(full, test)
@@ -275,9 +268,7 @@ def test_reruns_checkpoints_and_extension_are_bit_stable(tmp_path):
 
     first = load_checkpoint(out_a["checkpoint"])
     model_a = out_a["model"]
-    restored = FusionModel(model_a.dims,
-                           [ModalitySpec("video", 16, "major"),
-                            ModalitySpec("audio", 24)],
+    restored = FusionModel(model_a.dims, config.spec.modalities, "video",
                            model_a.strategy, model_a.vocab, model_a.classes,
                            seed=9)
     restore_into(restored.registry, first)
@@ -285,11 +276,10 @@ def test_reruns_checkpoints_and_extension_are_bit_stable(tmp_path):
         open(out_a["checkpoint"], "rb").read()
 
     extended = FusionModel(model_a.dims,
-                           [ModalitySpec("video", 16, "major"),
-                            ModalitySpec("audio", 24),
-                            ModalitySpec("thermal", 20)],
-                           model_a.strategy, model_a.vocab, model_a.classes,
-                           seed=9)
+                           config.spec.modalities +
+                           (BenchModality("thermal", 20, 4),),
+                           "video", model_a.strategy, model_a.vocab,
+                           model_a.classes, seed=9)
     warnings = restore_into(extended.registry, first, force=True)
     surviving = 0
     current = dict(extended.registry.named())
@@ -313,7 +303,7 @@ def test_trainable_fraction_small_and_adapter_counts_closed_form():
     fraction = census["trainable"] / census["total"]
     assert fraction < 0.10, census
     dims = model.dims
-    for spec in _toy_modalities():
+    for spec in _toy_spec().modalities:
         expected = dims.layers * 2 * 2 * dims.d * dims.rank \
             + dims.tokens * dims.d
         if spec.feat_dim != dims.d:

@@ -4,16 +4,15 @@ import numpy as np
 import pytest
 
 from modfuse import tensor as T
-from modfuse.adapters import (FeatureBatch, Modality, ParamRegistry,
-                              count_trainable, mmqa_create)
+from modfuse.adapters import (FeatureBatch, ParamRegistry, count_trainable,
+                              mmqa_create)
 from modfuse.backbone import init_backbone, lora_linear, qformer_forward
 from modfuse.tensor import Tensor
 
 
 def make_adapter(name="video", d=32, r=4, tokens=4, layers=2, f=16, seed=0,
-                 role="supportive", dtype=np.float64):
-    return mmqa_create(Modality(name, role), d, r, tokens, layers, f, seed,
-                       dtype=dtype)
+                 dtype=np.float64):
+    return mmqa_create(name, d, r, tokens, layers, f, seed, dtype=dtype)
 
 
 def backbone_bytes(bb):

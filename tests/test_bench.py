@@ -5,9 +5,9 @@ import dataclasses
 import numpy as np
 import pytest
 
-from modfuse.bench import (BenchModality, BenchSpec, Question, TEMPLATES,
-                           accuracy_by_template, codebook, gen_dataset,
-                           gen_split, oracle, split_easy_hard,
+from modfuse.bench import (TEST_STREAM, BenchModality, BenchSpec, Question,
+                           TEMPLATES, accuracy_by_template, codebook,
+                           gen_dataset, gen_split, oracle, split_easy_hard,
                            unimodal_bayes_accuracy)
 
 
@@ -72,6 +72,16 @@ class TestGeneration:
             assert np.array_equal(a_test.features[m], b_test.features[m])
         assert np.array_equal(a_train.questions, b_train.questions)
         assert np.array_equal(a_train.answers, b_train.answers)
+
+    def test_test_split_alone_equals_dataset_test_split(self):
+        spec = toy_spec()
+        alone = gen_split(spec, spec.test_size, TEST_STREAM)
+        _, test = gen_dataset(spec)
+        assert alone.features.keys() == test.features.keys()
+        for m in test.features:
+            assert np.array_equal(alone.features[m], test.features[m])
+        for name in ("questions", "answers", "latents", "template_ids"):
+            assert np.array_equal(getattr(alone, name), getattr(test, name))
 
     def test_splits_differ(self):
         train, test = gen_dataset(toy_spec(train_size=32, test_size=32))
@@ -206,6 +216,12 @@ class TestSpecValidation:
     def test_no_modalities_rejected(self):
         with pytest.raises(ValueError, match="modality"):
             toy_spec(modalities=())
+
+    def test_empty_splits_rejected(self):
+        with pytest.raises(ValueError, match="sizes must be positive"):
+            toy_spec(train_size=0)
+        with pytest.raises(ValueError, match="sizes must be positive"):
+            toy_spec(test_size=0)
 
     def test_spec_is_frozen(self):
         spec = toy_spec()

@@ -89,6 +89,28 @@ class TestFullParse:
         with pytest.raises(ConfigError, match="unknown fusion strategy"):
             parse_config(BASE.replace("model.strategy = SelfGated",
                                       "model.strategy = Mean"))
+        with pytest.raises(ConfigError, match="unknown fusion strategy"):
+            parse_config(BASE.replace("model.strategy = SelfGated",
+                                      "model.strategy = Bypass"))
+
+    def test_unknown_mode_rejected(self):
+        with pytest.raises(ConfigError, match="unknown training mode"):
+            parse_config(BASE + "train.mode = parallel\n")
+
+    def test_negative_eval_batch_rejected(self):
+        # would leave predict_dataset's output uninitialized: accuracy 0.0
+        with pytest.raises(ConfigError, match="eval batch"):
+            parse_config(BASE + "train.eval_batch = -1\n")
+
+    def test_zero_eval_batch_rejected(self):
+        with pytest.raises(ConfigError, match="eval batch"):
+            parse_config(BASE + "train.eval_batch = 0\n")
+
+    def test_empty_train_split_rejected(self):
+        # would record a NaN epoch loss
+        with pytest.raises(ConfigError, match="sizes must be positive"):
+            parse_config(BASE.replace("bench.train_size = 128",
+                                      "bench.train_size = 0"))
 
     def test_head_divisibility(self):
         with pytest.raises(ConfigError, match="divisible"):

@@ -80,7 +80,7 @@ class TestSelfGated:
 
     def test_empty_supportive_rejected(self):
         fusion = build("SelfGated", 2)
-        with pytest.raises(ValueError, match="Bypass"):
+        with pytest.raises(ValueError, match="at least one supportive"):
             fuse_self_gated(fusion, token_sets(1)[0], [])
 
     def test_mismatched_token_counts_rejected(self):
@@ -118,15 +118,8 @@ class TestVariants:
                               np.concatenate([s.data for s in sets], axis=1))
         assert out.provenance == ["major"] * 4 + ["audio"] * 4 + ["depth"] * 4
 
-    def test_bypass_reproduces_concat(self):
-        sets = token_sets(2, seed=9)
-        a = fuse_variant(build("Concat", 2), sets[0], sets[1:])
-        b = fuse_variant(build("Bypass", 2), sets[0], sets[1:])
-        assert np.array_equal(a.tokens.data, b.tokens.data)
-
-    def test_concat_and_bypass_have_no_params(self):
+    def test_concat_has_no_params(self):
         assert build("Concat", 4).params == {}
-        assert build("Bypass", 4).params == {}
 
     def test_moe_uses_exactly_one_expert_per_token(self):
         fusion = build("MoE", 3)
@@ -180,10 +173,20 @@ class TestPrefixes:
         assert prefix_schedule("CrossAttention", order, "video") == \
             ["video", "fused"]
         assert prefix_schedule("Concat", order, "video") == order
-        assert prefix_schedule("Bypass", order, "audio") == \
+        assert prefix_schedule("Concat", order, "audio") == \
             ["audio", "video", "depth"]
         assert prefix_schedule("Linear", order, "video") == ["fused"]
         assert prefix_schedule("SelfGated", ["video"], "video") == ["video"]
+
+    def test_one_prefix_per_budget_block(self):
+        # reasoner_flops counts prefixes as token_budget // T
+        for strategy in STRATEGIES:
+            for n in range(1, 7):
+                order = [f"m{i}" for i in range(n)]
+                count = len(prefix_schedule(strategy, order, order[-1]))
+                for tokens in (1, 3, 4):
+                    assert count * tokens == \
+                        token_budget(strategy, n, tokens), (strategy, n)
 
     def test_one_vector_per_modality_plus_fused(self):
         prefixes = create_prefixes(["video", "audio"], 32, 0)

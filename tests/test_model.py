@@ -5,18 +5,19 @@ import pytest
 
 from modfuse import tensor as T
 from modfuse.adapters import count_trainable, total_scalars
-from modfuse.model import FusionModel, ModelDims, ModalitySpec
+from modfuse.bench import BenchModality
+from modfuse.model import FusionModel, ModelDims
 
 
-def toy_specs():
-    return [ModalitySpec("video", 16, "major"),
-            ModalitySpec("audio", 24),
-            ModalitySpec("depth", 48)]
+def toy_modalities():
+    return [BenchModality("video", 16, 5),
+            BenchModality("audio", 24, 4),
+            BenchModality("depth", 48, 3)]
 
 
 def build_model(strategy="SelfGated", seed=0, dtype=np.float32, **kwargs):
-    return FusionModel(ModelDims(), toy_specs(), strategy, vocab=12,
-                       classes=11, seed=seed, dtype=dtype, **kwargs)
+    return FusionModel(ModelDims(), toy_modalities(), "video", strategy,
+                       vocab=12, classes=11, seed=seed, dtype=dtype, **kwargs)
 
 
 def toy_batch(batch=2, seed=0):
@@ -30,19 +31,15 @@ def toy_batch(batch=2, seed=0):
 
 
 class TestAssembly:
-    def test_exactly_one_major_required(self):
-        specs = [ModalitySpec("video", 16), ModalitySpec("audio", 24)]
-        with pytest.raises(ValueError, match="major"):
-            FusionModel(ModelDims(), specs, "SelfGated", 12, 11, 0)
-        specs = [ModalitySpec("video", 16, "major"),
-                 ModalitySpec("audio", 24, "major")]
-        with pytest.raises(ValueError, match="major"):
-            FusionModel(ModelDims(), specs, "SelfGated", 12, 11, 0)
+    def test_major_must_be_a_modality(self):
+        with pytest.raises(ValueError, match="major modality 'flow'"):
+            FusionModel(ModelDims(), toy_modalities(), "flow", "SelfGated",
+                        12, 11, 0)
 
     def test_duplicate_modality_rejected(self):
-        specs = [ModalitySpec("video", 16, "major"), ModalitySpec("video", 24)]
+        mods = [BenchModality("video", 16, 5), BenchModality("video", 24, 4)]
         with pytest.raises(ValueError, match="duplicate"):
-            FusionModel(ModelDims(), specs, "SelfGated", 12, 11, 0)
+            FusionModel(ModelDims(), mods, "video", "SelfGated", 12, 11, 0)
 
     def test_registry_tags_cover_components(self):
         model = build_model()
@@ -106,7 +103,7 @@ class TestForward:
         assert np.all((preds >= 0) & (preds < 11))
 
     def test_single_modality_model(self):
-        model = FusionModel(ModelDims(), [ModalitySpec("video", 16, "major")],
+        model = FusionModel(ModelDims(), toy_modalities()[:1], "video",
                             "SelfGated", 12, 11, 0)
         rng = np.random.default_rng(0)
         feats = {"video": rng.normal(size=(2, 5, 16))}
@@ -117,7 +114,7 @@ class TestForward:
     def test_all_strategies_forward(self):
         feats, questions, _ = toy_batch()
         for strategy in ("SelfGated", "Concat", "Linear", "MoE",
-                         "CrossAttention", "Bypass"):
+                         "CrossAttention"):
             out = build_model(strategy).forward(feats, questions)
             assert out.shape == (2, 11)
 

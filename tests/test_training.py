@@ -8,7 +8,7 @@ import pytest
 from modfuse import Tensor
 from modfuse.adapters import ParamRegistry
 from modfuse.bench import BenchModality, BenchSpec, gen_dataset
-from modfuse.model import FusionModel, ModalitySpec, ModelDims
+from modfuse.model import FusionModel, ModelDims
 from modfuse.training import (GradHistory, TrainConfig, early_exit_indicator,
                               evaluate, fit, grad_magnitude, masked_params,
                               replay_exits, should_exit, train_epoch,
@@ -25,11 +25,8 @@ def small_spec(n=2, train_size=64, test_size=32):
 
 
 def build_model(spec, strategy="SelfGated", seed=11, **kw):
-    mods = [ModalitySpec(m.name, m.feat_dim,
-                         "major" if i == 0 else "supportive")
-            for i, m in enumerate(spec.modalities)]
-    return FusionModel(ModelDims(), mods, strategy, spec.vocab, spec.classes,
-                       seed, **kw)
+    return FusionModel(ModelDims(), spec.modalities, spec.names[0], strategy,
+                       spec.vocab, spec.classes, seed, **kw)
 
 
 class TestIndicator:
