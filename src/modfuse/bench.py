@@ -53,6 +53,11 @@ class BenchSpec:
             raise ValueError("at least one modality required")
         if self.train_size < 1 or self.test_size < 1:
             raise ValueError("train and test sizes must be positive")
+        for m in self.modalities:
+            for name in ("feat_dim", "seq_len"):
+                if getattr(m, name) < 1:
+                    raise ValueError(f"modality '{m.name}': {name} must be "
+                                     f"positive, got {getattr(m, name)}")
 
     @property
     def n(self) -> int:

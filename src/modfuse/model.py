@@ -8,7 +8,6 @@ input batch.
 
 from __future__ import annotations
 
-import contextlib
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -102,31 +101,56 @@ class FusionModel:
         return [m for m in self.order if m != self.major]
 
     def modality_tokens(self, features: dict[str, np.ndarray],
-                        taped: set[str] | None = None) -> dict[str, T.Tensor]:
+                        taped: set[str] | None = None,
+                        cache: dict[str, T.Tensor] | None = None
+                        ) -> dict[str, T.Tensor]:
         """Query-transformer tokens per modality.
 
         Only the modalities in ``taped`` (every one when None) are put on
-        the tape; the rest run forward-only and carry no gradient.
+        the tape; the rest run forward-only and carry no gradient. A
+        forward-only modality's tokens are taken from ``cache`` when it
+        holds them, and stored there when it does not, so whoever updates
+        an adapter must drop that modality's entry.
         """
+        if cache is None:
+            cache = {}
         out = {}
         for m in self.order:
             if m not in features:
                 raise ValueError(f"batch is missing features for '{m}'")
-            untaped = taped is not None and m not in taped
-            with T.no_grad() if untaped else contextlib.nullcontext():
-                out[m] = qformer_forward(self.backbone, self.adapters[m],
-                                         FeatureBatch(m, features[m]))
+            if taped is None or m in taped:
+                out[m] = self._qformer(m, features[m])
+                continue
+            if m not in cache:
+                with T.no_grad():
+                    cache[m] = self._qformer(m, features[m])
+            out[m] = cache[m]
         return out
+
+    def _qformer(self, m: str, features: np.ndarray) -> T.Tensor:
+        return qformer_forward(self.backbone, self.adapters[m],
+                               FeatureBatch(m, features))
+
+    def forward_only_tokens(self, m: str, features: np.ndarray,
+                            batch_size: int) -> np.ndarray:
+        """Modality ``m``'s forward-only tokens for every row of
+        ``features`` [N, S, f], ``batch_size`` rows per pass: [N, T, d]."""
+        with T.no_grad():
+            return np.concatenate([
+                self._qformer(m, features[lo:lo + batch_size]).data
+                for lo in range(0, len(features), batch_size)])
 
     def forward(self, features: dict[str, np.ndarray],
                 question_ids: np.ndarray | None,
-                taped: set[str] | None = None) -> T.Tensor:
+                taped: set[str] | None = None,
+                cache: dict[str, T.Tensor] | None = None) -> T.Tensor:
         """Answer logits. ``taped`` names the tags whose tensors go on the
         tape: modality names for their query transformers and "shared" for
         the prefixes; None tapes everything. Fusion and the answer head are
-        always taped.
+        always taped. ``cache`` holds forward-only tokens, as in
+        :meth:`modality_tokens`.
         """
-        tokens = self.modality_tokens(features, taped)
+        tokens = self.modality_tokens(features, taped, cache)
         fused = fuse_variant(self.fusion, tokens[self.major],
                              [tokens[m] for m in self.supportive],
                              supportive_names=self.supportive)
@@ -141,13 +165,15 @@ class FusionModel:
         return predict(self.head, x)
 
     def loss(self, features: dict[str, np.ndarray], question_ids: np.ndarray,
-             answers: np.ndarray,
-             taped: set[str] | None = None) -> T.Tensor:
-        return T.cross_entropy(self.forward(features, question_ids, taped),
-                               answers)
+             answers: np.ndarray, taped: set[str] | None = None,
+             cache: dict[str, T.Tensor] | None = None) -> T.Tensor:
+        return T.cross_entropy(
+            self.forward(features, question_ids, taped, cache), answers)
 
     def predict_classes(self, features: dict[str, np.ndarray],
-                        question_ids: np.ndarray) -> np.ndarray:
+                        question_ids: np.ndarray,
+                        cache: dict[str, T.Tensor] | None = None
+                        ) -> np.ndarray:
         with T.no_grad():
-            logits = self.forward(features, question_ids)
+            logits = self.forward(features, question_ids, set(), cache)
         return np.argmax(logits.data, axis=-1)

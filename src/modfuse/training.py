@@ -9,6 +9,16 @@ magnitudes are averaged over each epoch; once a modality's latest
 average falls to or below tau times the mean of its history, that
 modality stops receiving updates (its tokens keep feeding fusion). Once
 every modality has exited, each minibatch takes one fusion-only step.
+
+A modality's forward-only tokens depend only on the frozen backbone,
+its adapter and the example, so they are computed once per adapter
+state. Within a minibatch, the steps share one cache of them, and a
+step drops the entries of the modalities it updated. When a modality
+exits, its tokens for every train and test example are computed once,
+in ``eval_batch`` chunks, and feed every later step and evaluation, so
+an exited modality's query transformer never runs again: early exit
+saves compute, not just optimizer steps. This relies on the tokens of
+an example not depending on the rest of its batch, which a test pins.
 Joint mode is the conventional alternative: one step per minibatch, all
 trainable tensors of active modalities, fusion and prefixes updated
 together.
@@ -147,7 +157,8 @@ def masked_params(model: FusionModel, tags: set[str]):
 
 
 def train_step(model: FusionModel, opt: T.Adam, batch: Dataset,
-               tags: set[str]) -> tuple[float, dict[str, float]]:
+               tags: set[str], cache: dict[str, T.Tensor] | None = None
+               ) -> tuple[float, dict[str, float]]:
     """One masked update of exactly the trainable tensors tagged in ``tags``.
 
     ``tags`` holds modality names, "fusion" and "shared". Only the query
@@ -155,6 +166,10 @@ def train_step(model: FusionModel, opt: T.Adam, batch: Dataset,
     "shared" is in it) go on the tape, so backward reaches the updated
     tensors and nothing else. With no tensor to update, the loss is
     computed without a tape and nothing moves.
+
+    ``cache`` holds this batch's forward-only tokens per modality (see
+    ``FusionModel.modality_tokens``); the entries of the updated
+    modalities are dropped, since their adapters moved.
 
     Returns (loss, mean gradient magnitude of each modality in ``tags``).
     """
@@ -165,19 +180,22 @@ def train_step(model: FusionModel, opt: T.Adam, batch: Dataset,
     args = (batch.features, batch.questions, batch.answers)
     if not params:
         with T.no_grad():
-            return float(model.loss(*args).data), {}
-    loss = model.loss(*args, taped=tags)
+            return float(model.loss(*args, taped=tags, cache=cache).data), {}
+    loss = model.loss(*args, taped=tags, cache=cache)
     T.backward(loss, leaves=[t for _, t in params])
     gmags = {m: grad_magnitude(model.registry, m)
              for m in model.order if m in tags}
     opt.step(params)
+    if cache is not None:
+        for m in gmags:
+            cache.pop(m, None)
     return float(loss.data), gmags
 
 
-def evaluate(model: FusionModel, data: Dataset,
-             batch_size: int = 256) -> dict[str, float]:
+def evaluate(model: FusionModel, data: Dataset, batch_size: int = 256,
+             tokens: dict[str, np.ndarray] | None = None) -> dict[str, float]:
     """Exact-match accuracy, overall and per template."""
-    preds = predict_dataset(model, data, batch_size)
+    preds = predict_dataset(model, data, batch_size, tokens=tokens)
     return accuracy_by_template(preds, data)
 
 
@@ -189,24 +207,37 @@ def masked_features(features: dict[str, np.ndarray],
 
 
 def predict_dataset(model: FusionModel, data: Dataset, batch_size: int = 256,
-                    visible: set[str] | None = None) -> np.ndarray:
+                    visible: set[str] | None = None,
+                    tokens: dict[str, np.ndarray] | None = None) -> np.ndarray:
     """Predicted classes, batch by batch; with ``visible``, the features of
-    every other modality are zeroed first."""
+    every other modality are zeroed first. ``tokens`` maps a modality to
+    its forward-only tokens for every example of ``data`` (unmasked), so
+    its query transformer does not run again."""
     preds = np.empty(len(data), dtype=np.int64)
     for lo in range(0, len(data), batch_size):
         part = data.slice(np.arange(lo, min(lo + batch_size, len(data))))
         features = part.features
         if visible is not None:
             features = masked_features(features, visible)
+        cache = {m: T.Tensor(a[lo:lo + len(part)])
+                 for m, a in (tokens or {}).items()}
         preds[lo:lo + len(part)] = model.predict_classes(
-            features, part.questions)
+            features, part.questions, cache)
     return preds
 
 
 def train_epoch(model: FusionModel, opt: T.Adam, train: Dataset,
                 config: TrainConfig, history: dict[str, GradHistory],
-                epoch: int, update_steps: dict[str, int]) -> tuple[float, dict]:
-    """One pass over the data; appends epoch gradient averages to history."""
+                epoch: int, update_steps: dict[str, int],
+                frozen: dict[str, np.ndarray] | None = None
+                ) -> tuple[float, dict]:
+    """One pass over the data; appends epoch gradient averages to history.
+
+    ``frozen`` maps an exited modality to its forward-only tokens for
+    every example of ``train``. Each minibatch keeps one cache of
+    forward-only tokens, seeded with its rows of those, and shared by the
+    minibatch's steps.
+    """
     rng = np.random.default_rng(
         np.random.SeedSequence([config.seed, 1000 + epoch]))
     losses = []
@@ -214,6 +245,7 @@ def train_epoch(model: FusionModel, opt: T.Adam, train: Dataset,
     counts = {m: 0 for m in model.order}
     for idx in _batches(len(train), config.batch_size, rng):
         batch = train.slice(idx)
+        cache = {m: T.Tensor(a[idx]) for m, a in (frozen or {}).items()}
         active = [m for m in model.order if history[m].active]
         if config.shuffle_modalities:
             active = [str(m) for m in rng.permutation(active)]
@@ -224,7 +256,7 @@ def train_epoch(model: FusionModel, opt: T.Adam, train: Dataset,
         else:
             step_tags = [{"fusion"}]
         for tags in step_tags:
-            loss, gmags = train_step(model, opt, batch, tags)
+            loss, gmags = train_step(model, opt, batch, tags, cache)
             losses.append(loss)
             for m, g in gmags.items():
                 sums[m] += g
@@ -247,11 +279,15 @@ def fit(model: FusionModel, train: Dataset, test: Dataset,
     history = {m: GradHistory() for m in model.order}
     report = TrainReport(mode=config.mode)
     report.history = history
+    # per-example tokens of the exited modalities, whose adapters never
+    # move again: computed once, then reused by every step and evaluation
+    train_tokens: dict[str, np.ndarray] = {}
+    test_tokens: dict[str, np.ndarray] = {}
     if config.warm_start:
         warm_start(model, train, config)
     for epoch in range(1, config.epochs + 1):
         loss, averages = train_epoch(model, opt, train, config, history,
-                                     epoch, report.update_steps)
+                                     epoch, report.update_steps, train_tokens)
         indicators: dict[str, float | None] = {}
         for m in model.order:
             h = history[m]
@@ -262,7 +298,12 @@ def fit(model: FusionModel, train: Dataset, test: Dataset,
                         h.values, config.tau, config.exit_on_rise):
                     h.active = False
                     h.exit_epoch = epoch
-        accuracy = evaluate(model, test, config.eval_batch)
+                    if epoch < config.epochs:
+                        train_tokens[m] = model.forward_only_tokens(
+                            m, train.features[m], config.eval_batch)
+                    test_tokens[m] = model.forward_only_tokens(
+                        m, test.features[m], config.eval_batch)
+        accuracy = evaluate(model, test, config.eval_batch, test_tokens)
         report.epochs.append(EpochRecord(
             epoch=epoch, loss=loss, accuracy=accuracy,
             grad_mag=dict(averages), indicator=indicators,

@@ -223,6 +223,15 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="sizes must be positive"):
             toy_spec(test_size=0)
 
+    @pytest.mark.parametrize("value", [0, -2])
+    @pytest.mark.parametrize("field", ["feat_dim", "seq_len"])
+    def test_empty_modality_shape_rejected(self, field, value):
+        audio = dataclasses.replace(BenchModality("audio", 24, 4),
+                                    **{field: value})
+        with pytest.raises(ValueError,
+                           match=f"modality 'audio': {field} must be positive"):
+            toy_spec(modalities=(BenchModality("video", 16, 5), audio))
+
     def test_spec_is_frozen(self):
         spec = toy_spec()
         with pytest.raises(dataclasses.FrozenInstanceError):

@@ -112,6 +112,17 @@ class TestFullParse:
             parse_config(BASE.replace("bench.train_size = 128",
                                       "bench.train_size = 0"))
 
+    @pytest.mark.parametrize("value", [0, -1])
+    @pytest.mark.parametrize("line", ["modality.audio.feat_dim = 24",
+                                      "modality.audio.seq_len = 6"])
+    def test_empty_modality_shape_rejected(self, line, value):
+        # would fail inside fit with a bare numpy error
+        key = line.split(" = ")[0]
+        field = key.rsplit(".", 1)[1]
+        with pytest.raises(ConfigError,
+                           match=f"modality 'audio': {field} must be positive"):
+            parse_config(BASE.replace(line, f"{key} = {value}"))
+
     def test_head_divisibility(self):
         with pytest.raises(ConfigError, match="divisible"):
             parse_config(BASE + "model.d = 30\n")

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from modfuse import Tensor
-from modfuse.adapters import ParamRegistry
+from modfuse import training
+from modfuse.adapters import FeatureBatch, ParamRegistry
 from modfuse.bench import BenchModality, BenchSpec, gen_dataset
 from modfuse.model import FusionModel, ModelDims
 from modfuse.training import (GradHistory, TrainConfig, early_exit_indicator,
@@ -327,16 +328,19 @@ class TestEpochAndFit:
         for prev, cur in zip(actives, actives[1:]):
             assert cur <= prev
 
-    def test_exited_modalities_save_steps(self):
+    def test_exited_modalities_save_steps(self, monkeypatch):
         spec = small_spec(n=2)
         train, test = gen_dataset(spec)
+        calls = record_qformer_calls(monkeypatch)
         config = TrainConfig(epochs=4, batch_size=32, seed=5, tau=1e6,
                              early_exit=True)
         exited = fit(build_model(spec), train, test, config)
+        exited_calls = len(calls)
         full = fit(build_model(spec), train, test,
                    TrainConfig(epochs=4, batch_size=32, seed=5))
         for m in ("video", "audio"):
             assert exited.update_steps[m] < full.update_steps[m]
+        assert exited_calls < len(calls) - exited_calls
 
     def test_replay_matches_live_run(self):
         spec = small_spec(n=2)
@@ -404,3 +408,113 @@ class TestConfigValidation:
 
     def test_ok(self):
         TrainConfig().validate()
+
+
+def record_qformer_calls(monkeypatch) -> list[tuple[str, bool]]:
+    """Route every qformer call through a recorder of (modality, taped)."""
+    calls = []
+    qformer = model_module.qformer_forward
+
+    def recording(backbone, adapter, feats):
+        out = qformer(backbone, adapter, feats)
+        calls.append((feats.modality, out.requires_grad))
+        return out
+
+    monkeypatch.setattr(model_module, "qformer_forward", recording)
+    return calls
+
+
+def forward_only(model, m, features):
+    with T.no_grad():
+        return model_module.qformer_forward(
+            model.backbone, model.adapters[m], FeatureBatch(m, features)).data
+
+
+class TestTokenReuse:
+    def test_tokens_do_not_depend_on_batch_composition(self):
+        # frozen-token arrays are computed in eval_batch chunks and read back
+        # by minibatch rows, so an example's tokens must not depend on which
+        # other examples share its batch
+        spec = small_spec(n=3, train_size=96, test_size=64)
+        model = build_model(spec)
+        train, test = gen_dataset(spec)
+        fit(model, train, test, TrainConfig(epochs=2, batch_size=32, seed=5))
+        rng = np.random.default_rng(0)
+        for data in (train, test):
+            with T.no_grad():
+                full = model.modality_tokens(data.features, taped=set())
+            perm = rng.permutation(len(data))
+            for m in model.order:
+                for chunk in (1, 7, 32):
+                    rows = model.forward_only_tokens(
+                        m, data.features[m][perm], chunk)
+                    assert rows.dtype == np.float32
+                    assert np.array_equal(rows, full[m].data[perm]), (m, chunk)
+
+    @pytest.mark.parametrize("kw", [
+        dict(),
+        dict(shuffle_modalities=True),
+        dict(early_exit=True, tau=1e6),
+        dict(mode="joint", early_exit=True, tau=1e6),
+    ], ids=["sequential", "shuffled", "early-exit", "joint-early-exit"])
+    def test_cached_tokens_are_never_stale(self, kw, monkeypatch):
+        spec = small_spec(n=3)
+        model = build_model(spec)
+        train, test = gen_dataset(spec)
+        calls = record_qformer_calls(monkeypatch)
+        tokens = model_module.FusionModel.modality_tokens
+        hits = []
+
+        def checked(self, features, taped=None, cache=None):
+            before, start = dict(cache or {}), len(calls)
+            out = tokens(self, features, taped, cache)
+            computed = {m for m, _ in calls[start:]}
+            for m, tok in out.items():
+                if m in before and tok is before[m]:
+                    assert m not in computed
+                    assert np.array_equal(
+                        tok.data, forward_only(self, m, features[m])), m
+                    hits.append(m)
+            return out
+
+        monkeypatch.setattr(model_module.FusionModel, "modality_tokens",
+                            checked)
+        report = fit(model, train, test,
+                     TrainConfig(epochs=4, batch_size=32, seed=5, **kw))
+        assert hits
+        if "early_exit" in kw:
+            assert report.epochs[-1].active == []
+            assert set(hits) == set(model.order)
+
+    def test_one_minibatch_computes_each_adapter_state_once(self, monkeypatch):
+        # M=3 active: 3 taped calls, and forward-only calls only where the
+        # adapter moved since the batch last saw it: 2 + 1 + 1
+        spec = small_spec(n=3, train_size=32)
+        model = build_model(spec)
+        train, _ = gen_dataset(spec)
+        calls = record_qformer_calls(monkeypatch)
+        config = TrainConfig(batch_size=32, seed=5)
+        train_epoch(model, T.Adam(lr=config.lr), train, config,
+                    {m: GradHistory() for m in model.order}, 1, {})
+        assert sum(taped for _, taped in calls) == 3
+        assert sum(not taped for _, taped in calls) == 4
+
+    def test_exited_modalities_run_no_qformer(self, monkeypatch):
+        spec = small_spec(n=3)
+        model = build_model(spec)
+        train, test = gen_dataset(spec)
+        calls = record_qformer_calls(monkeypatch)
+        epochs = []
+        train_epoch_fn = training.train_epoch
+
+        def marked(*args, **kwargs):
+            epochs.append(len(calls))
+            return train_epoch_fn(*args, **kwargs)
+
+        monkeypatch.setattr(training, "train_epoch", marked)
+        report = fit(model, train, test,
+                     TrainConfig(epochs=4, batch_size=32, seed=5, tau=1e6,
+                                 early_exit=True))
+        assert report.exit_epochs() == {m: 2 for m in model.order}
+        # epochs 3 and 4 take fusion-only steps and evaluate: no qformer
+        assert len(calls) == epochs[2] > epochs[1]
