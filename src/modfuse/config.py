@@ -131,6 +131,17 @@ class RunConfig:
         if self.strategy not in STRATEGIES:
             raise ConfigError(f"unknown fusion strategy '{self.strategy}'; "
                               f"choose from {', '.join(STRATEGIES)}")
+        for name, low in (("d", 1), ("layers", 1), ("heads", 1),
+                          ("tokens", 1), ("head_width", 0),
+                          ("head_layers", 0)):
+            value = getattr(self.dims, name)
+            if value < low:
+                raise ConfigError(f"model.{name} must be at least {low}, "
+                                  f"got {value}")
+        if not 1 <= self.dims.rank < self.dims.d:
+            raise ConfigError(f"model.rank must be at least 1 and below "
+                              f"model.d ({self.dims.d}), got "
+                              f"{self.dims.rank}")
         if self.dims.d % self.dims.heads:
             raise ConfigError("model.d must be divisible by model.heads")
         if self.dims.resolved_head_width() % self.dims.heads:

@@ -15,6 +15,14 @@ against central finite differences and is meant to be run on float64
 parameters, where the documented tolerance of 1e-4 is attainable.
 Every operation validates that its output is finite, so a NaN or Inf
 surfaces at the op that produced it rather than three modules later.
+
+Kernels work in place where that saves a memory pass, under one rule: an
+op writes in place only into arrays it allocated in that same call, never
+into its inputs, the upstream gradient, its saved output or the arrays it
+hands to ``probes``. They keep numpy's own reductions and the association
+of every product and sum (the last-axis softmax sweeps its columns for the
+row maximum, which is exact; layer norm makes the calls ``np.mean``
+makes), so their bytes equal those of the plain formulas.
 """
 
 from __future__ import annotations
@@ -321,7 +329,8 @@ def _sigmoid_data(x: np.ndarray) -> np.ndarray:
     t = np.abs(x)
     np.negative(t, out=t)
     np.exp(t, out=t)
-    n = np.maximum((x >= 0).astype(x.dtype), t)
+    n = np.greater_equal(x, 0, out=np.empty_like(x))
+    np.maximum(n, t, out=n)
     t += 1
     n /= t
     return n
@@ -332,7 +341,9 @@ def sigmoid(a: Tensor) -> Tensor:
 
     def backward_fn(g):
         if a.requires_grad:
-            a.accumulate(g * y * (1.0 - y))
+            gy = g * y
+            gy *= 1.0 - y
+            a.accumulate(gy)
 
     return _make(y, (a,), "sigmoid", backward_fn)
 
@@ -343,18 +354,39 @@ def silu(a: Tensor) -> Tensor:
 
     def backward_fn(g):
         if a.requires_grad:
-            a.accumulate(g * (s + a.data * s * (1.0 - s)))
+            # ((x * s) * (1 - s) + s) * g: reassociating changes the bytes
+            gx = a.data * s
+            gx *= 1.0 - s
+            gx += s
+            gx *= g
+            a.accumulate(gx)
 
     return _make(a.data * s, (a,), "silu", backward_fn)
 
 
 def _softmax_data(x: np.ndarray, axis: int) -> np.ndarray:
-    e = np.exp(x - x.max(axis=axis, keepdims=True))
-    return e / e.sum(axis=axis, keepdims=True)
+    if axis % x.ndim == x.ndim - 1:
+        # x.max runs its inner loop once per row, which costs far more
+        # than the few keys in a row; a sweep over the columns runs it once
+        # per key and gives the same maxima (the maximum is exact)
+        m = x[..., 0].copy()
+        for j in range(1, x.shape[-1]):
+            np.maximum(m, x[..., j], out=m)
+        m = m[..., None]
+    else:
+        m = x.max(axis=axis, keepdims=True)
+    e = x - m
+    np.exp(e, out=e)
+    e /= e.sum(axis=axis, keepdims=True)
+    return e
 
 
 def _softmax_grad(g: np.ndarray, y: np.ndarray, axis: int) -> np.ndarray:
-    return (g - (g * y).sum(axis=axis, keepdims=True)) * y
+    # (g - sum(g * y)) * y, in the buffer of g * y
+    gy = g * y
+    np.subtract(g, gy.sum(axis=axis, keepdims=True), out=gy)
+    gy *= y
+    return gy
 
 
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
@@ -373,8 +405,9 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
 
     q: [B, Sq, d]; k, v: [B, Sk, d]; output [B, Sq, d] with the heads
     merged back. One op stands for the head split, the scaled scores, the
-    softmax, the weighted sum and the head merge; it runs the numpy calls
-    of that composition on the same array views, so its bytes equal it.
+    softmax, the weighted sum and the head merge; it runs the arithmetic
+    of that composition on arrays of the same layout, so its bytes equal
+    it.
     The raw scores are checked as well as the output, since the softmax
     would turn a -inf score into a finite zero. ``probes``, if given,
     receives the [B, heads, Sq, Sk] attention probabilities.
@@ -391,46 +424,58 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
     kt = np.transpose(kh, (0, 1, 3, 2))
     scores = qh @ kt
     _check_finite(scores, "attention")
-    probs = _softmax_data(scores * np.asarray(scale, dtype=q.dtype), -1)
+    scores *= np.asarray(scale, dtype=q.dtype)
+    probs = _softmax_data(scores, -1)
     if probes is not None:
         probes.append(probs)
     heads_out = np.transpose(probs @ vh, (0, 2, 1, 3))
 
     def backward_fn(g):
-        # every np.array below is a copy Tensor.accumulate made in the
-        # composition, kept so that this runs the same numpy calls on
-        # arrays of the same layout
-        g_pv = np.array(np.transpose(np.array(g.reshape(b, sq, heads, dh)),
-                                     (0, 2, 1, 3)))
+        # g is copied once into a dense array, as Tensor.accumulate copied
+        # it in the composition, so the matmuls see the same layout; the
+        # transposed views keep it (a copy of a dense array keeps its
+        # strides), and accumulate copies what it keeps
+        g_pv = np.transpose(np.array(g.reshape(b, sq, heads, dh)),
+                            (0, 2, 1, 3))
         if q.requires_grad or k.requires_grad:
-            g_probs = np.array(g_pv @ np.swapaxes(vh, -1, -2))
-            g_scores = np.array(np.array(_softmax_grad(g_probs, probs, -1))
-                                * scale)
+            g_scores = _softmax_grad(g_pv @ np.swapaxes(vh, -1, -2), probs,
+                                     -1)
+            g_scores *= scale
             if q.requires_grad:
-                g_qh = np.array(g_scores @ np.swapaxes(kt, -1, -2))
-                q.accumulate(np.array(np.transpose(g_qh, (0, 2, 1, 3)))
+                g_qh = g_scores @ np.swapaxes(kt, -1, -2)
+                q.accumulate(np.transpose(g_qh, (0, 2, 1, 3))
                              .reshape(q.shape))
             if k.requires_grad:
-                g_kt = np.array(np.swapaxes(qh, -1, -2) @ g_scores)
-                g_kh = np.array(np.transpose(g_kt, (0, 1, 3, 2)))
-                k.accumulate(np.array(np.transpose(g_kh, (0, 2, 1, 3)))
+                g_kt = np.swapaxes(qh, -1, -2) @ g_scores
+                k.accumulate(np.transpose(g_kt, (0, 3, 1, 2))
                              .reshape(k.shape))
         if v.requires_grad:
-            g_vh = np.array(np.swapaxes(probs, -1, -2) @ g_pv)
-            v.accumulate(np.array(np.transpose(g_vh, (0, 2, 1, 3)))
-                         .reshape(v.shape))
+            g_vh = np.swapaxes(probs, -1, -2) @ g_pv
+            v.accumulate(np.transpose(g_vh, (0, 2, 1, 3)).reshape(v.shape))
 
     return _make(heads_out.reshape(b, sq, d), (q, k, v), "attention",
                  backward_fn)
 
 
+def _mean_last(x: np.ndarray) -> np.ndarray:
+    # the calls np.mean makes: a sum, then an unsafe-cast division by the
+    # count as np.intp
+    r = np.add.reduce(x, axis=-1, keepdims=True)
+    np.true_divide(r, np.intp(x.shape[-1]), out=r, casting="unsafe")
+    return r
+
+
 def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
     """Normalize the last axis to zero mean and unit variance, then affine."""
-    mu = a.data.mean(axis=-1, keepdims=True)
-    centered = a.data - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = centered * inv_std
+    xhat = a.data - _mean_last(a.data)
+    out = xhat * xhat                    # the squares, then the output
+    inv_std = _mean_last(out)
+    inv_std += eps
+    np.sqrt(inv_std, out=inv_std)
+    np.divide(1.0, inv_std, out=inv_std)
+    xhat *= inv_std
+    np.multiply(xhat, gain.data, out=out)
+    out += bias.data
 
     def backward_fn(g):
         if bias.requires_grad:
@@ -439,12 +484,17 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
             gain.accumulate(unbroadcast(g * xhat, gain.shape))
         if a.requires_grad:
             gx = g * gain.data
-            term1 = gx.mean(axis=-1, keepdims=True)
-            term2 = (gx * xhat).mean(axis=-1, keepdims=True)
-            a.accumulate(inv_std * (gx - term1 - xhat * term2))
+            gxh = gx * xhat
+            term1 = _mean_last(gx)
+            term2 = _mean_last(gxh)
+            # inv_std * ((gx - term1) - xhat * term2)
+            gx -= term1
+            np.multiply(xhat, term2, out=gxh)
+            gx -= gxh
+            gx *= inv_std
+            a.accumulate(gx)
 
-    return _make(xhat * gain.data + bias.data, (a, gain, bias), "layer_norm",
-                 backward_fn)
+    return _make(out, (a, gain, bias), "layer_norm", backward_fn)
 
 
 def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:

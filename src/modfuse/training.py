@@ -26,6 +26,7 @@ together.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -55,6 +56,14 @@ class TrainConfig:
     eval_batch: int = 256
 
     def validate(self) -> None:
+        # with lr <= 0 no step descends, and a NaN lr or a beta of 1 (a
+        # zero bias correction) fails only inside fit
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ValueError(f"lr must be finite and positive, got {self.lr}")
+        for name in ("beta1", "beta2"):
+            beta = getattr(self, name)
+            if not 0 <= beta < 1:
+                raise ValueError(f"{name} must be in [0, 1), got {beta}")
         if self.mode not in MODES:
             raise ValueError(f"unknown training mode '{self.mode}'")
         if self.tau <= 0:

@@ -123,6 +123,55 @@ class TestFullParse:
                            match=f"modality 'audio': {field} must be positive"):
             parse_config(BASE.replace(line, f"{key} = {value}"))
 
+    @pytest.mark.parametrize("value", ["-0.003", "0", "nan", "inf"])
+    def test_bad_lr_rejected(self, value):
+        # a negative lr raised the loss, 0 moved nothing, and nan failed
+        # inside fit as a FloatingPointError from op 'adam_step'
+        with pytest.raises(ConfigError, match="lr must be finite and positive"):
+            parse_config(BASE.replace("train.lr = 0.003",
+                                      f"train.lr = {value}"))
+
+    @pytest.mark.parametrize("value", ["-0.5", "1.0", "1.5", "nan"])
+    @pytest.mark.parametrize("field", ["beta1", "beta2"])
+    def test_bad_beta_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=rf"{field} must be in \[0, 1\)"):
+            parse_config(BASE + f"train.{field} = {value}\n")
+
+    def test_beta_zero_accepted(self):
+        cfg = parse_config(BASE + "train.beta1 = 0\ntrain.beta2 = 0\n")
+        assert cfg.train.beta1 == 0 and cfg.train.beta2 == 0
+
+    @pytest.mark.parametrize("field", ["d", "layers", "heads", "tokens"])
+    def test_empty_model_dim_rejected(self, field):
+        # heads = 0 raised ZeroDivisionError, the others a plain
+        # ValueError from build_model
+        with pytest.raises(ConfigError,
+                           match=f"model.{field} must be at least 1, got 0"):
+            parse_config(BASE + f"model.{field} = 0\n")
+
+    @pytest.mark.parametrize("field", ["head_width", "head_layers"])
+    def test_negative_head_dim_rejected(self, field):
+        # a negative head width was read as 2 * d, a negative layer count
+        # as no layers
+        with pytest.raises(ConfigError,
+                           match=f"model.{field} must be at least 0, got -8"):
+            parse_config(BASE + f"model.{field} = -8\n")
+
+    @pytest.mark.parametrize("rank", [0, -1, 32, 33])
+    def test_rank_outside_hidden_size_rejected(self, rank):
+        # rank 0 failed inside fit with a bare numpy reshape error
+        with pytest.raises(ConfigError,
+                           match=rf"model.rank must be at least 1 and below "
+                                 rf"model.d \(32\), got {rank}"):
+            parse_config(BASE + f"model.rank = {rank}\n")
+
+    def test_smallest_valid_dims_accepted(self):
+        cfg = parse_config(BASE + "model.d = 2\nmodel.heads = 1\n"
+                           "model.layers = 1\nmodel.tokens = 1\n"
+                           "model.rank = 1\nmodel.head_layers = 0\n")
+        assert cfg.dims.rank == 1 and cfg.dims.resolved_head_width() == 4
+        build_model(cfg)
+
     def test_head_divisibility(self):
         with pytest.raises(ConfigError, match="divisible"):
             parse_config(BASE + "model.d = 30\n")

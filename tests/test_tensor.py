@@ -1,5 +1,7 @@
 """Tests for the autodiff engine: frozen values, properties, gradients."""
 
+import contextlib
+import inspect
 import math
 import warnings
 
@@ -153,6 +155,49 @@ class TestSigmoidData:
             assert got.tobytes() == want.tobytes()
 
 
+# The kernels as they were before they were made lean, kept as references:
+# the lean kernels must reproduce them bit for bit.
+
+def ref_softmax_data(x, axis):
+    e = np.exp(x - x.max(axis=axis, keepdims=True))
+    return e / e.sum(axis=axis, keepdims=True)
+
+
+def ref_softmax_grad(g, y, axis):
+    return (g - (g * y).sum(axis=axis, keepdims=True)) * y
+
+
+def ref_softmax(a, axis=-1):
+    """T.softmax on the reference kernels, independent of _softmax_data."""
+    y = ref_softmax_data(a.data, axis)
+
+    def backward_fn(g):
+        if a.requires_grad:
+            a.accumulate(ref_softmax_grad(g, y, axis))
+
+    return T._make(y, (a,), "softmax", backward_fn)
+
+
+def ref_layer_norm(x, gain, bias, g, eps=1e-5):
+    """Output and (input, gain, bias) gradients for upstream gradient g."""
+    mu = x.mean(axis=-1, keepdims=True)
+    centered = x - mu
+    var = (centered * centered).mean(axis=-1, keepdims=True)
+    inv_std = 1.0 / np.sqrt(var + eps)
+    xhat = centered * inv_std
+    gx = g * gain
+    term1 = gx.mean(axis=-1, keepdims=True)
+    term2 = (gx * xhat).mean(axis=-1, keepdims=True)
+    return (xhat * gain + bias, inv_std * (gx - term1 - xhat * term2),
+            T.unbroadcast(g * xhat, gain.shape), T.unbroadcast(g, bias.shape))
+
+
+def ref_silu(x, g):
+    """Output and input gradient for upstream gradient g."""
+    s = TestSigmoidData.two_branch(x)
+    return x * s, g * (s + x * s * (1.0 - s))
+
+
 def composed_attention(q, k, v, heads):
     """The op-by-op composition the fused attention op replaces."""
     b, sq, d = q.shape
@@ -163,7 +208,7 @@ def composed_attention(q, k, v, heads):
         return T.transpose(x, (0, 2, 1, 3))
 
     scores = T.matmul(split(q), T.transpose(split(k), (0, 1, 3, 2)))
-    probs = T.softmax(scores * (1.0 / math.sqrt(dh)), axis=-1)
+    probs = ref_softmax(scores * (1.0 / math.sqrt(dh)), axis=-1)
     out = T.transpose(T.matmul(probs, split(v)), (0, 2, 1, 3))
     return T.reshape(out, (b, sq, d)), probs.data
 
@@ -246,6 +291,161 @@ class TestAttention:
         with T.no_grad(), pytest.raises(FloatingPointError,
                                         match="op 'attention'"):
             T.attention(q, k, v, 2)
+
+
+def softmax_rows(dtype, keys, seed=0):
+    """Scores with tied maxima, signed zeros and large magnitudes."""
+    rng = np.random.default_rng(seed)
+    big = np.finfo(dtype).max / 2
+    x = rng.normal(size=(32, 4, 13, keys)) * 4.0
+    x[0] = np.round(x[0])                 # ties, the maxima among them
+    x[1] = -np.abs(x[1])
+    x[1, :, :, ::2] = -0.0                # maxima of -0.0,
+    x[1, :2, :, -1] = 0.0                 # tied with 0.0 in some rows
+    x[2] *= 1e30
+    x[3, :, :, 0] = big
+    x[3, :, :, -1] = -big
+    return x.astype(dtype)
+
+
+class TestLeanKernels:
+    """The in-place kernels against the reference formulas, bit for bit."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("keys", [1, 4, 8, 13])
+    def test_softmax_data(self, keys, dtype):
+        x = softmax_rows(dtype, keys)
+        before = x.copy()
+        for axis in (-1, 3, 0, 2):
+            got = T._softmax_data(x, axis)
+            want = ref_softmax_data(x, axis)
+            assert got.dtype == dtype
+            assert got.tobytes() == want.tobytes()
+        assert x.tobytes() == before.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("axis", [-1, 0])
+    @pytest.mark.parametrize("layout", ["dense", "transposed"])
+    def test_softmax_op(self, axis, layout, dtype):
+        rng = np.random.default_rng(1)
+        upstream = T.Tensor(rng.normal(size=(6, 5, 7)), dtype=dtype)
+        x = softmax_rows(dtype, 7, seed=2)[:6, 0, :5, :]
+
+        def run(softmax):
+            if layout == "dense":
+                a = x_in = T.Tensor(x, requires_grad=True)
+            else:
+                a = T.Tensor(np.swapaxes(x, 1, 2).copy(), requires_grad=True)
+                x_in = T.transpose(a, (0, 2, 1))
+            out = softmax(x_in, axis=axis)
+            T.backward(T.tsum(out * upstream))
+            return out.data, a.grad
+
+        got, want = run(T.softmax), run(ref_softmax)
+        for g, w in zip(got, want):
+            assert g.dtype == dtype and g.tobytes() == w.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("d", [12, 32, 48])
+    def test_layer_norm(self, d, dtype):
+        rng = np.random.default_rng(d)
+        x = (rng.normal(size=(5, 7, d)) * 3.0 + 100.0).astype(dtype)
+        gain = rng.normal(size=d).astype(dtype)
+        bias = rng.normal(size=d).astype(dtype)
+        g = rng.normal(size=(5, 7, d)).astype(dtype)
+        a, w, b = (T.Tensor(v, requires_grad=True) for v in (x, gain, bias))
+        out = T.layer_norm(a, w, b)
+        out._backward_fn(g)
+        got = (out.data, a.grad, w.grad, b.grad)
+        for gv, wv in zip(got, ref_layer_norm(x, gain, bias, g)):
+            assert gv.dtype == dtype and gv.tobytes() == wv.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_silu_and_sigmoid(self, dtype):
+        rng = np.random.default_rng(4)
+        edges = np.array([0.0, -0.0, 30.0, -30.0, 1e30, -1e30], dtype)
+        x = np.concatenate([edges, (rng.normal(size=600) * 6).astype(dtype)])
+        g = rng.normal(size=x.shape).astype(dtype)
+        a = T.Tensor(x, requires_grad=True)
+        out = T.silu(a)
+        out._backward_fn(g)
+        want = ref_silu(x, g)
+        assert out.data.tobytes() == want[0].tobytes()
+        assert a.grad.dtype == dtype and a.grad.tobytes() == want[1].tobytes()
+        a.grad = None
+        out = T.sigmoid(a)
+        out._backward_fn(g)
+        s = TestSigmoidData.two_branch(x)
+        assert a.grad.tobytes() == (g * s * (1.0 - s)).tobytes()
+
+
+def _op_cases():
+    """name -> (input shapes, call); the name is the op's function."""
+    return {
+        "add": ([(3, 4, 8), (8,)], lambda a, b, p: T.add(a, b)),
+        "mul": ([(3, 4, 8), (4, 8)], lambda a, b, p: T.mul(a, b)),
+        "mul-scalar": ([(3, 4, 8)], lambda a, p: T.mul(a, 0.5)),
+        "matmul": ([(3, 4, 8), (8, 5)], lambda a, b, p: T.matmul(a, b)),
+        "reshape": ([(3, 4, 8)], lambda a, p: T.reshape(a, (12, 8))),
+        "transpose": ([(3, 4, 8)], lambda a, p: T.transpose(a, (0, 2, 1))),
+        "concat": ([(3, 4, 8), (3, 2, 8)],
+                   lambda a, b, p: T.concat([a, b], axis=1)),
+        "broadcast_to": ([(4, 1)], lambda a, p: T.broadcast_to(a, (3, 4, 8))),
+        "tsum": ([(3, 4, 8)], lambda a, p: T.tsum(a, axis=1)),
+        "tmean": ([(3, 4, 8)], lambda a, p: T.tmean(a, axis=-1)),
+        "sigmoid": ([(3, 4, 8)], lambda a, p: T.sigmoid(a)),
+        "silu": ([(3, 4, 8)], lambda a, p: T.silu(a)),
+        "softmax": ([(3, 4, 8)], lambda a, p: T.softmax(a, axis=-1)),
+        "softmax-axis0": ([(3, 4, 8)], lambda a, p: T.softmax(a, axis=0)),
+        "attention": ([(3, 4, 8), (3, 5, 8), (3, 5, 8)],
+                      lambda q, k, v, p: T.attention(q, k, v, 2, probes=p)),
+        "layer_norm": ([(3, 4, 8), (8,), (8,)],
+                       lambda a, w, b, p: T.layer_norm(a, w, b)),
+        "cross_entropy": ([(6, 4)],
+                          lambda a, p: T.cross_entropy(a, np.arange(6) % 4)),
+        "embedding": ([(5, 8)],
+                      lambda t, p: T.embedding(t, np.array([[0, 2], [2, 4]]))),
+    }
+
+
+class TestNoAliasing:
+    """An op writes in place only into arrays it allocated in that call:
+    never into its inputs, the upstream gradient, its saved output or the
+    arrays it handed to probes."""
+
+    def test_every_public_op_is_covered(self):
+        ops = {name for name, fn in vars(T).items()
+               if inspect.isfunction(fn) and not name.startswith("_")
+               and "_make(" in inspect.getsource(fn)}
+        assert ops == {name.split("-")[0] for name in _op_cases()}
+
+    @pytest.mark.parametrize("taped", [True, False])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("op", sorted(_op_cases()))
+    def test_inputs_gradient_output_and_probes_untouched(self, op, dtype,
+                                                         taped):
+        shapes, call = _op_cases()[op]
+        rng = np.random.default_rng(0)
+        inputs = [T.Tensor(rng.normal(size=s), requires_grad=True,
+                           dtype=dtype) for s in shapes]
+        before = [t.data.tobytes() for t in inputs]
+        probes = []
+        with contextlib.nullcontext() if taped else T.no_grad():
+            out = call(*inputs, probes)
+        assert out.requires_grad == taped
+        assert [t.data.tobytes() for t in inputs] == before
+        arrays = [t.data for t in inputs] + [out.data] + probes
+        snapshot = [a.tobytes() for a in arrays]
+        if not taped:
+            return
+        g = np.asarray(rng.normal(size=out.shape), dtype=dtype)
+        g_bytes = g.tobytes()
+        out._backward_fn(g)
+        assert g.tobytes() == g_bytes
+        assert [a.tobytes() for a in arrays] == snapshot
+        for t in inputs:
+            assert t.grad is not None and t.grad.shape == t.shape
+            assert not any(np.shares_memory(t.grad, a) for a in arrays + [g])
 
 
 class TestBackward:

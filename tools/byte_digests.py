@@ -1,0 +1,131 @@
+"""Print the bytes a checkout computes, one JSON line per run, for diffing.
+
+    python3 tools/byte_digests.py [--train-size N] [--test-size N]
+                                  [--epochs N] [--gradcheck-sample N]
+                                  [--perfbench]
+
+Run it from the root of two checkouts (say, a parent commit and a change)
+and ``diff`` the two outputs: a change that only reorganises work must
+leave every line as it was. Each checkout imports ``modfuse`` from its own
+``src/``, with BLAS pinned to one thread.
+
+The grid is every fusion strategy, in sequential and in joint mode, with
+early exit (tau 0.9), at seed 7, on the perfbench model (video 16x8 major,
+audio 24x6, depth 48x4, d=32, 2 layers, 4 heads, 4 tokens, rank 8,
+trainable classifier). ``--perfbench`` adds the perfbench configs of every
+workload at model seeds 0-3. Each line holds the SHA-256 of the run's
+``metrics.jsonl`` (``metrics.run_records``), the SHA-256 of its checkpoint
+and the ``run_eval`` accuracies of that checkpoint. The last line is the
+full-model gradcheck summary (``modfuse gradcheck``), which prints its
+worst relative error to four digits.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SEED = 7
+PERFBENCH_SEEDS = range(4)
+
+
+def grid_config(strategy: str, mode: str, train_size: int, test_size: int,
+                epochs: int) -> str:
+    return f"""\
+modalities = video, audio, depth
+major = video
+modality.video.feat_dim = 16
+modality.video.seq_len = 8
+modality.audio.feat_dim = 24
+modality.audio.seq_len = 6
+modality.depth.feat_dim = 48
+modality.depth.seq_len = 4
+bench.train_size = {train_size}
+bench.test_size = {test_size}
+bench.seed = {SEED}
+model.d = 32
+model.layers = 2
+model.heads = 4
+model.tokens = 4
+model.rank = 8
+model.strategy = {strategy}
+model.train_classifier = true
+model.seed = {SEED}
+train.mode = {mode}
+train.early_exit = true
+train.tau = 0.9
+train.epochs = {epochs}
+train.batch_size = 32
+train.lr = 0.003
+train.seed = {SEED}
+"""
+
+
+def _sha256(path: str) -> str:
+    with open(path, "rb") as f:
+        return hashlib.sha256(f.read()).hexdigest()
+
+
+def digest_line(label: str, text: str, outdir: str) -> dict:
+    from modfuse import config, runner
+
+    result = runner.run_train(config.parse_config(text, source=label),
+                              os.path.join(outdir, label))
+    return {"run": label,
+            "metrics_sha256": _sha256(result["metrics"]),
+            "checkpoint_sha256": _sha256(result["checkpoint"]),
+            "accuracy": runner.run_eval(result["checkpoint"])["accuracy"]}
+
+
+def runs(args):
+    """(label, config text) of every run, in output order."""
+    from modfuse.fusion import STRATEGIES
+
+    for strategy in STRATEGIES:
+        for mode in ("sequential", "joint"):
+            yield (f"{strategy}-{mode}-exit-seed{SEED}",
+                   grid_config(strategy, mode, args.train_size,
+                               args.test_size, args.epochs))
+    if args.perfbench:
+        sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+        import workloads
+
+        for name in workloads.WORKLOADS:
+            for seed in PERFBENCH_SEEDS:
+                yield (f"perfbench-{name}-seed{seed}",
+                       workloads.config_text(name, seed))
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("--train-size", type=int, default=192)
+    p.add_argument("--test-size", type=int, default=256)
+    p.add_argument("--epochs", type=int, default=4)
+    p.add_argument("--gradcheck-sample", type=int, default=None,
+                   help="elements checked per parameter (default: all)")
+    p.add_argument("--perfbench", action="store_true",
+                   help="also run the perfbench configs at seeds 0-3")
+    args = p.parse_args(argv)
+
+    # single-threaded BLAS, pinned before numpy is first imported
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[var] = "1"
+    sys.path.insert(0, os.path.join(ROOT, "src"))
+    from modfuse import runner
+
+    with tempfile.TemporaryDirectory() as outdir:
+        for label, text in runs(args):
+            print(json.dumps(digest_line(label, text, outdir),
+                             sort_keys=True), flush=True)
+    report = runner.run_gradcheck(sample=args.gradcheck_sample)
+    print(json.dumps({"gradcheck": report.summary()}), flush=True)
+    return 0 if report.passed else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
