@@ -10,14 +10,18 @@ modality subsets, which is what makes added modalities measurably
 useful. Exact Bayes accuracy under any visible-modality subset is
 computed by enumeration, giving a calibrated ceiling for every claim.
 
-Generation is pure per (seed, split, index): examples never depend on
-generation order, and datasets are regenerated from their BenchSpec
-rather than stored.
+Generation is pure per (seed, split, index): example ``i`` of a split
+draws its latents, question and noise from its own generator, seeded by
+(seed, stream, i), so examples never depend on generation order, and
+datasets are regenerated from their BenchSpec rather than stored. Only
+those draws run once per example; rendering, answers and question tokens
+are computed over the whole split with array operations.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from itertools import combinations, product
 
 import numpy as np
@@ -53,6 +57,12 @@ class BenchSpec:
             raise ValueError("at least one modality required")
         if self.train_size < 1 or self.test_size < 1:
             raise ValueError("train and test sizes must be positive")
+        if not (math.isfinite(self.noise) and self.noise >= 0):
+            raise ValueError(f"bench.noise must be finite and non-negative, "
+                             f"got {self.noise}")
+        if self.seed < 0:
+            raise ValueError(f"bench.seed must be non-negative, "
+                             f"got {self.seed}")
         for m in self.modalities:
             for name in ("feat_dim", "seq_len"):
                 if getattr(m, name) < 1:
@@ -102,16 +112,26 @@ class Question:
     template: str
     args: tuple[int, ...]  # modality indices, or a symbol for "count"
 
-    def token_ids(self, spec: BenchSpec) -> np.ndarray:
-        t = TEMPLATES.index(self.template)
-        if self.template == "unimodal":
-            ids = [t, spec.modality_token(self.args[0]), PAD_TOKEN]
-        elif self.template == "equal":
-            ids = [t, spec.modality_token(self.args[0]),
-                   spec.modality_token(self.args[1])]
-        else:
-            ids = [t, spec.symbol_token(self.args[0]), PAD_TOKEN]
-        return np.asarray(ids, dtype=np.int64)
+
+def oracle_answers(spec: BenchSpec, latents: np.ndarray,
+                   template_ids: np.ndarray, args: np.ndarray) -> np.ndarray:
+    """Gold answer index of every row: the oracle rule over arrays.
+
+    ``latents`` is [N, n]; ``template_ids`` [N] indexes TEMPLATES; ``args``
+    [N, 2] holds each question's arguments, zero-padded: a modality index
+    (unimodal), a modality pair (equal) or a symbol (count). Questions are
+    taken as well formed; ``oracle`` validates a single one.
+    """
+    out = np.empty(len(template_ids), dtype=np.int64)
+    first, second = args[:, 0], args[:, 1]
+    r = np.flatnonzero(template_ids == TEMPLATES.index("unimodal"))
+    out[r] = latents[r, first[r]]
+    r = np.flatnonzero(template_ids == TEMPLATES.index("equal"))
+    out[r] = np.where(latents[r, first[r]] == latents[r, second[r]],
+                      spec.answer_yes(), spec.answer_no())
+    r = np.flatnonzero(template_ids == TEMPLATES.index("count"))
+    out[r] = spec.answer_count(0) + (latents[r] == first[r, None]).sum(axis=1)
+    return out
 
 
 def oracle(spec: BenchSpec, latents, question: Question) -> int:
@@ -123,18 +143,21 @@ def oracle(spec: BenchSpec, latents, question: Question) -> int:
         (m,) = question.args
         if not 0 <= m < spec.n:
             raise ValueError(f"modality index {m} out of range")
-        return latents[m]
-    if question.template == "equal":
+    elif question.template == "equal":
         m1, m2 = question.args
         if m1 == m2 or not (0 <= m1 < spec.n and 0 <= m2 < spec.n):
             raise ValueError(f"bad modality pair {question.args}")
-        return spec.answer_yes() if latents[m1] == latents[m2] else spec.answer_no()
-    if question.template == "count":
+    elif question.template == "count":
         (x,) = question.args
         if not 0 <= x < spec.alphabet:
             raise ValueError(f"symbol {x} out of range")
-        return spec.answer_count(sum(1 for s in latents if s == x))
-    raise ValueError(f"unknown template '{question.template}'")
+    else:
+        raise ValueError(f"unknown template '{question.template}'")
+    args = (tuple(question.args) + (0,))[:2]
+    return int(oracle_answers(
+        spec, np.array([latents], dtype=np.int64),
+        np.array([TEMPLATES.index(question.template)]),
+        np.array([args], dtype=np.int64))[0])
 
 
 def codebook(spec: BenchSpec, modality: BenchModality) -> np.ndarray:
@@ -169,55 +192,69 @@ class Dataset:
         )
 
 
-def _draw_question(spec: BenchSpec, rng: np.random.Generator) -> Question:
-    t = TEMPLATES[rng.integers(0, len(TEMPLATES))]
-    if t == "unimodal":
-        return Question(t, (int(rng.integers(0, spec.n)),))
-    if t == "equal":
-        pairs = list(combinations(range(spec.n), 2))
-        return Question(t, pairs[rng.integers(0, len(pairs))])
-    return Question(t, (int(rng.integers(0, spec.alphabet)),))
-
-
-def gen_example(spec: BenchSpec, stream: int, index: int,
-                books: dict[str, np.ndarray]):
-    """Pure function of (spec.seed, stream, index)."""
-    rng = np.random.default_rng(
-        np.random.SeedSequence([spec.seed, stream, index]))
-    latents = rng.integers(0, spec.alphabet, size=spec.n)
-    if spec.n >= 2:
-        question = _draw_question(spec, rng)
-    else:
-        question = Question("unimodal", (0,))
-    feats = {}
-    for i, mod in enumerate(spec.modalities):
-        base = books[mod.name][latents[i]]
-        noise = rng.normal(0.0, 1.0, size=(mod.seq_len, mod.feat_dim))
-        feats[mod.name] = (base[None, :] +
-                           spec.noise * noise).astype(np.float32)
-    answer = oracle(spec, latents, question)
-    return latents, question, feats, answer
+# Examples whose float64 noise is held at once while a split is rendered;
+# it bounds gen_split's temporary memory whatever the split size.
+RENDER_CHUNK = 64
 
 
 def gen_split(spec: BenchSpec, size: int, stream: int) -> Dataset:
-    """Materialize one split as stacked arrays."""
-    books = {m.name: codebook(spec, m) for m in spec.modalities}
-    features = {m.name: np.empty((size, m.seq_len, m.feat_dim), dtype=np.float32)
-                for m in spec.modalities}
+    """Materialize one split as stacked arrays.
+
+    Example ``i`` draws from ``default_rng(SeedSequence([seed, stream,
+    i]))``, in this order: its latents; when there are two or more
+    modalities, a template and then that template's argument (a modality,
+    a pair index or a symbol); then the noise of every modality in spec
+    order, as one standard-normal row. Everything else runs per chunk of
+    rows (rendering, in float64 then rounded to float32) or per split
+    (answers and question tokens).
+    """
+    n = spec.n
+    widths = [m.seq_len * m.feat_dim for m in spec.modalities]
+    offsets = np.cumsum([0] + widths)
+    arg_bounds = (n, n * (n - 1) // 2, spec.alphabet)  # by template id
+    books = [codebook(spec, m) for m in spec.modalities]
+    features = {m.name: np.empty((size, m.seq_len, m.feat_dim),
+                                 dtype=np.float32) for m in spec.modalities}
+    latents = np.empty((size, n), dtype=np.int64)
+    template_ids = np.zeros(size, dtype=np.int64)
+    drawn = np.zeros(size, dtype=np.int64)
+    noise = np.empty((min(size, RENDER_CHUNK), offsets[-1]))
+    for start in range(0, size, RENDER_CHUNK):
+        stop = min(start + RENDER_CHUNK, size)
+        for i in range(start, stop):
+            rng = np.random.default_rng(
+                np.random.SeedSequence([spec.seed, stream, i]))
+            latents[i] = rng.integers(0, spec.alphabet, size=n)
+            if n >= 2:
+                t = rng.integers(0, len(TEMPLATES))
+                template_ids[i] = t
+                drawn[i] = rng.integers(0, arg_bounds[t])
+            rng.standard_normal(out=noise[i - start])
+        rows = noise[:stop - start]
+        rows *= spec.noise
+        for k, mod in enumerate(spec.modalities):
+            block = rows[:, offsets[k]:offsets[k + 1]].reshape(
+                -1, mod.seq_len, mod.feat_dim)
+            block += books[k][latents[start:stop, k]][:, None, :]
+            features[mod.name][start:stop] = block
+
+    # an "equal" question draws an index into the ordered modality pairs
+    args = np.zeros((size, 2), dtype=np.int64)
+    args[:, 0] = drawn
+    equal = template_ids == TEMPLATES.index("equal")
+    if n >= 2:
+        pairs = np.array(list(combinations(range(n), 2)), dtype=np.int64)
+        args[equal] = pairs[drawn[equal]]
+    count = template_ids == TEMPLATES.index("count")
     questions = np.empty((size, 3), dtype=np.int64)
-    answers = np.empty(size, dtype=np.int64)
-    latents = np.empty((size, spec.n), dtype=np.int64)
-    template_ids = np.empty(size, dtype=np.int64)
-    for i in range(size):
-        lat, question, feats, answer = gen_example(spec, stream, i, books)
-        for name, arr in feats.items():
-            features[name][i] = arr
-        questions[i] = question.token_ids(spec)
-        answers[i] = answer
-        latents[i] = lat
-        template_ids[i] = TEMPLATES.index(question.template)
+    questions[:, 0] = template_ids
+    questions[:, 1] = args[:, 0] + np.where(count, spec.symbol_token(0),
+                                            spec.modality_token(0))
+    questions[:, 2] = np.where(equal, spec.modality_token(0) + args[:, 1],
+                               PAD_TOKEN)
     return Dataset(spec=spec, features=features, questions=questions,
-                   answers=answers, latents=latents, template_ids=template_ids)
+                   answers=oracle_answers(spec, latents, template_ids, args),
+                   latents=latents, template_ids=template_ids)
 
 
 def gen_dataset(spec: BenchSpec):
@@ -252,23 +289,29 @@ def unimodal_bayes_accuracy(spec: BenchSpec, visible) -> dict[str, float]:
         raise ValueError(f"unimodal_bayes_accuracy is exact only for noise "
                          f"in [0, {MAX_BAYES_NOISE}], got {spec.noise}")
     names = spec.names
-    visible_idx = {names.index(v) for v in visible}
+    visible_idx = sorted({names.index(v) for v in visible})
+    grids = np.array(list(product(range(spec.alphabet), repeat=spec.n)),
+                     dtype=np.int64)
+    # one integer per grid for what the predictor observes
+    observed = grids[:, visible_idx] @ (
+        spec.alphabet ** np.arange(len(visible_idx), dtype=np.int64))
     out = {}
-    grids = list(product(range(spec.alphabet), repeat=spec.n))
     for template in TEMPLATES:
         qs = _enumerate_questions(spec, template)
         if spec.n < 2 and template != "unimodal":
             continue
+        t = np.full(len(grids), TEMPLATES.index(template))
         total = 0.0
         for q in qs:
-            groups: dict[tuple, dict[int, int]] = {}
-            for grid in grids:
-                obs = tuple(grid[i] for i in sorted(visible_idx))
-                answer = oracle(spec, grid, q)
-                groups.setdefault(obs, {})
-                groups[obs][answer] = groups[obs].get(answer, 0) + 1
-            correct = sum(max(hist.values()) for hist in groups.values())
-            total += correct / len(grids)
+            args = np.zeros((len(grids), 2), dtype=np.int64)
+            args[:, :len(q.args)] = q.args
+            answers = oracle_answers(spec, grids, t, args)
+            # majority answer count inside each observation group
+            keys, counts = np.unique(observed * spec.classes + answers,
+                                     return_counts=True)
+            best = np.zeros(int(observed.max()) + 1, dtype=np.int64)
+            np.maximum.at(best, keys // spec.classes, counts)
+            total += int(best.sum()) / len(grids)
         out[template] = total / len(qs)
     return out
 

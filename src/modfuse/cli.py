@@ -42,9 +42,12 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     modalities = None
-    if args.modalities:
+    if args.modalities is not None:
         modalities = [m.strip() for m in args.modalities.split(",")
                       if m.strip()]
+        if not modalities:
+            raise ValueError(f"--modalities names no modality: "
+                             f"{args.modalities!r}")
     result = run_eval(args.checkpoint, modalities=modalities,
                       easy_hard=args.easy_hard, reference=args.reference,
                       force=args.force, log=print)

@@ -138,6 +138,9 @@ class RunConfig:
             if value < low:
                 raise ConfigError(f"model.{name} must be at least {low}, "
                                   f"got {value}")
+        if self.model_seed < 0:
+            raise ConfigError(f"model.seed must be non-negative, got "
+                              f"{self.model_seed}")
         if not 1 <= self.dims.rank < self.dims.d:
             raise ConfigError(f"model.rank must be at least 1 and below "
                               f"model.d ({self.dims.d}), got "

@@ -92,7 +92,8 @@ def run_eval(ckpt_path: str, modalities: list[str] | None = None,
         visible = set(modalities)
     preds = predict_dataset(model, test, visible=visible)
     out = {"accuracy": accuracy_by_template(preds, test),
-           "visible": sorted(visible) if visible else list(model.order),
+           "visible": (list(model.order) if visible is None
+                       else sorted(visible)),
            "examples": len(test)}
     if easy_hard:
         if not reference:

@@ -66,8 +66,14 @@ class TrainConfig:
                 raise ValueError(f"{name} must be in [0, 1), got {beta}")
         if self.mode not in MODES:
             raise ValueError(f"unknown training mode '{self.mode}'")
-        if self.tau <= 0:
-            raise ValueError("tau must be positive")
+        # a NaN tau makes every exit indicator NaN, an infinite one makes
+        # every indicator 0
+        if not (math.isfinite(self.tau) and self.tau > 0):
+            raise ValueError(f"train.tau must be finite and positive, "
+                             f"got {self.tau}")
+        if self.seed < 0:
+            raise ValueError(f"train.seed must be non-negative, "
+                             f"got {self.seed}")
         if self.early_exit and self.epochs < 2:
             raise ValueError("early exit needs at least 2 epochs of history")
         if self.batch_size < 1 or self.epochs < 1:

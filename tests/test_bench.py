@@ -1,11 +1,13 @@
 """Tests for the synthetic benchmark and its exact Bayes oracle."""
 
 import dataclasses
+from itertools import combinations
 
 import numpy as np
 import pytest
 
-from modfuse.bench import (TEST_STREAM, BenchModality, BenchSpec, Question,
+from modfuse.bench import (PAD_TOKEN, RENDER_CHUNK, TEST_STREAM,
+                           BenchModality, BenchSpec, Dataset, Question,
                            TEMPLATES, accuracy_by_template, codebook,
                            gen_dataset, gen_split, oracle, split_easy_hard,
                            unimodal_bayes_accuracy)
@@ -136,6 +138,131 @@ class TestGeneration:
                         train_size=16, test_size=8)
         train, _ = gen_dataset(spec)
         assert np.all(train.template_ids == 0)
+
+
+# The per-example generator that gen_split replaced, kept as the byte
+# reference: one Python pass per example, rendering included, with the
+# scalar answer rule it used (without the oracle's validation).
+
+def _draw_question(spec, rng):
+    t = TEMPLATES[rng.integers(0, len(TEMPLATES))]
+    if t == "unimodal":
+        return Question(t, (int(rng.integers(0, spec.n)),))
+    if t == "equal":
+        pairs = list(combinations(range(spec.n), 2))
+        return Question(t, pairs[rng.integers(0, len(pairs))])
+    return Question(t, (int(rng.integers(0, spec.alphabet)),))
+
+
+def reference_oracle(spec, latents, question):
+    if question.template == "unimodal":
+        return latents[question.args[0]]
+    if question.template == "equal":
+        m1, m2 = question.args
+        return (spec.answer_yes() if latents[m1] == latents[m2]
+                else spec.answer_no())
+    (x,) = question.args
+    return spec.answer_count(sum(1 for s in latents if s == x))
+
+
+def token_ids(question, spec):
+    t = TEMPLATES.index(question.template)
+    if question.template == "unimodal":
+        ids = [t, spec.modality_token(question.args[0]), PAD_TOKEN]
+    elif question.template == "equal":
+        ids = [t, spec.modality_token(question.args[0]),
+               spec.modality_token(question.args[1])]
+    else:
+        ids = [t, spec.symbol_token(question.args[0]), PAD_TOKEN]
+    return np.asarray(ids, dtype=np.int64)
+
+
+def gen_example(spec, stream, index, books):
+    rng = np.random.default_rng(
+        np.random.SeedSequence([spec.seed, stream, index]))
+    latents = rng.integers(0, spec.alphabet, size=spec.n)
+    if spec.n >= 2:
+        question = _draw_question(spec, rng)
+    else:
+        question = Question("unimodal", (0,))
+    feats = {}
+    for i, mod in enumerate(spec.modalities):
+        base = books[mod.name][latents[i]]
+        noise = rng.normal(0.0, 1.0, size=(mod.seq_len, mod.feat_dim))
+        feats[mod.name] = (base[None, :] +
+                           spec.noise * noise).astype(np.float32)
+    answer = reference_oracle(spec, latents, question)
+    return latents, question, feats, answer
+
+
+def reference_gen_split(spec, size, stream):
+    books = {m.name: codebook(spec, m) for m in spec.modalities}
+    features = {m.name: np.empty((size, m.seq_len, m.feat_dim),
+                                 dtype=np.float32)
+                for m in spec.modalities}
+    questions = np.empty((size, 3), dtype=np.int64)
+    answers = np.empty(size, dtype=np.int64)
+    latents = np.empty((size, spec.n), dtype=np.int64)
+    template_ids = np.empty(size, dtype=np.int64)
+    for i in range(size):
+        lat, question, feats, answer = gen_example(spec, stream, i, books)
+        for name, arr in feats.items():
+            features[name][i] = arr
+        questions[i] = token_ids(question, spec)
+        answers[i] = answer
+        latents[i] = lat
+        template_ids[i] = TEMPLATES.index(question.template)
+    return Dataset(spec=spec, features=features, questions=questions,
+                   answers=answers, latents=latents, template_ids=template_ids)
+
+
+def _arrays(data: Dataset):
+    return ([(f"features.{m}", a) for m, a in data.features.items()] +
+            [(name, getattr(data, name)) for name in
+             ("questions", "answers", "latents", "template_ids")])
+
+
+_SHAPES = ((16, 5), (24, 4), (48, 3), (7, 2), (3, 9))  # (feat_dim, seq_len)
+_SIZES = (1, RENDER_CHUNK - 1, RENDER_CHUNK, RENDER_CHUNK + 1,
+          3 * RENDER_CHUNK + 5)
+
+
+class TestByteReference:
+    """gen_split equals the per-example reference byte for byte."""
+
+    @pytest.mark.parametrize("alphabet", [2, 5, 7])
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_equals_per_example_reference(self, n, alphabet):
+        # every noise level is met by at least three (n, alphabet) cases
+        noise = (0.0, 0.05, 0.1)[(n + alphabet) % 3]
+        spec = BenchSpec(
+            modalities=tuple(BenchModality(f"m{i}", *_SHAPES[i])
+                             for i in range(n)),
+            alphabet=alphabet, noise=noise, seed=11 * n + alphabet)
+        for stream in (0, 1):
+            # examples are pure per index, so every size is a prefix
+            reference = reference_gen_split(spec, max(_SIZES), stream)
+            for size in _SIZES:
+                got = gen_split(spec, size, stream)
+                want = reference.slice(np.arange(size))
+                for (name, a), (_, b) in zip(_arrays(got), _arrays(want),
+                                             strict=True):
+                    where = f"{name}, stream {stream}, size {size}"
+                    assert a.dtype == b.dtype, where
+                    assert a.shape == b.shape, where
+                    assert a.tobytes() == b.tobytes(), where
+
+
+    def test_oracle_equals_reference_rule(self):
+        spec = toy_spec()
+        questions = [Question("unimodal", (m,)) for m in range(spec.n)]
+        questions += [Question("equal", p)
+                      for p in combinations(range(spec.n), 2)]
+        questions += [Question("count", (x,)) for x in range(spec.alphabet)]
+        for latents in np.ndindex(*(spec.alphabet,) * spec.n):
+            for q in questions:
+                assert oracle(spec, latents, q) == \
+                    reference_oracle(spec, latents, q), (latents, q)
 
 
 class TestBayesBounds:

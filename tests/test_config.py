@@ -182,6 +182,38 @@ class TestFullParse:
                                       "train.epochs = 1")
                          + "train.early_exit = true\n")
 
+    @pytest.mark.parametrize("field", ["bench.seed", "model.seed",
+                                       "train.seed"])
+    def test_negative_seed_rejected(self, field):
+        # each failed later, in gen_dataset, build_model or fit, with
+        # numpy's "expected non-negative integer", naming no field
+        with pytest.raises(ConfigError,
+                           match=rf"{field} must be non-negative, got -1"):
+            parse_config(BASE + f"{field} = -1\n")
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-0.05"])
+    def test_bad_bench_noise_rejected(self, value):
+        # nan and inf failed inside fit as a FloatingPointError from op
+        # 'leaf'
+        with pytest.raises(ConfigError,
+                           match="bench.noise must be finite and "
+                                 "non-negative"):
+            parse_config(BASE + f"bench.noise = {value}\n")
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-0.9"])
+    def test_bad_tau_rejected(self, value):
+        # nan made every exit indicator NaN, written to metrics.jsonl as
+        # a bare NaN token; inf made every indicator 0
+        with pytest.raises(ConfigError,
+                           match="train.tau must be finite and positive"):
+            parse_config(BASE + f"train.tau = {value}\n")
+
+    def test_zero_seeds_and_noise_accepted(self):
+        cfg = parse_config(BASE + "bench.seed = 0\nmodel.seed = 0\n"
+                           "train.seed = 0\nbench.noise = 0\n")
+        assert cfg.spec.seed == cfg.model_seed == cfg.train.seed == 0
+        assert cfg.spec.noise == 0.0
+
     def test_bench_validation_surfaces(self):
         with pytest.raises(ConfigError, match="alphabet"):
             parse_config(BASE.replace("bench.alphabet = 5",

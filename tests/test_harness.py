@@ -124,6 +124,8 @@ class TestRunner:
         masked = run_eval(result["checkpoint"], modalities=["video"])
         assert masked["visible"] == ["video"]
         assert 0.0 <= masked["accuracy"]["overall"] <= 1.0
+        # every modality zeroed: the empty set was reported as all of them
+        assert run_eval(result["checkpoint"], modalities=[])["visible"] == []
 
     def test_eval_rejects_unknown_modality(self, tmp_path):
         cfg = parse_config(SMALL)
@@ -233,6 +235,15 @@ class TestCli:
         p.write_text("modalities = video\nmodel.d = large\n")
         assert main(["train", str(p)]) == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", [",", "", " , "])
+    def test_eval_modalities_naming_none_rejected(self, tmp_path, capsys,
+                                                  value):
+        # "," evaluated with every modality zeroed but printed all of
+        # them as visible; "" was read as no flag
+        ckpt = str(tmp_path / "model.ckpt")
+        assert main(["eval", ckpt, "--modalities", value]) == 2
+        assert "--modalities names no modality" in capsys.readouterr().err
 
     def test_missing_checkpoint_exits_nonzero(self, tmp_path, capsys):
         assert main(["eval", str(tmp_path / "nope.ckpt")]) == 2

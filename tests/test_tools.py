@@ -24,7 +24,7 @@ def test_byte_digests_repeat(tmp_path):
         f"{s}-{m}-exit-seed7" for s in STRATEGIES
         for m in ("sequential", "joint")]
     for line in lines[:-1]:
-        assert len(line["metrics_sha256"]) == len(
+        assert len(line["data_sha256"]) == len(line["metrics_sha256"]) == len(
             line["checkpoint_sha256"]) == 64
         assert 0.0 <= line["accuracy"]["overall"] <= 1.0
     assert lines[-1]["gradcheck"].startswith("gradcheck PASS")

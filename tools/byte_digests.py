@@ -14,10 +14,13 @@ early exit (tau 0.9), at seed 7, on the perfbench model (video 16x8 major,
 audio 24x6, depth 48x4, d=32, 2 layers, 4 heads, 4 tokens, rank 8,
 trainable classifier). ``--perfbench`` adds the perfbench configs of every
 workload at model seeds 0-3. Each line holds the SHA-256 of the run's
-``metrics.jsonl`` (``metrics.run_records``), the SHA-256 of its checkpoint
-and the ``run_eval`` accuracies of that checkpoint. The last line is the
-full-model gradcheck summary (``modfuse gradcheck``), which prints its
-worst relative error to four digits.
+generated data (``data_sha256``: the dtype and bytes of every array of
+``bench.gen_dataset``, train split then test split, features in modality
+order, then questions, answers, latents and template ids), the SHA-256 of
+its ``metrics.jsonl`` (``metrics.run_records``), the SHA-256 of its
+checkpoint and the ``run_eval`` accuracies of that checkpoint. The last
+line is the full-model gradcheck summary (``modfuse gradcheck``), which
+prints its worst relative error to four digits.
 """
 
 from __future__ import annotations
@@ -71,12 +74,25 @@ def _sha256(path: str) -> str:
         return hashlib.sha256(f.read()).hexdigest()
 
 
+def data_sha256(spec) -> str:
+    from modfuse.bench import gen_dataset
+
+    h = hashlib.sha256()
+    for split in gen_dataset(spec):
+        for arr in (*split.features.values(), split.questions,
+                    split.answers, split.latents, split.template_ids):
+            h.update(arr.dtype.str.encode())
+            h.update(arr.tobytes())
+    return h.hexdigest()
+
+
 def digest_line(label: str, text: str, outdir: str) -> dict:
     from modfuse import config, runner
 
-    result = runner.run_train(config.parse_config(text, source=label),
-                              os.path.join(outdir, label))
+    cfg = config.parse_config(text, source=label)
+    result = runner.run_train(cfg, os.path.join(outdir, label))
     return {"run": label,
+            "data_sha256": data_sha256(cfg.spec),
             "metrics_sha256": _sha256(result["metrics"]),
             "checkpoint_sha256": _sha256(result["checkpoint"]),
             "accuracy": runner.run_eval(result["checkpoint"])["accuracy"]}
