@@ -19,10 +19,11 @@ Every registry entry is stored, frozen ones included, so a restore
 reproduces the model bit for bit. Saves stage to a uniquely named
 temporary file beside the target, commit with an atomic rename and sync
 the directory. Loads verify the stored digest against the embedded
-config text and fail on truncation with the byte offset;
-``force`` downgrades mismatches to warnings and skips tensors whose
-name or shape no longer fits, which is how a checkpoint from a smaller
-modality set is carried into an extended model.
+config text and fail on truncation with the byte offset; restores fail
+on a tensor holding NaN or Inf, naming it. ``force`` downgrades
+mismatches to warnings and skips tensors whose name or shape no longer
+fits, which is how a checkpoint from a smaller modality set is carried
+into an extended model.
 """
 
 from __future__ import annotations
@@ -229,8 +230,13 @@ def restore_into(registry: ParamRegistry, ckpt: Checkpoint,
     Strict mode errors on any missing tensor, extra tensor, or shape or
     dtype mismatch. With ``force`` those become warnings and the entry
     keeps its current value, so compatible tensors survive a structural
-    change such as adding a modality.
+    change such as adding a modality. A tensor holding NaN or Inf is
+    corruption, not a structural change, and fails under ``force`` too.
     """
+    for name, arr in ckpt.tensors.items():
+        if not np.isfinite(arr).all():
+            raise CheckpointError(f"'{name}' holds non-finite values; the "
+                                  f"file is corrupt")
     warnings: list[str] = []
     names = {name for name, _ in registry.named()}
     for name, t in registry.named():

@@ -19,8 +19,14 @@ from modfuse.adapters import (FeatureBatch, MMQAdapter, ParamRegistry,
 from modfuse.backbone import Backbone, init_backbone, qformer_forward
 from modfuse.bench import BenchModality
 from modfuse.fusion import (FusionModule, create_fusion, create_prefixes,
-                            fuse_variant, prefix_schedule)
+                            fuse_variant, prefix_schedule, token_budget)
 from modfuse.reasoner import AnswerHead, assemble_input, create_head, predict
+
+# Byte budget for the answer head's widest activation in forward-only
+# prediction, its feed-forward hidden [rows, seq, 4*width]. Kept within a
+# per-core L2 (1-2 MiB), every elementwise pass over it stays in cache;
+# the whole eval batch at once streams each pass from L3.
+HEAD_TILE_BYTES = 3 << 18
 
 
 @dataclass
@@ -170,10 +176,36 @@ class FusionModel:
         return T.cross_entropy(
             self.forward(features, question_ids, taped, cache), answers)
 
+    def head_tile_rows(self, q_len: int) -> int:
+        """Rows per fusion and answer-head pass of :meth:`predict_classes`:
+        the most whose head feed-forward hidden fits HEAD_TILE_BYTES, for
+        questions of ``q_len`` tokens; at least one."""
+        seq = (token_budget(self.strategy, len(self.order), self.dims.tokens)
+               + len(prefix_schedule(self.strategy, self.order, self.major))
+               + q_len)
+        row_bytes = (seq * 4 * self.dims.resolved_head_width()
+                     * np.dtype(self.dtype).itemsize)
+        return max(1, HEAD_TILE_BYTES // row_bytes)
+
     def predict_classes(self, features: dict[str, np.ndarray],
                         question_ids: np.ndarray,
                         cache: dict[str, T.Tensor] | None = None
                         ) -> np.ndarray:
+        """Argmax classes, forward-only. Each modality's query transformer
+        runs once over the whole batch (``cache`` as in
+        :meth:`modality_tokens`); fusion and the answer head then run over
+        tiles of :meth:`head_tile_rows` rows, each handed its slice of the
+        tokens. Both act on every example alone, so the tiles' logits are
+        the bytes of the whole-batch pass."""
+        preds = np.empty(len(question_ids), dtype=np.int64)
+        rows = self.head_tile_rows(question_ids.shape[1])
         with T.no_grad():
-            logits = self.forward(features, question_ids, set(), cache)
-        return np.argmax(logits.data, axis=-1)
+            tokens = self.modality_tokens(features, set(), cache)
+            for lo in range(0, len(question_ids), rows):
+                tile = slice(lo, lo + rows)
+                logits = self.forward(
+                    {m: f[tile] for m, f in features.items()},
+                    question_ids[tile], set(),
+                    {m: T.Tensor(t.data[tile]) for m, t in tokens.items()})
+                preds[tile] = np.argmax(logits.data, axis=-1)
+        return preds

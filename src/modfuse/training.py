@@ -227,7 +227,15 @@ def predict_dataset(model: FusionModel, data: Dataset, batch_size: int = 256,
     """Predicted classes, batch by batch; with ``visible``, the features of
     every other modality are zeroed first. ``tokens`` maps a modality to
     its forward-only tokens for every example of ``data`` (unmasked), so
-    its query transformer does not run again."""
+    its query transformer does not run again; a modality hidden by
+    ``visible`` must not have them, since they would stand in for its
+    zeroed features."""
+    if visible is not None:
+        hidden = [m for m in model.order if m in (tokens or {})
+                  and m not in visible]
+        if hidden:
+            raise ValueError(f"tokens given for {hidden}, which visible "
+                             f"{sorted(visible)} hides")
     preds = np.empty(len(data), dtype=np.int64)
     for lo in range(0, len(data), batch_size):
         part = data.slice(np.arange(lo, min(lo + batch_size, len(data))))

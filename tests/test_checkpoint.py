@@ -165,6 +165,17 @@ class TestCorruption:
         ckpt = parse_checkpoint(bytes(raw), force=True)
         assert ckpt.config_text == cfg.to_text()
 
+    @pytest.mark.parametrize("force", [False, True])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_tensor_fails_restore_by_name(self, force, value):
+        # restored silently, it failed later as a non-finite 'reshape'
+        model, cfg = make()
+        ckpt = parse_checkpoint(checkpoint_bytes(model.registry, cfg))
+        ckpt.tensors["audio.queries"][0, 0] = value
+        with pytest.raises(CheckpointError,
+                           match="'audio.queries' holds non-finite"):
+            restore_into(make()[0].registry, ckpt, force=force)
+
     def test_unsupported_version(self):
         model, cfg = make()
         raw = bytearray(checkpoint_bytes(model.registry, cfg))

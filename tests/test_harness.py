@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from modfuse.bench import gen_dataset
+from modfuse.checkpoint import save_checkpoint
 from modfuse.cli import main
 from modfuse.config import build_model, parse_config
 from modfuse.metrics import (SCHEMA_VERSION, read_jsonl, run_records,
@@ -244,6 +245,16 @@ class TestCli:
         ckpt = str(tmp_path / "model.ckpt")
         assert main(["eval", ckpt, "--modalities", value]) == 2
         assert "--modalities names no modality" in capsys.readouterr().err
+
+    def test_non_finite_checkpoint_exits_2_naming_tensor(self, tmp_path,
+                                                         capsys):
+        cfg = parse_config(SMALL)
+        model = build_model(cfg)
+        model.registry["audio.queries"].tensor.data[0, 0] = np.nan
+        ckpt = str(tmp_path / "nan.ckpt")
+        save_checkpoint(ckpt, model.registry, cfg)
+        assert main(["eval", ckpt]) == 2
+        assert "'audio.queries' holds non-finite" in capsys.readouterr().err
 
     def test_missing_checkpoint_exits_nonzero(self, tmp_path, capsys):
         assert main(["eval", str(tmp_path / "nope.ckpt")]) == 2

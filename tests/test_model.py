@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
+from modfuse import model as model_module
 from modfuse import tensor as T
 from modfuse.adapters import count_trainable, total_scalars
 from modfuse.bench import BenchModality
+from modfuse.fusion import STRATEGIES
 from modfuse.model import FusionModel, ModelDims
 
 
@@ -128,3 +130,73 @@ class TestForward:
                 assert e.tensor.grad is not None, name
             else:
                 assert e.tensor.grad is None, name
+
+
+def forward_only_logits(model, feats, questions):
+    with T.no_grad():
+        return model.forward(feats, questions, set()).data
+
+
+class TestTiledPrediction:
+    """predict_classes runs fusion and the head over row tiles of a batch
+    whose query transformers ran once; that is exact only because every
+    strategy and the head act on each example alone."""
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_tiles_give_whole_batch_bytes(self, strategy):
+        model = build_model(strategy)
+        feats, questions, _ = toy_batch(batch=23, seed=4)
+        whole = forward_only_logits(model, feats, questions)
+        tiles = np.concatenate([
+            forward_only_logits(model,
+                                {m: f[lo:lo + 5] for m, f in feats.items()},
+                                questions[lo:lo + 5])
+            for lo in range(0, 23, 5)])
+        assert whole.dtype == tiles.dtype == np.float32
+        assert whole.tobytes() == tiles.tobytes()
+
+    def test_tile_rows_follow_head_activation_bytes(self):
+        model = build_model()
+        # SelfGated over 3 modalities: 2T fused tokens, 2 prefixes
+        seq = 2 * 4 + 2 + 3
+        rows = model.head_tile_rows(3)
+        row_bytes = seq * 4 * 64 * 4
+        assert rows * row_bytes <= model_module.HEAD_TILE_BYTES
+        assert (rows + 1) * row_bytes > model_module.HEAD_TILE_BYTES
+        wide = FusionModel(ModelDims(head_width=4096), toy_modalities(),
+                           "video", "SelfGated", 12, 11, 0)
+        assert wide.head_tile_rows(3) == 1
+
+    def test_predict_classes_equals_whole_batch_argmax(self):
+        model = build_model()
+        tile = model.head_tile_rows(3)
+        for batch in (1, tile - 1, tile, tile + 1, 2 * tile + 3, 256):
+            feats, questions, _ = toy_batch(batch=batch, seed=batch)
+            expected = np.argmax(
+                forward_only_logits(model, feats, questions), axis=-1)
+            preds = model.predict_classes(feats, questions)
+            assert preds.dtype == np.int64
+            assert np.array_equal(preds, expected), batch
+
+    def test_one_query_transformer_pass_and_tile_sized_head(self,
+                                                            monkeypatch):
+        model = build_model()
+        tile = model.head_tile_rows(3)
+        batch = 2 * tile + 3
+        calls, head_rows = [], []
+        qformer, predict = model_module.qformer_forward, model_module.predict
+
+        def counted_qformer(backbone, adapter, feats):
+            calls.append((feats.modality, len(feats.features)))
+            return qformer(backbone, adapter, feats)
+
+        def sized_predict(head, x):
+            head_rows.append(x.shape[0])
+            return predict(head, x)
+
+        monkeypatch.setattr(model_module, "qformer_forward", counted_qformer)
+        monkeypatch.setattr(model_module, "predict", sized_predict)
+        feats, questions, _ = toy_batch(batch=batch, seed=6)
+        model.predict_classes(feats, questions)
+        assert sorted(calls) == sorted((m, batch) for m in model.order)
+        assert head_rows == [tile, tile, 3]

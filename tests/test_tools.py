@@ -27,4 +27,6 @@ def test_byte_digests_repeat(tmp_path):
         assert len(line["data_sha256"]) == len(line["metrics_sha256"]) == len(
             line["checkpoint_sha256"]) == 64
         assert 0.0 <= line["accuracy"]["overall"] <= 1.0
+        assert 0.0 <= line["major_only_accuracy"]["overall"] <= 1.0
+        assert line["major_only_accuracy"].keys() == line["accuracy"].keys()
     assert lines[-1]["gradcheck"].startswith("gradcheck PASS")

@@ -12,8 +12,8 @@ from modfuse.bench import BenchModality, BenchSpec, gen_dataset
 from modfuse.model import FusionModel, ModelDims
 from modfuse.training import (GradHistory, TrainConfig, early_exit_indicator,
                               evaluate, fit, grad_magnitude, masked_params,
-                              replay_exits, should_exit, train_epoch,
-                              train_step, warm_start)
+                              predict_dataset, replay_exits, should_exit,
+                              train_epoch, train_step, warm_start)
 from modfuse import model as model_module
 from modfuse import tensor as T
 
@@ -498,6 +498,22 @@ class TestTokenReuse:
                     {m: GradHistory() for m in model.order}, 1, {})
         assert sum(taped for _, taped in calls) == 3
         assert sum(not taped for _, taped in calls) == 4
+
+    def test_tokens_of_hidden_modalities_rejected(self):
+        # cached tokens stood in for the zeroed features, so the hidden
+        # modalities still counted and the mask changed nothing
+        spec = small_spec(n=3)
+        model = build_model(spec)
+        _, test = gen_dataset(spec)
+        tokens = {m: model.forward_only_tokens(m, test.features[m], 256)
+                  for m in model.order}
+        with pytest.raises(ValueError, match=r"\['audio', 'depth'\]"):
+            predict_dataset(model, test, visible={"video"}, tokens=tokens)
+        # a visible modality's unmasked tokens are its masked ones
+        assert np.array_equal(
+            predict_dataset(model, test, visible={"video"},
+                            tokens={"video": tokens["video"]}),
+            predict_dataset(model, test, visible={"video"}))
 
     def test_exited_modalities_run_no_qformer(self, monkeypatch):
         spec = small_spec(n=3)

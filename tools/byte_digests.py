@@ -18,7 +18,9 @@ generated data (``data_sha256``: the dtype and bytes of every array of
 ``bench.gen_dataset``, train split then test split, features in modality
 order, then questions, answers, latents and template ids), the SHA-256 of
 its ``metrics.jsonl`` (``metrics.run_records``), the SHA-256 of its
-checkpoint and the ``run_eval`` accuracies of that checkpoint. The last
+checkpoint, the ``run_eval`` accuracies of that checkpoint
+(``accuracy``) and its ``run_eval`` accuracies with only the major
+modality visible (``major_only_accuracy``). The last
 line is the full-model gradcheck summary (``modfuse gradcheck``), which
 prints its worst relative error to four digits.
 """
@@ -91,11 +93,14 @@ def digest_line(label: str, text: str, outdir: str) -> dict:
 
     cfg = config.parse_config(text, source=label)
     result = runner.run_train(cfg, os.path.join(outdir, label))
+    ckpt = result["checkpoint"]
     return {"run": label,
             "data_sha256": data_sha256(cfg.spec),
             "metrics_sha256": _sha256(result["metrics"]),
-            "checkpoint_sha256": _sha256(result["checkpoint"]),
-            "accuracy": runner.run_eval(result["checkpoint"])["accuracy"]}
+            "checkpoint_sha256": _sha256(ckpt),
+            "accuracy": runner.run_eval(ckpt)["accuracy"],
+            "major_only_accuracy": runner.run_eval(
+                ckpt, modalities=[cfg.major])["accuracy"]}
 
 
 def runs(args):
