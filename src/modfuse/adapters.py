@@ -97,7 +97,6 @@ def align_features(adapter: MMQAdapter, feats: FeatureBatch) -> T.Tensor:
 @dataclass
 class RegistryEntry:
     tensor: T.Tensor
-    trainable: bool
     tag: str
 
 
@@ -108,24 +107,24 @@ class Census:
 
 
 class ParamRegistry:
-    """Dotted name -> (tensor, trainable flag, ownership tag).
+    """Dotted name -> (tensor, ownership tag).
 
-    Tags are modality names, "fusion", "shared", or "frozen"; they drive
-    masked updates, checksums, the checkpoint namespace, and the
-    parameter census.
+    Tags are modality names, "fusion" or "frozen"; they drive masked
+    updates, checksums, the checkpoint namespace, and the parameter
+    census. A tensor trains iff it requires grad, which every tag but
+    "frozen" demands.
     """
 
     def __init__(self):
         self.entries: dict[str, RegistryEntry] = {}
 
-    def register(self, name: str, tensor: T.Tensor, trainable: bool, tag: str):
+    def register(self, name: str, tensor: T.Tensor, tag: str):
         if name in self.entries:
             raise ValueError(f"duplicate registry name '{name}'")
-        if trainable != tensor.requires_grad:
-            raise ValueError(f"'{name}': trainable flag disagrees with tensor")
-        if tag == "frozen" and trainable:
-            raise ValueError(f"'{name}': frozen tensors cannot be trainable")
-        self.entries[name] = RegistryEntry(tensor, trainable, tag)
+        if (tag == "frozen") == tensor.requires_grad:
+            raise ValueError(f"'{name}': tag '{tag}' disagrees with "
+                             f"requires_grad={tensor.requires_grad}")
+        self.entries[name] = RegistryEntry(tensor, tag)
 
     def __contains__(self, name: str) -> bool:
         return name in self.entries
@@ -142,13 +141,13 @@ class ParamRegistry:
         for name, e in self.entries.items():
             if tags is not None and e.tag not in tags:
                 continue
-            if trainable_only and not e.trainable:
+            if trainable_only and not e.tensor.requires_grad:
                 continue
             out.append((name, e.tensor))
         return out
 
     def trainable_tensors(self) -> list[T.Tensor]:
-        return [e.tensor for e in self.entries.values() if e.trainable]
+        return [t for _, t in self.named(trainable_only=True)]
 
     def checksum(self, tags=None) -> str:
         """Hex digest over raw data bytes of the selected entries."""
@@ -162,28 +161,22 @@ class ParamRegistry:
         return h.hexdigest()
 
 
-STRUCTURAL_TAGS = ("fusion", "shared", "frozen")
+STRUCTURAL_TAGS = ("fusion", "frozen")
 
 
 def count_trainable(registry: ParamRegistry, tag_filter: str = "all") -> Census:
     """Census of trainable tensors/scalars, for one tag or the whole model.
 
-    The structural tags are always queryable (a model may legitimately
-    have no fusion parameters); anything else must be a registered tag.
+    The structural tags are always queryable (a registry may hold none of
+    them); anything else must be a registered tag.
     """
     known = registry.tags() | set(STRUCTURAL_TAGS)
     if tag_filter != "all" and tag_filter not in known:
         raise ValueError(f"unknown registry tag '{tag_filter}'")
-    tensors = 0
-    scalars = 0
-    for e in registry.entries.values():
-        if not e.trainable:
-            continue
-        if tag_filter != "all" and e.tag != tag_filter:
-            continue
-        tensors += 1
-        scalars += e.tensor.size
-    return Census(tensor_count=tensors, scalar_count=scalars)
+    tags = None if tag_filter == "all" else {tag_filter}
+    entries = registry.named(tags, trainable_only=True)
+    return Census(tensor_count=len(entries),
+                  scalar_count=sum(t.size for _, t in entries))
 
 
 def total_scalars(registry: ParamRegistry) -> int:

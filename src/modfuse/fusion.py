@@ -206,14 +206,20 @@ def fuse_variant(fusion: FusionModule, q_major: T.Tensor,
     return out
 
 
-def create_prefixes(order: list[str], d: int, seed: int,
+def create_prefixes(order: list[str], schedule: list[str], d: int, seed: int,
                     dtype=np.float32) -> dict[str, T.Tensor]:
-    """One learnable d-vector per modality plus one for the fused block."""
+    """The learnable d-vectors that ``schedule`` names, in draw order.
+
+    One vector is drawn per modality of ``order`` and then one for the
+    fused block, whatever the schedule, so a kept prefix's initial bytes
+    do not depend on which others are kept.
+    """
     rng = component_rng(seed, "prefixes")
     out = {}
     for name in list(order) + [FUSED_TAG]:
-        out[name] = T.Tensor(rng.normal(0.0, INIT_STD, size=(d,)),
-                             requires_grad=True, dtype=dtype)
+        init = rng.normal(0.0, INIT_STD, size=(d,))
+        if name in schedule:
+            out[name] = T.Tensor(init, requires_grad=True, dtype=dtype)
     return out
 
 
@@ -221,9 +227,9 @@ def prefix_schedule(strategy: str, order: list[str], major: str) -> list[str]:
     """Which prefix vectors front the reasoner input, in order.
 
     Block structure mirrors the fused output: per-modality prefixes for
-    concatenation-style outputs, the major's prefix plus one shared
-    "fused" prefix when supportive tokens are merged, and just the fused
-    prefix when the output is a single merged block.
+    concatenation-style outputs, the major's prefix plus one "fused"
+    prefix when supportive tokens are merged, and just the fused prefix
+    when the output is a single merged block.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown fusion strategy '{strategy}'")

@@ -75,7 +75,9 @@ class FusionModel:
         self.fusion: FusionModule = create_fusion(
             strategy, len(names), dims.tokens, dims.d, dims.heads, seed,
             dtype=dtype)
-        self.prefixes = create_prefixes(names, dims.d, seed, dtype=dtype)
+        self.schedule = prefix_schedule(strategy, names, major)
+        self.prefixes = create_prefixes(names, self.schedule, dims.d, seed,
+                                        dtype=dtype)
         self.head: AnswerHead = create_head(
             seed, dims.d, dims.resolved_head_width(), dims.heads,
             dims.head_layers, vocab, classes,
@@ -85,21 +87,19 @@ class FusionModel:
     def _build_registry(self) -> ParamRegistry:
         reg = ParamRegistry()
         for name, t in self.backbone.named_tensors():
-            reg.register(name, t, trainable=False, tag="frozen")
+            reg.register(name, t, "frozen")
         for m, adapter in self.adapters.items():
             for name, t in adapter.named_tensors():
-                reg.register(name, t, trainable=True, tag=m)
+                reg.register(name, t, m)
         for name, t in self.fusion.named_tensors():
-            reg.register(name, t, trainable=True, tag="fusion")
+            reg.register(name, t, "fusion")
         for m, t in self.prefixes.items():
-            reg.register(f"prefix.{m}", t, trainable=True, tag="shared")
+            reg.register(f"prefix.{m}", t, "fusion")
         for name, t in self.head.named_tensors():
-            reg.register(name, t, trainable=False, tag="frozen")
+            reg.register(name, t, "frozen")
         for name, t in self.head.classifier_tensors():
-            if self.train_classifier:
-                reg.register(name, t, trainable=True, tag="fusion")
-            else:
-                reg.register(name, t, trainable=False, tag="frozen")
+            reg.register(name, t,
+                         "fusion" if self.train_classifier else "frozen")
         return reg
 
     @property
@@ -150,11 +150,10 @@ class FusionModel:
                 question_ids: np.ndarray | None,
                 taped: set[str] | None = None,
                 cache: dict[str, T.Tensor] | None = None) -> T.Tensor:
-        """Answer logits. ``taped`` names the tags whose tensors go on the
-        tape: modality names for their query transformers and "shared" for
-        the prefixes; None tapes everything. Fusion and the answer head are
-        always taped. ``cache`` holds forward-only tokens, as in
-        :meth:`modality_tokens`.
+        """Answer logits. ``taped`` names the modalities whose query
+        transformers go on the tape; None tapes every one. Fusion, the
+        prefixes and the answer head are always taped. ``cache`` holds
+        forward-only tokens, as in :meth:`modality_tokens`.
         """
         tokens = self.modality_tokens(features, taped, cache)
         fused = fuse_variant(self.fusion, tokens[self.major],
@@ -163,11 +162,7 @@ class FusionModel:
         lang = None
         if question_ids is not None:
             lang = T.embedding(self.head.embed, question_ids)
-        schedule = prefix_schedule(self.strategy, self.order, self.major)
-        prefixes = self.prefixes
-        if taped is not None and "shared" not in taped:
-            prefixes = {m: T.Tensor(p.data) for m, p in prefixes.items()}
-        x = assemble_input(fused, prefixes, schedule, lang)
+        x = assemble_input(fused, self.prefixes, self.schedule, lang)
         return predict(self.head, x)
 
     def loss(self, features: dict[str, np.ndarray], question_ids: np.ndarray,
@@ -181,7 +176,7 @@ class FusionModel:
         the most whose head feed-forward hidden fits HEAD_TILE_BYTES, for
         questions of ``q_len`` tokens; at least one."""
         seq = (token_budget(self.strategy, len(self.order), self.dims.tokens)
-               + len(prefix_schedule(self.strategy, self.order, self.major))
+               + len(self.schedule)
                + q_len)
         row_bytes = (seq * 4 * self.dims.resolved_head_width()
                      * np.dtype(self.dtype).itemsize)

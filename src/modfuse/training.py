@@ -20,8 +20,7 @@ an exited modality's query transformer never runs again: early exit
 saves compute, not just optimizer steps. This relies on the tokens of
 an example not depending on the rest of its batch, which a test pins.
 Joint mode is the conventional alternative: one step per minibatch, all
-trainable tensors of active modalities, fusion and prefixes updated
-together.
+trainable tensors of active modalities and fusion updated together.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from modfuse import tensor as T
-from modfuse.adapters import ParamRegistry, count_trainable
+from modfuse.adapters import ParamRegistry, count_trainable, total_scalars
 from modfuse.bench import Dataset, accuracy_by_template
 from modfuse.model import FusionModel
 
@@ -167,8 +166,7 @@ def _batches(n: int, batch_size: int, rng: np.random.Generator):
 
 
 def masked_params(model: FusionModel, tags: set[str]):
-    return [(name, t) for name, t in model.registry.named(trainable_only=True)
-            if model.registry[name].tag in tags]
+    return model.registry.named(tags, trainable_only=True)
 
 
 def train_step(model: FusionModel, opt: T.Adam, batch: Dataset,
@@ -176,11 +174,10 @@ def train_step(model: FusionModel, opt: T.Adam, batch: Dataset,
                ) -> tuple[float, dict[str, float]]:
     """One masked update of exactly the trainable tensors tagged in ``tags``.
 
-    ``tags`` holds modality names, "fusion" and "shared". Only the query
-    transformers of the modalities in ``tags`` (and the prefixes if
-    "shared" is in it) go on the tape, so backward reaches the updated
-    tensors and nothing else. With no tensor to update, the loss is
-    computed without a tape and nothing moves.
+    ``tags`` holds modality names and "fusion" (the fusion module, the
+    prefixes and a trainable classifier); it must select at least one
+    trainable tensor. Only the query transformers of the modalities in
+    ``tags`` go on the tape, so backward reaches no other adapter.
 
     ``cache`` holds this batch's forward-only tokens per modality (see
     ``FusionModel.modality_tokens``); the entries of the updated
@@ -188,15 +185,14 @@ def train_step(model: FusionModel, opt: T.Adam, batch: Dataset,
 
     Returns (loss, mean gradient magnitude of each modality in ``tags``).
     """
-    unknown = set(tags) - set(model.order) - {"fusion", "shared"}
+    unknown = set(tags) - set(model.order) - {"fusion"}
     if unknown:
         raise ValueError(f"tags {sorted(unknown)} not in this model")
     params = masked_params(model, tags)
-    args = (batch.features, batch.questions, batch.answers)
     if not params:
-        with T.no_grad():
-            return float(model.loss(*args, taped=tags, cache=cache).data), {}
-    loss = model.loss(*args, taped=tags, cache=cache)
+        raise ValueError(f"tags {sorted(tags)} select no trainable tensor")
+    loss = model.loss(batch.features, batch.questions, batch.answers,
+                      taped=tags, cache=cache)
     T.backward(loss, leaves=[t for _, t in params])
     gmags = {m: grad_magnitude(model.registry, m)
              for m in model.order if m in tags}
@@ -273,7 +269,7 @@ def train_epoch(model: FusionModel, opt: T.Adam, train: Dataset,
         if config.shuffle_modalities:
             active = [str(m) for m in rng.permutation(active)]
         if config.mode == "joint":
-            step_tags = [set(active) | {"fusion", "shared"}]
+            step_tags = [set(active) | {"fusion"}]
         elif active:
             step_tags = [{m, "fusion"} for m in active]
         else:
@@ -339,8 +335,8 @@ def warm_start(model: FusionModel, train: Dataset, config: TrainConfig) -> None:
     """Pre-fit each adapter on its own unimodal questions for one epoch."""
     opt = T.Adam(lr=config.lr, beta1=config.beta1, beta2=config.beta2)
     for i, m in enumerate(model.order):
-        mask = (train.template_ids == 0) & \
-               (train.questions[:, 1] == train.spec.modality_token(i))
+        token = train.spec.modality_token(train.spec.names.index(m))
+        mask = (train.template_ids == 0) & (train.questions[:, 1] == token)
         subset = train.slice(np.flatnonzero(mask))
         if not len(subset):
             continue
@@ -351,10 +347,8 @@ def warm_start(model: FusionModel, train: Dataset, config: TrainConfig) -> None:
 
 def census_summary(model: FusionModel) -> dict[str, int]:
     out = {"trainable": count_trainable(model.registry).scalar_count}
-    from modfuse.adapters import total_scalars
     out["total"] = total_scalars(model.registry)
     for m in model.order:
         out[m] = count_trainable(model.registry, m).scalar_count
     out["fusion"] = count_trainable(model.registry, "fusion").scalar_count
-    out["shared"] = count_trainable(model.registry, "shared").scalar_count
     return out

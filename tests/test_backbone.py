@@ -217,10 +217,10 @@ class TestRegistryCensus:
         for name, f in zip(names, feat_dims):
             adapter = make_adapter(name=name, f=f)
             for n, t in adapter.named_tensors():
-                reg.register(n, t, trainable=True, tag=name)
+                reg.register(n, t, name)
         bb = init_backbone(0, 32, 2, 4, 4)
         for n, t in bb.named_tensors():
-            reg.register(n, t, trainable=False, tag="frozen")
+            reg.register(n, t, "frozen")
         return reg
 
     def test_frozen_filter_counts_zero(self):
@@ -239,7 +239,7 @@ class TestRegistryCensus:
         before_video = count_trainable(reg, "video").scalar_count
         extra = make_adapter(name="flow", f=16)
         for n, t in extra.named_tensors():
-            reg.register(n, t, trainable=True, tag="flow")
+            reg.register(n, t, "flow")
         assert count_trainable(reg).scalar_count == before_total + 1696
         assert count_trainable(reg, "video").scalar_count == before_video
 
@@ -252,7 +252,7 @@ class TestRegistryCensus:
         reg = self.build_registry()
         with pytest.raises(ValueError, match="duplicate"):
             reg.register("video.queries", Tensor(np.zeros(1), requires_grad=True),
-                         trainable=True, tag="video")
+                         "video")
 
     def test_modality_isolation(self):
         bb = init_backbone(1, 32, 2, 4, 4, dtype=np.float64)

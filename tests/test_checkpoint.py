@@ -237,3 +237,22 @@ class TestForceRestore:
             restore_into(make(TWO)[0].registry, ckpt)
         warnings = restore_into(make(TWO)[0].registry, ckpt, force=True)
         assert any("ghost.w" in w for w in warnings)
+
+    def test_checkpoint_with_unscheduled_prefix(self):
+        # checkpoints written before prefixes were created by schedule also
+        # hold the prefixes the head input never used (here 'prefix.audio',
+        # which SelfGated does not schedule): strict restore names it, and
+        # force restores every tensor of the model and warns of the skip
+        model, cfg = make(TWO)
+        for _, t in model.registry.named():
+            t.data += 1.0
+        ckpt = parse_checkpoint(checkpoint_bytes(model.registry, cfg))
+        ckpt.tensors["prefix.audio"] = np.zeros(32, dtype=np.float32)
+        with pytest.raises(CheckpointError,
+                           match="'prefix.audio' from the checkpoint"):
+            restore_into(make(TWO)[0].registry, ckpt)
+        other, _ = make(TWO)
+        warnings = restore_into(other.registry, ckpt, force=True)
+        assert warnings == ["skipped: 'prefix.audio' from the checkpoint "
+                            "is not in the model"]
+        assert other.registry.checksum() == model.registry.checksum()

@@ -188,14 +188,28 @@ class TestPrefixes:
                     assert count * tokens == \
                         token_budget(strategy, n, tokens), (strategy, n)
 
-    def test_one_vector_per_modality_plus_fused(self):
-        prefixes = create_prefixes(["video", "audio"], 32, 0)
-        assert set(prefixes) == {"video", "audio", "fused"}
-        assert all(p.shape == (32,) for p in prefixes.values())
+    def test_only_scheduled_vectors_created(self):
+        order = ["video", "audio", "depth"]
+        for strategy in STRATEGIES:
+            schedule = prefix_schedule(strategy, order, "audio")
+            prefixes = create_prefixes(order, schedule, 32, 0)
+            assert sorted(prefixes) == sorted(schedule), strategy
+            assert all(p.shape == (32,) and p.requires_grad
+                       for p in prefixes.values())
+
+    def test_kept_vector_independent_of_schedule(self):
+        # one draw per modality, then one for the fused block, whichever
+        # of them the schedule keeps
+        order = ["video", "audio", "depth"]
+        every = create_prefixes(order, order + ["fused"], 32, 4)
+        for schedule in (["fused"], ["audio", "fused"], ["depth"]):
+            kept = create_prefixes(order, schedule, 32, 4)
+            for name, p in kept.items():
+                assert np.array_equal(p.data, every[name].data), name
 
     def test_same_seed_identical(self):
-        a = create_prefixes(["video"], 32, 4)
-        b = create_prefixes(["video"], 32, 4)
+        a = create_prefixes(["video"], ["fused"], 32, 4)
+        b = create_prefixes(["video"], ["fused"], 32, 4)
         assert np.array_equal(a["fused"].data, b["fused"].data)
 
 
@@ -203,7 +217,8 @@ class TestAnswerHead:
     def setup_method(self):
         self.head = create_head(seed=0, d=32, width=64, heads=4, layers=2,
                                 vocab=12, classes=11, dtype=np.float64)
-        self.prefixes = create_prefixes(["video", "audio", "depth"], 32, 0,
+        order = ["video", "audio", "depth"]
+        self.prefixes = create_prefixes(order, order + ["fused"], 32, 0,
                                         dtype=np.float64)
 
     def assembled(self, strategy="SelfGated", n=3, q_len=3, batch=2):

@@ -7,7 +7,7 @@ from modfuse import model as model_module
 from modfuse import tensor as T
 from modfuse.adapters import count_trainable, total_scalars
 from modfuse.bench import BenchModality
-from modfuse.fusion import STRATEGIES
+from modfuse.fusion import STRATEGIES, prefix_schedule
 from modfuse.model import FusionModel, ModelDims
 
 
@@ -46,7 +46,7 @@ class TestAssembly:
     def test_registry_tags_cover_components(self):
         model = build_model()
         assert model.registry.tags() == \
-            {"frozen", "fusion", "shared", "video", "audio", "depth"}
+            {"frozen", "fusion", "video", "audio", "depth"}
 
     def test_trainable_fraction_below_ten_percent(self):
         model = build_model()
@@ -57,8 +57,26 @@ class TestAssembly:
         model = build_model()
         reg = model.registry
         assert count_trainable(reg, "video").scalar_count == 1696
-        assert count_trainable(reg, "fusion").scalar_count == 2 * 32 * 32 + 32
-        assert count_trainable(reg, "shared").scalar_count == 4 * 32
+        # merge.w, merge.b and the two scheduled prefixes (video, fused)
+        assert count_trainable(reg, "fusion").scalar_count == \
+            2 * 32 * 32 + 32 + 2 * 32
+
+    def test_registry_prefixes_follow_schedule(self):
+        # only the prefixes the head input uses exist, and they are fusion
+        # tensors, so every step that updates fusion trains them
+        mods = toy_modalities() + [BenchModality("flow", 32, 2)]
+        for strategy in STRATEGIES:
+            for n in range(1, 5):
+                model = FusionModel(ModelDims(), mods[:n], mods[n - 1].name,
+                                    strategy, 12, 11, 0)
+                names = [name for name, _ in model.registry.named()
+                         if name.startswith("prefix.")]
+                expected = prefix_schedule(strategy, model.order,
+                                           model.major)
+                assert sorted(names) == sorted(
+                    f"prefix.{m}" for m in expected), (strategy, n)
+                assert {model.registry[name].tag for name in names} == \
+                    {"fusion"}
 
     def test_trainable_classifier_adds_to_fusion_tag(self):
         base = count_trainable(build_model().registry, "fusion").scalar_count
@@ -111,7 +129,8 @@ class TestForward:
         feats = {"video": rng.normal(size=(2, 5, 16))}
         out = model.forward(feats, rng.integers(0, 12, size=(2, 3)))
         assert out.shape == (2, 11)
-        assert count_trainable(model.registry, "fusion").scalar_count == 0
+        # no fusion module, only the major's prefix
+        assert count_trainable(model.registry, "fusion").scalar_count == 32
 
     def test_all_strategies_forward(self):
         feats, questions, _ = toy_batch()
@@ -126,7 +145,7 @@ class TestForward:
         loss = model.loss(feats, questions, answers)
         T.backward(loss, leaves=model.registry.trainable_tensors())
         for name, e in model.registry.entries.items():
-            if e.trainable:
+            if e.tensor.requires_grad:
                 assert e.tensor.grad is not None, name
             else:
                 assert e.tensor.grad is None, name

@@ -25,7 +25,13 @@ def test_byte_digests_repeat(tmp_path):
         for m in ("sequential", "joint")]
     for line in lines[:-1]:
         assert len(line["data_sha256"]) == len(line["metrics_sha256"]) == len(
-            line["checkpoint_sha256"]) == 64
+            line["records_sha256"]) == len(line["checkpoint_sha256"]) == 64
+        assert line["records_sha256"] != line["metrics_sha256"]
+        census = line["census"]
+        assert set(census) == {"trainable", "total", "video", "audio",
+                               "depth", "fusion"}
+        assert census["trainable"] == sum(
+            census[tag] for tag in ("video", "audio", "depth", "fusion"))
         assert 0.0 <= line["accuracy"]["overall"] <= 1.0
         assert 0.0 <= line["major_only_accuracy"]["overall"] <= 1.0
         assert line["major_only_accuracy"].keys() == line["accuracy"].keys()

@@ -9,11 +9,13 @@ from modfuse import Tensor
 from modfuse import training
 from modfuse.adapters import FeatureBatch, ParamRegistry
 from modfuse.bench import BenchModality, BenchSpec, gen_dataset
+from modfuse.fusion import MOE_EXPERTS, STRATEGIES
 from modfuse.model import FusionModel, ModelDims
-from modfuse.training import (GradHistory, TrainConfig, early_exit_indicator,
-                              evaluate, fit, grad_magnitude, masked_params,
-                              predict_dataset, replay_exits, should_exit,
-                              train_epoch, train_step, warm_start)
+from modfuse.training import (MODES, GradHistory, TrainConfig,
+                              early_exit_indicator, evaluate, fit,
+                              grad_magnitude, masked_params, predict_dataset,
+                              replay_exits, should_exit, train_epoch,
+                              train_step, warm_start)
 from modfuse import model as model_module
 from modfuse import tensor as T
 
@@ -68,7 +70,7 @@ class TestGradMagnitude:
         reg = ParamRegistry()
         t = Tensor(np.zeros(2, dtype=np.float32), requires_grad=True)
         t.grad = np.array([3.0, -4.0], dtype=np.float32)
-        reg.register("m.w", t, trainable=True, tag="m")
+        reg.register("m.w", t, "m")
         assert grad_magnitude(reg, "m") == pytest.approx(3.5)
 
     def test_spans_tensors(self):
@@ -77,14 +79,14 @@ class TestGradMagnitude:
         a.grad = np.array([1.0, 1.0, 1.0], dtype=np.float32)
         b = Tensor(np.zeros(1, dtype=np.float32), requires_grad=True)
         b.grad = np.array([5.0], dtype=np.float32)
-        reg.register("m.a", a, trainable=True, tag="m")
-        reg.register("m.b", b, trainable=True, tag="m")
+        reg.register("m.a", a, "m")
+        reg.register("m.b", b, "m")
         assert grad_magnitude(reg, "m") == pytest.approx(2.0)
 
     def test_missing_grad_rejected(self):
         reg = ParamRegistry()
         t = Tensor(np.zeros(2, dtype=np.float32), requires_grad=True)
-        reg.register("m.w", t, trainable=True, tag="m")
+        reg.register("m.w", t, "m")
         with pytest.raises(ValueError, match="no gradient"):
             grad_magnitude(reg, "m")
 
@@ -102,14 +104,19 @@ class TestSequentialStep:
         opt = T.Adam(lr=1e-2)
         reg = model.registry
         before = {tag: reg.checksum({tag}) for tag in
-                  ("video", "audio", "depth", "fusion", "shared", "frozen")}
+                  ("video", "audio", "depth", "fusion", "frozen")}
+        prefixes = {name: t.data.copy() for name, t in reg.named()
+                    if name.startswith("prefix.")}
         loss, gmags = train_step(model, opt, batch, {"audio", "fusion"})
         gmag = gmags["audio"]
         assert np.isfinite(loss) and gmag > 0
         after = {tag: reg.checksum({tag}) for tag in before}
         assert after["audio"] != before["audio"]
         assert after["fusion"] != before["fusion"]
-        for tag in ("video", "depth", "shared", "frozen"):
+        # the prefixes are fusion tensors: a sequential step trains them
+        for name, data in prefixes.items():
+            assert not np.array_equal(reg[name].tensor.data, data), name
+        for tag in ("video", "depth", "frozen"):
             assert after[tag] == before[tag]
 
     def test_unknown_modality_rejected(self):
@@ -127,10 +134,10 @@ class TestSequentialStep:
         opt = T.Adam(lr=1e-2)
         reg = model.registry
         before = {tag: reg.checksum({tag}) for tag in
-                  ("video", "audio", "fusion", "shared")}
+                  ("video", "audio", "fusion")}
         train_step(model, opt, train.slice(np.arange(8)), {"fusion"})
         assert reg.checksum({"fusion"}) != before["fusion"]
-        for tag in ("video", "audio", "shared"):
+        for tag in ("video", "audio"):
             assert reg.checksum({tag}) == before[tag]
 
     def test_joint_step_moves_everything_active(self):
@@ -140,11 +147,11 @@ class TestSequentialStep:
         opt = T.Adam(lr=1e-2)
         reg = model.registry
         before = {tag: reg.checksum({tag}) for tag in
-                  ("video", "audio", "fusion", "shared", "frozen")}
+                  ("video", "audio", "fusion", "frozen")}
         loss, gmags = train_step(model, opt, train.slice(np.arange(8)),
-                                 {"video", "audio", "fusion", "shared"})
+                                 {"video", "audio", "fusion"})
         assert set(gmags) == {"video", "audio"}
-        for tag in ("video", "audio", "fusion", "shared"):
+        for tag in ("video", "audio", "fusion"):
             assert reg.checksum({tag}) != before[tag]
         assert reg.checksum({"frozen"}) == before["frozen"]
 
@@ -155,13 +162,13 @@ class TestSequentialStep:
         opt = T.Adam(lr=1e-2)
         before = model.registry.checksum({"audio"})
         train_step(model, opt, train.slice(np.arange(8)),
-                   {"video", "fusion", "shared"})
+                   {"video", "fusion"})
         assert model.registry.checksum({"audio"}) == before
 
 
 # the update sets train_epoch passes: sequential, all exited, joint
 STEP_TAGS = [{"audio", "fusion"}, {"fusion"},
-             {"video", "audio", "depth", "fusion", "shared"}]
+             {"video", "audio", "depth", "fusion"}]
 
 
 class TestTrainStep:
@@ -235,30 +242,41 @@ class TestTrainStep:
             train_step(model, T.Adam(), train.slice(np.arange(4)),
                        {"frozen"})
 
-    def test_nothing_to_update_still_reports_loss(self):
+    def test_step_selecting_nothing_rejected(self):
         spec = small_spec(n=2)
-        model = build_model(spec, strategy="Concat")
+        model = build_model(spec)
         train, _ = gen_dataset(spec)
-        batch = train.slice(np.arange(8))
         before = model.registry.checksum()
-        loss, gmags = train_step(model, T.Adam(), batch, {"fusion"})
-        expected = model.loss(batch.features, batch.questions, batch.answers)
-        assert loss == float(expected.data) > 0.0
-        assert gmags == {}
+        with pytest.raises(ValueError, match="select no trainable tensor"):
+            train_step(model, T.Adam(), train.slice(np.arange(4)), set())
         assert model.registry.checksum() == before
 
-    def test_loss_recorded_after_every_modality_exits(self):
-        # Concat without a trainable classifier has no fusion tensors, so
-        # the fusion-only epochs after the exits update nothing; their
-        # loss must still be the minibatch loss, not 0
+    def test_loss_recorded_after_every_modality_exits(self, monkeypatch):
+        # Concat without a trainable classifier has no fusion module, so
+        # its only fusion tensors are its prefixes; the fusion-only epochs
+        # after the exits train them and record the minibatch loss
         spec = small_spec(n=2)
         model = build_model(spec, strategy="Concat")
         train, test = gen_dataset(spec)
+        assert [name for name, _ in model.registry.named(
+            tags={"fusion"}, trainable_only=True)] == \
+            ["prefix.video", "prefix.audio"]
+        checksums = []
+        train_epoch_fn = training.train_epoch
+
+        def marked(*args, **kwargs):
+            checksums.append(model.registry.checksum({"fusion"}))
+            return train_epoch_fn(*args, **kwargs)
+
+        monkeypatch.setattr(training, "train_epoch", marked)
         report = fit(model, train, test,
                      TrainConfig(epochs=4, batch_size=32, seed=5, tau=10.0,
                                  early_exit=True))
+        checksums.append(model.registry.checksum({"fusion"}))
         assert [e.active for e in report.epochs[2:]] == [[], []]
         assert all(e.loss > 0.0 for e in report.epochs)
+        # epochs 3 and 4 move the prefixes
+        assert checksums[2] != checksums[3] != checksums[4]
 
 
 class TestEpochAndFit:
@@ -386,11 +404,107 @@ class TestEpochAndFit:
         train, _ = gen_dataset(spec)
         config = TrainConfig(batch_size=32, seed=5)
         before = {tag: model.registry.checksum({tag})
-                  for tag in ("video", "shared", "frozen")}
+                  for tag in ("video", "frozen")}
         warm_start(model, train, config)
-        assert model.registry.checksum({"shared"}) == before["shared"]
         assert model.registry.checksum({"frozen"}) == before["frozen"]
         assert model.registry.checksum({"video"}) != before["video"]
+
+
+class TestWarmStart:
+    def test_subsets_ask_about_their_own_modality(self, monkeypatch):
+        # the model's order differs from the benchmark's (video, audio,
+        # depth), so a question's modality token must be looked up by name
+        spec = small_spec(n=3, train_size=128)
+        depth, video = spec.modalities[2], spec.modalities[0]
+        model = FusionModel(ModelDims(), [depth, video], "depth",
+                            "SelfGated", spec.vocab, spec.classes, 11)
+        train, _ = gen_dataset(spec)
+        steps = []
+        step = training.train_step
+
+        def recording(model, opt, batch, tags, cache=None):
+            steps.append((tags, batch))
+            return step(model, opt, batch, tags, cache)
+
+        monkeypatch.setattr(training, "train_step", recording)
+        warm_start(model, train, TrainConfig(batch_size=8, seed=5))
+        seen = set()
+        for tags, batch in steps:
+            (m,) = tags - {"fusion"}
+            seen.add(m)
+            token = spec.modality_token(spec.names.index(m))
+            assert np.all(batch.template_ids == 0), m
+            assert np.all(batch.questions[:, 1] == token), m
+        assert seen == {"depth", "video"}
+
+
+class TestRegistry:
+    def test_frozen_tag_on_trainable_tensor_rejected(self):
+        reg = ParamRegistry()
+        t = Tensor(np.zeros(2, dtype=np.float32), requires_grad=True)
+        with pytest.raises(ValueError,
+                           match="'head.w': tag 'frozen' disagrees"):
+            reg.register("head.w", t, "frozen")
+        assert "head.w" not in reg
+
+    def test_modality_tag_on_frozen_tensor_rejected(self):
+        reg = ParamRegistry()
+        t = Tensor(np.zeros(2, dtype=np.float32))
+        with pytest.raises(ValueError,
+                           match="'video.queries': tag 'video' disagrees"):
+            reg.register("video.queries", t, "video")
+        assert "video.queries" not in reg
+
+
+# Hard top-1 routing can leave an MoE expert without a single token of a
+# whole fit; its tensors then get an exactly zero gradient and never move.
+# The fit-level check leaves the experts out, and
+# test_moe_step_moves_exactly_the_routed_experts pins the rule for them.
+UNROUTABLE = "fusion.experts."
+
+
+class TestEveryTrainableTrains:
+    @pytest.mark.parametrize("train_classifier", [False, True],
+                             ids=["frozen-head", "trained-classifier"])
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_fit_moves_exactly_the_trainable_tensors(self, strategy, mode,
+                                                     train_classifier):
+        spec = small_spec(n=3)
+        model = build_model(spec, strategy,
+                            train_classifier=train_classifier)
+        train, test = gen_dataset(spec)
+        before = {name: t.data.copy() for name, t in model.registry.named()}
+        fit(model, train, test,
+            TrainConfig(epochs=2, batch_size=32, seed=5, mode=mode))
+        for name, e in model.registry.entries.items():
+            if name.startswith(UNROUTABLE):
+                continue
+            moved = not np.array_equal(e.tensor.data, before[name])
+            assert moved == e.tensor.requires_grad, name
+
+    def test_moe_step_moves_exactly_the_routed_experts(self):
+        spec = small_spec(n=3)
+        model = build_model(spec, "MoE")
+        train, _ = gen_dataset(spec)
+        # one example: its T=4 tokens route to at most 4 experts
+        batch = train.slice(np.arange(1))
+        p = model.fusion.params
+        with T.no_grad():
+            tokens = model.modality_tokens(batch.features, taped=set())
+            x = T.concat([tokens[m] for m in model.supportive], axis=-1)
+            probs = T.softmax(T.matmul(x, p["gate.w"]) + p["gate.b"],
+                              axis=-1)
+        routed = {int(e) for e in np.unique(np.argmax(probs.data, axis=-1))}
+        assert 0 < len(routed) < MOE_EXPERTS   # both sides of the rule
+        experts = [[f"experts.{e}.w", f"experts.{e}.b"]
+                   for e in range(MOE_EXPERTS)]
+        before = [[p[k].data.copy() for k in keys] for keys in experts]
+        train_step(model, T.Adam(lr=1e-2), batch, {"fusion"})
+        moved = {e for e, keys in enumerate(experts)
+                 if any(not np.array_equal(p[k].data, old)
+                        for k, old in zip(keys, before[e]))}
+        assert moved == routed
 
 
 class TestConfigValidation:

@@ -17,12 +17,18 @@ workload at model seeds 0-3. Each line holds the SHA-256 of the run's
 generated data (``data_sha256``: the dtype and bytes of every array of
 ``bench.gen_dataset``, train split then test split, features in modality
 order, then questions, answers, latents and template ids), the SHA-256 of
-its ``metrics.jsonl`` (``metrics.run_records``), the SHA-256 of its
+its ``metrics.jsonl`` (``metrics.run_records``), the SHA-256 of those
+records with the ``census`` field dropped from each (``records_sha256``),
+the final parameter census (``census``), the SHA-256 of its
 checkpoint, the ``run_eval`` accuracies of that checkpoint
 (``accuracy``) and its ``run_eval`` accuracies with only the major
 modality visible (``major_only_accuracy``). The last
 line is the full-model gradcheck summary (``modfuse gradcheck``), which
 prints its worst relative error to four digits.
+
+A change to the parameter layout alone (a tensor added, dropped or
+retagged) shows as a ``census`` diff beside an unchanged
+``records_sha256``: the training bytes stayed as they were.
 """
 
 from __future__ import annotations
@@ -88,15 +94,28 @@ def data_sha256(spec) -> str:
     return h.hexdigest()
 
 
+def records_sha256(records: list[dict]) -> str:
+    from modfuse.metrics import dumps_record
+
+    h = hashlib.sha256()
+    for record in records:
+        rest = {k: v for k, v in record.items() if k != "census"}
+        h.update((dumps_record(rest) + "\n").encode())
+    return h.hexdigest()
+
+
 def digest_line(label: str, text: str, outdir: str) -> dict:
-    from modfuse import config, runner
+    from modfuse import config, metrics, runner
 
     cfg = config.parse_config(text, source=label)
     result = runner.run_train(cfg, os.path.join(outdir, label))
     ckpt = result["checkpoint"]
+    records = metrics.read_jsonl(result["metrics"])
     return {"run": label,
             "data_sha256": data_sha256(cfg.spec),
             "metrics_sha256": _sha256(result["metrics"]),
+            "records_sha256": records_sha256(records),
+            "census": records[-1]["census"],
             "checkpoint_sha256": _sha256(ckpt),
             "accuracy": runner.run_eval(ckpt)["accuracy"],
             "major_only_accuracy": runner.run_eval(
