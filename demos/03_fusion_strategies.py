@@ -29,14 +29,14 @@ def token_sets(n):
 
 print("=== what each strategy emits for 3 modalities ===")
 sets = token_sets(3)
-names = ["audio", "depth"]
 for strategy in STRATEGIES:
     fusion = create_fusion(strategy, 3, TOKENS, D, HEADS, seed=0)
-    fused = fuse_variant(fusion, sets[0], sets[1:], supportive_names=names)
-    sources = ",".join(dict.fromkeys(fused.provenance))
-    schedule = prefix_schedule(strategy, ["video"] + names, "video")
-    print(f"{strategy:>14}: {fused.tokens.shape[1]} tokens "
-          f"({sources}) + {len(schedule)} prefix tokens")
+    fused = fuse_variant(fusion, sets[0], sets[1:])
+    # one block of TOKENS fused tokens per schedule entry, each behind
+    # its own prefix vector
+    schedule = prefix_schedule(strategy, ["video", "audio", "depth"], "video")
+    print(f"{strategy:>14}: {fused.shape[1]} tokens in blocks "
+          f"({','.join(schedule)}) + {len(schedule)} prefix tokens")
 
 print()
 print("=== sequence budget as modalities are added ===")

@@ -32,6 +32,7 @@ TEMPLATES = ("unimodal", "equal", "count")
 TRAIN_STREAM = 0
 TEST_STREAM = 1
 PAD_TOKEN = 3  # question slots: 0..2 template ids, 3 pad, then modalities, symbols
+QUESTION_LEN = 3  # tokens per question: template id, first argument, second or pad
 
 
 @dataclass(frozen=True)
@@ -172,7 +173,7 @@ def codebook(spec: BenchSpec, modality: BenchModality) -> np.ndarray:
 class Dataset:
     spec: BenchSpec
     features: dict[str, np.ndarray]   # name -> [N, S, f] float32
-    questions: np.ndarray             # [N, 3] int64
+    questions: np.ndarray             # [N, QUESTION_LEN] int64
     answers: np.ndarray               # [N] int64
     latents: np.ndarray               # [N, n] int64
     template_ids: np.ndarray          # [N] int64
@@ -246,7 +247,7 @@ def gen_split(spec: BenchSpec, size: int, stream: int) -> Dataset:
         pairs = np.array(list(combinations(range(n), 2)), dtype=np.int64)
         args[equal] = pairs[drawn[equal]]
     count = template_ids == TEMPLATES.index("count")
-    questions = np.empty((size, 3), dtype=np.int64)
+    questions = np.empty((size, QUESTION_LEN), dtype=np.int64)
     questions[:, 0] = template_ids
     questions[:, 1] = args[:, 0] + np.where(count, spec.symbol_token(0),
                                             spec.modality_token(0))

@@ -19,11 +19,12 @@ Every registry entry is stored, frozen ones included, so a restore
 reproduces the model bit for bit. Saves stage to a uniquely named
 temporary file beside the target, commit with an atomic rename and sync
 the directory. Loads verify the stored digest against the embedded
-config text and fail on truncation with the byte offset; restores fail
-on a tensor holding NaN or Inf, naming it. ``force`` downgrades
-mismatches to warnings and skips tensors whose name or shape no longer
-fits, which is how a checkpoint from a smaller modality set is carried
-into an extended model.
+config text and fail on truncation with the byte offset; rebuilding a
+model fails when the header's modality order or strategy differs from
+the config text, and restores fail on a tensor holding NaN or Inf,
+naming it. ``force`` downgrades mismatches to warnings and skips tensors
+whose name or shape no longer fits, which is how a checkpoint from a
+smaller modality set is carried into an extended model.
 """
 
 from __future__ import annotations
@@ -268,6 +269,18 @@ def model_from_checkpoint(ckpt: Checkpoint, force: bool = False):
     """Rebuild the saved model: parse the embedded config, restore tensors."""
     from modfuse.config import build_model, parse_config
     config = parse_config(ckpt.config_text, source="<checkpoint>")
+    warnings: list[str] = []
+    # the header copies these keys from the config text, which alone the
+    # digest covers
+    for key, header, parsed in (
+            ("model.modalities", ckpt.order, list(config.model_modalities)),
+            ("model.strategy", ckpt.strategy, config.strategy)):
+        if header != parsed:
+            msg = (f"header copy of {key} {header!r} does not match "
+                   f"{parsed!r} in the config text")
+            if not force:
+                raise CheckpointError(f"{msg}; the file is corrupt")
+            warnings.append(msg)
     model = build_model(config)
-    warnings = restore_into(model.registry, ckpt, force=force)
+    warnings += restore_into(model.registry, ckpt, force=force)
     return model, config, warnings

@@ -25,12 +25,6 @@ FUSED_TAG = "fused"
 
 
 @dataclass
-class FusedTokens:
-    tokens: T.Tensor          # [B, T_out, d]
-    provenance: list[str]     # one source label per output token
-
-
-@dataclass
 class FusionModule:
     strategy: str
     n: int          # total modality count, major included
@@ -44,19 +38,18 @@ class FusionModule:
             yield f"fusion.{name}", t
 
 
-def token_budget(strategy: str, n: int, tokens: int) -> int:
-    """Fused token count as a pure function of (strategy, n, T)."""
-    if strategy not in STRATEGIES:
-        raise ValueError(f"unknown fusion strategy '{strategy}'")
+def block_count(strategy: str, n: int) -> int:
+    """Blocks of T fused tokens for ``n`` modalities: the length of the
+    prefix schedule, which does not depend on the modalities' names."""
     if n < 1:
         raise ValueError("modality count must be at least 1")
-    if n == 1:
-        return tokens
-    if strategy == "Concat":
-        return n * tokens
-    if strategy == "Linear":
-        return tokens
-    return 2 * tokens
+    order = [str(i) for i in range(n)]
+    return len(prefix_schedule(strategy, order, order[0]))
+
+
+def token_budget(strategy: str, n: int, tokens: int) -> int:
+    """Fused token count as a pure function of (strategy, n, T)."""
+    return tokens * block_count(strategy, n)
 
 
 def create_fusion(strategy: str, n: int, tokens: int, d: int, heads: int,
@@ -107,7 +100,7 @@ def _channel_concat(supportive: list[T.Tensor]) -> T.Tensor:
 
 
 def fuse_self_gated(fusion: FusionModule, q_major: T.Tensor,
-                    supportive: list[T.Tensor]) -> FusedTokens:
+                    supportive: list[T.Tensor]) -> T.Tensor:
     """[q_major ; g * sigmoid(g)] where g projects the supportive channels."""
     if not supportive:
         raise ValueError("self-gated fusion needs at least one supportive "
@@ -115,27 +108,14 @@ def fuse_self_gated(fusion: FusionModule, q_major: T.Tensor,
                          "tokens through")
     merged = _channel_concat(supportive)
     g = T.matmul(merged, fusion.params["merge.w"]) + fusion.params["merge.b"]
-    gated = T.silu(g)
-    tokens = T.concat([q_major, gated], axis=1)
-    tcount = q_major.shape[1]
-    return FusedTokens(tokens, ["major"] * tcount + [FUSED_TAG] * tcount)
-
-
-def _fuse_concat(q_major, supportive, names):
-    tokens = T.concat([q_major] + supportive, axis=1)
-    tcount = q_major.shape[1]
-    prov = ["major"] * tcount
-    for name in names:
-        prov += [name] * tcount
-    return FusedTokens(tokens, prov)
+    return T.concat([q_major, T.silu(g)], axis=1)
 
 
 def _fuse_linear(fusion, q_major, supportive):
     stacked = T.concat([q_major] + supportive, axis=1)     # [B, nT, d]
     flipped = T.transpose(stacked, (0, 2, 1))              # [B, d, nT]
     mixed = T.matmul(flipped, fusion.params["mix.w"])      # [B, d, T]
-    tokens = T.transpose(mixed, (0, 2, 1))
-    return FusedTokens(tokens, [FUSED_TAG] * fusion.tokens)
+    return T.transpose(mixed, (0, 2, 1))
 
 
 def _fuse_moe(fusion, q_major, supportive):
@@ -156,9 +136,7 @@ def _fuse_moe(fusion, q_major, supportive):
         y = T.matmul(x, p[f"experts.{e}.w"]) + p[f"experts.{e}.b"]
         term = y * weight
         out = term if out is None else out + term
-    tokens = T.concat([q_major, out], axis=1)
-    tcount = q_major.shape[1]
-    return FusedTokens(tokens, ["major"] * tcount + [FUSED_TAG] * tcount)
+    return T.concat([q_major, out], axis=1)
 
 
 def _fuse_cross_attention(fusion, q_major, supportive):
@@ -171,14 +149,12 @@ def _fuse_cross_attention(fusion, q_major, supportive):
     weights = AttentionWeights(wq=p["attn.wq"], wk=p["attn.wk"],
                                wv=p["attn.wv"], wo=p["attn.wo"])
     attended = attention(prompts, everything, weights, fusion.heads)
-    tokens = T.concat([q_major, attended], axis=1)
-    return FusedTokens(tokens, ["major"] * q_major.shape[1] + [FUSED_TAG] * tcount)
+    return T.concat([q_major, attended], axis=1)
 
 
 def fuse_variant(fusion: FusionModule, q_major: T.Tensor,
-                 supportive: list[T.Tensor],
-                 supportive_names: list[str] | None = None) -> FusedTokens:
-    """Dispatch on the configured strategy.
+                 supportive: list[T.Tensor]) -> T.Tensor:
+    """Dispatch on the configured strategy: the fused tokens [B, budget, d].
 
     With no supportive modalities every strategy degenerates to passing
     the major tokens through untouched (token budget T).
@@ -186,13 +162,11 @@ def fuse_variant(fusion: FusionModule, q_major: T.Tensor,
     if fusion.strategy not in STRATEGIES:
         raise ValueError(f"unknown fusion strategy '{fusion.strategy}'")
     if not supportive:
-        return FusedTokens(q_major, ["major"] * q_major.shape[1])
-    if supportive_names is None:
-        supportive_names = [f"supportive.{i}" for i in range(len(supportive))]
+        return q_major
     if fusion.strategy == "SelfGated":
         out = fuse_self_gated(fusion, q_major, supportive)
     elif fusion.strategy == "Concat":
-        out = _fuse_concat(q_major, supportive, supportive_names)
+        out = T.concat([q_major] + supportive, axis=1)
     elif fusion.strategy == "Linear":
         out = _fuse_linear(fusion, q_major, supportive)
     elif fusion.strategy == "MoE":
@@ -200,8 +174,8 @@ def fuse_variant(fusion: FusionModule, q_major: T.Tensor,
     else:
         out = _fuse_cross_attention(fusion, q_major, supportive)
     expected = token_budget(fusion.strategy, len(supportive) + 1, fusion.tokens)
-    if out.tokens.shape[1] != expected:
-        raise AssertionError(f"fused token count {out.tokens.shape[1]} "
+    if out.shape[1] != expected:
+        raise AssertionError(f"fused token count {out.shape[1]} "
                              f"violates the budget {expected}")
     return out
 
@@ -224,12 +198,13 @@ def create_prefixes(order: list[str], schedule: list[str], d: int, seed: int,
 
 
 def prefix_schedule(strategy: str, order: list[str], major: str) -> list[str]:
-    """Which prefix vectors front the reasoner input, in order.
+    """The layout of the fused output: one name per block of T fused
+    tokens, in order, and so the prefix vector that fronts that block in
+    the reasoner input.
 
-    Block structure mirrors the fused output: per-modality prefixes for
-    concatenation-style outputs, the major's prefix plus one "fused"
-    prefix when supportive tokens are merged, and just the fused prefix
-    when the output is a single merged block.
+    Concatenation keeps one block per modality, the major's first; the
+    merging strategies give the major's block and one "fused" block; a
+    single merged block is just "fused".
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown fusion strategy '{strategy}'")

@@ -10,13 +10,13 @@ import json
 
 import numpy as np
 
+from modfuse.bench import QUESTION_LEN
 from modfuse.fusion import token_budget
 from modfuse.model import FusionModel
 from modfuse.reasoner import reasoner_flops
 from modfuse.training import TrainReport, census_summary
 
 SCHEMA_VERSION = 1
-QUESTION_TOKENS = 3
 
 
 def _plain(value):
@@ -33,7 +33,7 @@ def _plain(value):
 def model_flops(model: FusionModel) -> int:
     """Analytic per-example cost of the frozen reasoning stage."""
     return reasoner_flops(len(model.order), model.dims.tokens,
-                          QUESTION_TOKENS, model.strategy, model.dims.d,
+                          QUESTION_LEN, model.strategy, model.dims.d,
                           model.dims.resolved_head_width(),
                           model.dims.head_layers)
 

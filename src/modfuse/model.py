@@ -19,8 +19,9 @@ from modfuse.adapters import (FeatureBatch, MMQAdapter, ParamRegistry,
 from modfuse.backbone import Backbone, init_backbone, qformer_forward
 from modfuse.bench import BenchModality
 from modfuse.fusion import (FusionModule, create_fusion, create_prefixes,
-                            fuse_variant, prefix_schedule, token_budget)
-from modfuse.reasoner import AnswerHead, assemble_input, create_head, predict
+                            fuse_variant, prefix_schedule)
+from modfuse.reasoner import (AnswerHead, assemble_input, create_head,
+                              input_length, predict)
 
 # Byte budget for the answer head's widest activation in forward-only
 # prediction, its feed-forward hidden [rows, seq, 4*width]. Kept within a
@@ -108,30 +109,34 @@ class FusionModel:
 
     def modality_tokens(self, features: dict[str, np.ndarray],
                         taped: set[str] | None = None,
-                        cache: dict[str, T.Tensor] | None = None
+                        cache: dict[str, np.ndarray] | None = None
                         ) -> dict[str, T.Tensor]:
         """Query-transformer tokens per modality.
 
         Only the modalities in ``taped`` (every one when None) are put on
         the tape; the rest run forward-only and carry no gradient. A
-        forward-only modality's tokens are taken from ``cache`` when it
-        holds them, and stored there when it does not, so whoever updates
-        an adapter must drop that modality's entry.
+        forward-only modality's token array is taken from ``cache`` when
+        it holds one, and stored there when it does not, so whoever
+        updates an adapter must drop that modality's entry.
         """
+        self._check_features(features)
         if cache is None:
             cache = {}
         out = {}
         for m in self.order:
-            if m not in features:
-                raise ValueError(f"batch is missing features for '{m}'")
             if taped is None or m in taped:
                 out[m] = self._qformer(m, features[m])
                 continue
             if m not in cache:
                 with T.no_grad():
-                    cache[m] = self._qformer(m, features[m])
-            out[m] = cache[m]
+                    cache[m] = self._qformer(m, features[m]).data
+            out[m] = T.Tensor(cache[m])
         return out
+
+    def _check_features(self, features: dict[str, np.ndarray]) -> None:
+        for m in self.order:
+            if m not in features:
+                raise ValueError(f"batch is missing features for '{m}'")
 
     def _qformer(self, m: str, features: np.ndarray) -> T.Tensor:
         return qformer_forward(self.backbone, self.adapters[m],
@@ -149,7 +154,7 @@ class FusionModel:
     def forward(self, features: dict[str, np.ndarray],
                 question_ids: np.ndarray | None,
                 taped: set[str] | None = None,
-                cache: dict[str, T.Tensor] | None = None) -> T.Tensor:
+                cache: dict[str, np.ndarray] | None = None) -> T.Tensor:
         """Answer logits. ``taped`` names the modalities whose query
         transformers go on the tape; None tapes every one. Fusion, the
         prefixes and the answer head are always taped. ``cache`` holds
@@ -157,8 +162,7 @@ class FusionModel:
         """
         tokens = self.modality_tokens(features, taped, cache)
         fused = fuse_variant(self.fusion, tokens[self.major],
-                             [tokens[m] for m in self.supportive],
-                             supportive_names=self.supportive)
+                             [tokens[m] for m in self.supportive])
         lang = None
         if question_ids is not None:
             lang = T.embedding(self.head.embed, question_ids)
@@ -167,7 +171,7 @@ class FusionModel:
 
     def loss(self, features: dict[str, np.ndarray], question_ids: np.ndarray,
              answers: np.ndarray, taped: set[str] | None = None,
-             cache: dict[str, T.Tensor] | None = None) -> T.Tensor:
+             cache: dict[str, np.ndarray] | None = None) -> T.Tensor:
         return T.cross_entropy(
             self.forward(features, question_ids, taped, cache), answers)
 
@@ -175,32 +179,35 @@ class FusionModel:
         """Rows per fusion and answer-head pass of :meth:`predict_classes`:
         the most whose head feed-forward hidden fits HEAD_TILE_BYTES, for
         questions of ``q_len`` tokens; at least one."""
-        seq = (token_budget(self.strategy, len(self.order), self.dims.tokens)
-               + len(self.schedule)
-               + q_len)
+        seq = input_length(len(self.schedule), self.dims.tokens, q_len)
         row_bytes = (seq * 4 * self.dims.resolved_head_width()
                      * np.dtype(self.dtype).itemsize)
         return max(1, HEAD_TILE_BYTES // row_bytes)
 
     def predict_classes(self, features: dict[str, np.ndarray],
                         question_ids: np.ndarray,
-                        cache: dict[str, T.Tensor] | None = None
-                        ) -> np.ndarray:
-        """Argmax classes, forward-only. Each modality's query transformer
-        runs once over the whole batch (``cache`` as in
-        :meth:`modality_tokens`); fusion and the answer head then run over
-        tiles of :meth:`head_tile_rows` rows, each handed its slice of the
-        tokens. Both act on every example alone, so the tiles' logits are
-        the bytes of the whole-batch pass."""
+                        tokens: dict[str, np.ndarray] | None = None,
+                        batch_size: int = 256) -> np.ndarray:
+        """Argmax classes, forward-only, in two passes. Each modality's
+        tokens come from ``tokens`` when it holds them, or else from
+        :meth:`forward_only_tokens` in ``batch_size`` chunks. Fusion and
+        the answer head then run over tiles of :meth:`head_tile_rows`
+        rows, each handed its slice of the tokens. Both act on every
+        example alone, so the tiles' logits are the bytes of one
+        whole-batch pass."""
+        self._check_features(features)
+        given = tokens or {}
+        tokens = {m: (given[m] if m in given else
+                      self.forward_only_tokens(m, features[m], batch_size))
+                  for m in self.order}
         preds = np.empty(len(question_ids), dtype=np.int64)
         rows = self.head_tile_rows(question_ids.shape[1])
         with T.no_grad():
-            tokens = self.modality_tokens(features, set(), cache)
             for lo in range(0, len(question_ids), rows):
                 tile = slice(lo, lo + rows)
                 logits = self.forward(
                     {m: f[tile] for m, f in features.items()},
                     question_ids[tile], set(),
-                    {m: T.Tensor(t.data[tile]) for m, t in tokens.items()})
+                    {m: t[tile] for m, t in tokens.items()})
                 preds[tile] = np.argmax(logits.data, axis=-1)
         return preds

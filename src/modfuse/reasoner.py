@@ -19,6 +19,7 @@ import numpy as np
 from modfuse import tensor as T
 from modfuse.backbone import (AttentionWeights, LayerNormWeights, attention,
                               ffn, INIT_STD)
+from modfuse.fusion import block_count
 from modfuse.rng import component_rng
 
 # Init gains for the frozen reservoir, as multiples of the backbone's
@@ -120,21 +121,26 @@ def create_head(seed: int, d: int, width: int, heads: int, layers: int,
     return head
 
 
-def assemble_input(fused, prefixes: dict[str, T.Tensor],
+def input_length(blocks: int, tokens: int, q_len: int) -> int:
+    """The answer head's sequence length: one prefix vector and ``tokens``
+    fused tokens per block of the prefix schedule, then the question."""
+    return blocks * (tokens + 1) + q_len
+
+
+def assemble_input(fused: T.Tensor, prefixes: dict[str, T.Tensor],
                    schedule: list[str], lang: T.Tensor | None) -> T.Tensor:
     """[prefix block; fused tokens; question tokens], all width d.
 
     ``schedule`` lists which prefix vectors to use, in order; ``lang``
     may be None for question-free probes.
     """
-    tokens = fused.tokens
-    b, _, d = tokens.shape
+    b, _, d = fused.shape
     parts = []
     if schedule:
         rows = [T.reshape(prefixes[name], (1, 1, d)) for name in schedule]
         block = T.concat(rows, axis=1) if len(rows) > 1 else rows[0]
         parts.append(T.broadcast_to(block, (b, len(schedule), d)))
-    parts.append(tokens)
+    parts.append(fused)
     if lang is not None:
         if lang.shape[-1] != d:
             raise ValueError(f"question tokens width {lang.shape[-1]} != {d}")
@@ -158,17 +164,12 @@ def reasoner_flops(n: int, tokens: int, q_len: int, strategy: str, d: int,
                    width: int | None = None, layers: int = 2) -> int:
     """Analytic multiply-accumulate estimate for one example.
 
-    Sequence length comes from the fused token budget plus prefixes and
-    question tokens; the count is dominated by attention (seq^2 * width)
-    and feed-forward (seq * width^2) terms.
+    The sequence length is :func:`input_length`; the count is dominated
+    by attention (seq^2 * width) and feed-forward (seq * width^2) terms.
     """
-    from modfuse.fusion import token_budget
-
     if width is None:
         width = 2 * d
-    budget = token_budget(strategy, n, tokens)
-    # every fused block of T tokens is fronted by one prefix vector
-    seq = budget + budget // tokens + q_len
+    seq = input_length(block_count(strategy, n), tokens, q_len)
     per_layer = 4 * seq * width * width      # q, k, v, o projections
     per_layer += 2 * seq * seq * width       # scores and weighted sum
     per_layer += 8 * seq * width * width     # feed-forward, expansion 4x

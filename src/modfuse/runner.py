@@ -90,7 +90,8 @@ def run_eval(ckpt_path: str, modalities: list[str] | None = None,
             raise ValueError(f"unknown modalities {unknown}; "
                              f"model has {model.order}")
         visible = set(modalities)
-    preds = predict_dataset(model, test, visible=visible)
+    preds = predict_dataset(model, test, config.train.eval_batch,
+                            visible=visible)
     out = {"accuracy": accuracy_by_template(preds, test),
            "visible": (list(model.order) if visible is None
                        else sorted(visible)),
@@ -104,7 +105,8 @@ def run_eval(ckpt_path: str, modalities: list[str] | None = None,
         if ref_config.spec != config.spec:
             raise ValueError("reference checkpoint was trained on a "
                              "different benchmark")
-        ref_preds = predict_dataset(ref_model, test)
+        ref_preds = predict_dataset(ref_model, test,
+                                    ref_config.train.eval_batch)
         easy_idx, hard_idx = split_easy_hard(ref_preds, test)
         out["easy"] = accuracy_by_template(preds[easy_idx],
                                            test.slice(easy_idx))

@@ -170,7 +170,7 @@ def masked_params(model: FusionModel, tags: set[str]):
 
 
 def train_step(model: FusionModel, opt: T.Adam, batch: Dataset,
-               tags: set[str], cache: dict[str, T.Tensor] | None = None
+               tags: set[str], cache: dict[str, np.ndarray] | None = None
                ) -> tuple[float, dict[str, float]]:
     """One masked update of exactly the trainable tensors tagged in ``tags``.
 
@@ -220,29 +220,22 @@ def masked_features(features: dict[str, np.ndarray],
 def predict_dataset(model: FusionModel, data: Dataset, batch_size: int = 256,
                     visible: set[str] | None = None,
                     tokens: dict[str, np.ndarray] | None = None) -> np.ndarray:
-    """Predicted classes, batch by batch; with ``visible``, the features of
-    every other modality are zeroed first. ``tokens`` maps a modality to
-    its forward-only tokens for every example of ``data`` (unmasked), so
-    its query transformer does not run again; a modality hidden by
-    ``visible`` must not have them, since they would stand in for its
-    zeroed features."""
+    """Predicted classes (see ``FusionModel.predict_classes``; query
+    transformers run ``batch_size`` rows at a time); with ``visible``, the
+    features of every other modality are zeroed first. ``tokens`` maps a
+    modality to its forward-only tokens for every example of ``data``
+    (unmasked), so its query transformer does not run again; a modality
+    hidden by ``visible`` must not have them, since they would stand in
+    for its zeroed features."""
+    features = data.features
     if visible is not None:
         hidden = [m for m in model.order if m in (tokens or {})
                   and m not in visible]
         if hidden:
             raise ValueError(f"tokens given for {hidden}, which visible "
                              f"{sorted(visible)} hides")
-    preds = np.empty(len(data), dtype=np.int64)
-    for lo in range(0, len(data), batch_size):
-        part = data.slice(np.arange(lo, min(lo + batch_size, len(data))))
-        features = part.features
-        if visible is not None:
-            features = masked_features(features, visible)
-        cache = {m: T.Tensor(a[lo:lo + len(part)])
-                 for m, a in (tokens or {}).items()}
-        preds[lo:lo + len(part)] = model.predict_classes(
-            features, part.questions, cache)
-    return preds
+        features = masked_features(features, visible)
+    return model.predict_classes(features, data.questions, tokens, batch_size)
 
 
 def train_epoch(model: FusionModel, opt: T.Adam, train: Dataset,
@@ -264,7 +257,7 @@ def train_epoch(model: FusionModel, opt: T.Adam, train: Dataset,
     counts = {m: 0 for m in model.order}
     for idx in _batches(len(train), config.batch_size, rng):
         batch = train.slice(idx)
-        cache = {m: T.Tensor(a[idx]) for m, a in (frozen or {}).items()}
+        cache = {m: a[idx] for m, a in (frozen or {}).items()}
         active = [m for m in model.order if history[m].active]
         if config.shuffle_modalities:
             active = [str(m) for m in rng.permutation(active)]

@@ -163,10 +163,8 @@ def test_fused_token_budget_and_flop_scaling():
             fusion = create_fusion(strategy, n, tokens, d, heads, seed=0)
             sets = [T.Tensor(rng.normal(size=(2, tokens, d)).astype(np.float32))
                     for _ in range(n)]
-            names = [f"m{i}" for i in range(1, n)]
-            fused = fuse_variant(fusion, sets[0], sets[1:],
-                                 supportive_names=names)
-            assert fused.tokens.shape[1] == token_budget(strategy, n, tokens), \
+            fused = fuse_variant(fusion, sets[0], sets[1:])
+            assert fused.shape[1] == token_budget(strategy, n, tokens), \
                 f"{strategy} n={n}"
     gated = {reasoner_flops(n, tokens, 3, "SelfGated", d) for n in range(2, 7)}
     concat = [reasoner_flops(n, tokens, 3, "Concat", d) for n in range(2, 7)]

@@ -34,6 +34,13 @@ def make(text=TWO):
     return build_model(cfg), cfg
 
 
+def header_corrupted(raw: bytes, old: bytes, new: bytes) -> bytes:
+    """``raw`` with the first ``old`` after the digest overwritten by the
+    equally long ``new``: a header field, which precedes the config text."""
+    at = raw.index(old, 40)
+    return raw[:at] + new + raw[at + len(old):]
+
+
 class TestRoundTrip:
     def test_save_load_restore_bitwise(self, tmp_path):
         model, cfg = make()
@@ -175,6 +182,25 @@ class TestCorruption:
         with pytest.raises(CheckpointError,
                            match="'audio.queries' holds non-finite"):
             restore_into(make()[0].registry, ckpt, force=force)
+
+    @pytest.mark.parametrize("key,old,new", [
+        ("model.modalities", b"video", b"vidxo"),
+        ("model.strategy", b"SelfGated", b"Linear\0\0\0"),
+    ])
+    def test_header_copy_must_match_config_text(self, key, old, new):
+        # the digest covers only the config text, so a corrupt header
+        # copy loaded without a word
+        model, cfg = make()
+        raw = header_corrupted(checkpoint_bytes(model.registry, cfg),
+                               old, new)
+        with pytest.raises(CheckpointError, match=key):
+            model_from_checkpoint(parse_checkpoint(raw))
+        rebuilt, recfg, warnings = model_from_checkpoint(
+            parse_checkpoint(raw, force=True), force=True)
+        assert recfg == cfg
+        assert rebuilt.order == ["video", "audio"]
+        assert len(warnings) == 1 and key in warnings[0]
+        assert rebuilt.registry.checksum() == model.registry.checksum()
 
     def test_unsupported_version(self):
         model, cfg = make()

@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+from modfuse import model as model_module
 from modfuse.bench import gen_dataset
 from modfuse.checkpoint import save_checkpoint
 from modfuse.cli import main
@@ -127,6 +128,24 @@ class TestRunner:
         assert 0.0 <= masked["accuracy"]["overall"] <= 1.0
         # every modality zeroed: the empty set was reported as all of them
         assert run_eval(result["checkpoint"], modalities=[])["visible"] == []
+
+    def test_eval_honours_eval_batch(self, tmp_path, monkeypatch):
+        # run_eval predicted at the default batch of 256, whatever
+        # train.eval_batch said, for the checkpoint and for the reference
+        cfg = parse_config(SMALL + "train.eval_batch = 7\n")
+        ckpt = run_train(cfg, str(tmp_path))["checkpoint"]
+        rows = []
+        qformer = model_module.qformer_forward
+
+        def counted(backbone, adapter, feats):
+            rows.append(len(feats.features))
+            return qformer(backbone, adapter, feats)
+
+        monkeypatch.setattr(model_module, "qformer_forward", counted)
+        out = run_eval(ckpt, easy_hard=True, reference=ckpt)
+        assert out["examples"] == 32
+        # 2 models x 2 modalities x 5 chunks of 7, 7, 7, 7 and 4 rows
+        assert sorted(rows) == sorted([7, 7, 7, 7, 4] * 4)
 
     def test_eval_rejects_unknown_modality(self, tmp_path):
         cfg = parse_config(SMALL)
@@ -255,6 +274,21 @@ class TestCli:
         save_checkpoint(ckpt, model.registry, cfg)
         assert main(["eval", ckpt]) == 2
         assert "'audio.queries' holds non-finite" in capsys.readouterr().err
+
+    def test_corrupt_header_exits_2_naming_field(self, tmp_path, capsys):
+        cfg = parse_config(SMALL)
+        ckpt = str(tmp_path / "model.ckpt")
+        save_checkpoint(ckpt, build_model(cfg).registry, cfg)
+        with open(ckpt, "rb") as f:
+            raw = f.read()
+        at = raw.index(b"SelfGated", 40)
+        with open(ckpt, "wb") as f:
+            f.write(raw[:at] + b"Linear\0\0\0" + raw[at + 9:])
+        assert main(["eval", ckpt]) == 2
+        assert "model.strategy" in capsys.readouterr().err
+        assert main(["eval", ckpt, "--force"]) == 0
+        assert "warning: header copy of model.strategy" in \
+            capsys.readouterr().out
 
     def test_missing_checkpoint_exits_nonzero(self, tmp_path, capsys):
         assert main(["eval", str(tmp_path / "nope.ckpt")]) == 2

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from modfuse import model as model_module
+from modfuse import reasoner
 from modfuse import tensor as T
 from modfuse.adapters import count_trainable, total_scalars
 from modfuse.bench import BenchModality
@@ -107,6 +108,8 @@ class TestForward:
         del feats["depth"]
         with pytest.raises(ValueError, match="depth"):
             model.forward(feats, questions)
+        with pytest.raises(ValueError, match="depth"):
+            model.predict_classes(feats, questions)
 
     def test_loss_is_finite_scalar(self):
         model = build_model()
@@ -149,6 +152,44 @@ class TestForward:
                 assert e.tensor.grad is not None, name
             else:
                 assert e.tensor.grad is None, name
+
+
+class TestHeadInputLayout:
+    """The answer head's input is one prefix and T fused tokens per block
+    of the prefix schedule, then the question; the tile rule and the cost
+    model count that same length."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_counted_length_is_the_head_input(self, strategy, n,
+                                              monkeypatch):
+        mods = [BenchModality(f"m{i}", 6 + i, 3) for i in range(n)]
+        model = FusionModel(ModelDims(), mods, "m0", strategy, 12, 11, 0)
+        seen, counted = [], []
+        predict = model_module.predict
+
+        def sized_predict(head, x):
+            seen.append(x.shape[1])
+            return predict(head, x)
+
+        def spy(fn):
+            def wrapped(*args):
+                counted.append(fn(*args))
+                return counted[-1]
+            return wrapped
+
+        monkeypatch.setattr(model_module, "predict", sized_predict)
+        monkeypatch.setattr(model_module, "input_length",
+                            spy(model_module.input_length))
+        monkeypatch.setattr(reasoner, "input_length",
+                            spy(reasoner.input_length))
+        rng = np.random.default_rng(n)
+        feats = {m.name: rng.normal(size=(2, 3, m.feat_dim)) for m in mods}
+        model.forward(feats, rng.integers(0, 12, size=(2, 3)))
+        model.head_tile_rows(3)
+        reasoner.reasoner_flops(n, 4, 3, strategy, 32)
+        assert len(seen) == 1
+        assert counted == [seen[0], seen[0]]
 
 
 def forward_only_logits(model, feats, questions):

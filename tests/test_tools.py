@@ -22,7 +22,8 @@ def test_byte_digests_repeat(tmp_path):
     lines = [json.loads(line) for line in outs[0].stdout.splitlines()]
     assert [line["run"] for line in lines[:-1]] == [
         f"{s}-{m}-exit-seed7" for s in STRATEGIES
-        for m in ("sequential", "joint")]
+        for m in ("sequential", "joint")] + [
+        "SelfGated-sequential-exit-eval13-seed7"]
     for line in lines[:-1]:
         assert len(line["data_sha256"]) == len(line["metrics_sha256"]) == len(
             line["records_sha256"]) == len(line["checkpoint_sha256"]) == 64

@@ -584,7 +584,7 @@ class TestTokenReuse:
             out = tokens(self, features, taped, cache)
             computed = {m for m, _ in calls[start:]}
             for m, tok in out.items():
-                if m in before and tok is before[m]:
+                if m in before and tok.data is before[m]:
                     assert m not in computed
                     assert np.array_equal(
                         tok.data, forward_only(self, m, features[m])), m

@@ -12,8 +12,11 @@ leave every line as it was. Each checkout imports ``modfuse`` from its own
 The grid is every fusion strategy, in sequential and in joint mode, with
 early exit (tau 0.9), at seed 7, on the perfbench model (video 16x8 major,
 audio 24x6, depth 48x4, d=32, 2 layers, 4 heads, 4 tokens, rank 8,
-trainable classifier). ``--perfbench`` adds the perfbench configs of every
-workload at model seeds 0-3. Each line holds the SHA-256 of the run's
+trainable classifier), plus SelfGated in sequential mode once more with
+``train.eval_batch = 13``: 13 divides no split size used here or in the
+tests, so exit-time token passes, per-epoch evaluation and ``run_eval``
+all run a ragged last chunk. ``--perfbench`` adds the perfbench configs of
+every workload at model seeds 0-3. Each line holds the SHA-256 of the run's
 generated data (``data_sha256``: the dtype and bytes of every array of
 ``bench.gen_dataset``, train split then test split, features in modality
 order, then questions, answers, latents and template ids), the SHA-256 of
@@ -43,10 +46,11 @@ import tempfile
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SEED = 7
 PERFBENCH_SEEDS = range(4)
+RAGGED_EVAL_BATCH = 13
 
 
 def grid_config(strategy: str, mode: str, train_size: int, test_size: int,
-                epochs: int) -> str:
+                epochs: int, eval_batch: int = 256) -> str:
     return f"""\
 modalities = video, audio, depth
 major = video
@@ -74,6 +78,7 @@ train.epochs = {epochs}
 train.batch_size = 32
 train.lr = 0.003
 train.seed = {SEED}
+train.eval_batch = {eval_batch}
 """
 
 
@@ -131,6 +136,9 @@ def runs(args):
             yield (f"{strategy}-{mode}-exit-seed{SEED}",
                    grid_config(strategy, mode, args.train_size,
                                args.test_size, args.epochs))
+    yield (f"SelfGated-sequential-exit-eval{RAGGED_EVAL_BATCH}-seed{SEED}",
+           grid_config("SelfGated", "sequential", args.train_size,
+                       args.test_size, args.epochs, RAGGED_EVAL_BATCH))
     if args.perfbench:
         sys.path.insert(0, os.path.join(ROOT, "perfbench"))
         import workloads
