@@ -26,7 +26,6 @@ from modfuse.tensor import (
     matmul,
     no_grad,
     reshape,
-    sigmoid,
     silu,
     softmax,
     tmean,

@@ -2,7 +2,7 @@
 
     modfuse train <config> [--out DIR]
     modfuse eval <checkpoint> [--modalities a,b] [--easy-hard --reference C]
-    modfuse ablate <config> --axis fusion|rank|tokens|mode|prioritize [--out DIR]
+    modfuse ablate <config> --axis fusion|rank|tokens|mode [--out DIR]
     modfuse gradcheck [--sample N]
     modfuse report <metrics.jsonl> [...]
 

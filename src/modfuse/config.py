@@ -30,10 +30,11 @@ class ConfigError(ValueError):
 _KEY_RE = re.compile(r"^[a-z][a-z0-9_]*(\.[a-z0-9_]+)*$")
 
 
-def parse_kv_text(text: str, source: str = "<config>") -> dict[str, str]:
-    """Raw key -> value strings, with line-numbered diagnostics."""
-    out: dict[str, str] = {}
-    seen: dict[str, int] = {}
+def parse_kv_text(text: str,
+                  source: str = "<config>") -> dict[str, tuple[str, int]]:
+    """Raw key -> (value string, line number), with line-numbered
+    diagnostics."""
+    out: dict[str, tuple[str, int]] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -46,16 +47,14 @@ def parse_kv_text(text: str, source: str = "<config>") -> dict[str, str]:
         value = value.strip()
         if not _KEY_RE.match(key):
             raise ConfigError(f"{source}:{lineno}: bad key {key!r}")
-        if key in seen:
+        if key in out:
             raise ConfigError(f"{source}:{lineno}: duplicate key '{key}' "
-                              f"(first set on line {seen[key]})")
-        seen[key] = lineno
-        out[key] = value
+                              f"(first set on line {out[key][1]})")
+        out[key] = (value, lineno)
     return out
 
 
-def _convert(key: str, value: str, kind: type):
-    where = f"field '{key}'"
+def _convert(key: str, value: str, kind: type, where: str):
     try:
         if kind is bool:
             low = value.lower()
@@ -68,8 +67,8 @@ def _convert(key: str, value: str, kind: type):
             return float(value)
         return value
     except ValueError:
-        raise ConfigError(f"{where} expects {kind.__name__}, "
-                          f"got {value!r}") from None
+        raise ConfigError(f"{where}: field '{key}' expects "
+                          f"{kind.__name__}, got {value!r}") from None
 
 
 def _format(value) -> str:
@@ -87,7 +86,6 @@ _MODEL_FIELDS = {"d": int, "layers": int, "heads": int, "tokens": int,
 _TRAIN_FIELDS = {"lr": float, "beta1": float, "beta2": float, "epochs": int,
                  "batch_size": int, "seed": int, "tau": float, "mode": str,
                  "early_exit": bool, "exit_on_rise": bool,
-                 "shuffle_modalities": bool, "warm_start": bool,
                  "eval_batch": int}
 _RUN_FIELDS = {"name": str, "outdir": str}
 
@@ -188,7 +186,11 @@ class RunConfig:
 
 def parse_config(text: str, source: str = "<config>") -> RunConfig:
     """Parse and validate a full run configuration."""
-    raw = parse_kv_text(text, source)
+    entries = parse_kv_text(text, source)
+    raw = {key: value for key, (value, _) in entries.items()}
+
+    def at(key: str) -> str:
+        return f"{source}:{entries[key][1]}"
 
     if "modalities" not in raw:
         raise ConfigError("field 'modalities' is required")
@@ -204,8 +206,9 @@ def parse_config(text: str, source: str = "<config>") -> RunConfig:
         fd_key, sl_key = f"modality.{n}.feat_dim", f"modality.{n}.seq_len"
         if fd_key not in raw:
             raise ConfigError(f"field '{fd_key}' is required")
-        feat_dim = _convert(fd_key, raw.pop(fd_key), int)
-        seq_len = _convert(sl_key, raw.pop(sl_key, "8"), int)
+        feat_dim = _convert(fd_key, raw.pop(fd_key), int, at(fd_key))
+        seq_len = (_convert(sl_key, raw.pop(sl_key), int, at(sl_key))
+                   if sl_key in raw else 8)
         mods.append(BenchModality(n, feat_dim, seq_len))
 
     bench_kw, model_kw, train_kw, run_kw = {}, {}, {}, {}
@@ -214,9 +217,9 @@ def parse_config(text: str, source: str = "<config>") -> RunConfig:
     for key, value in raw.items():
         block, _, name = key.partition(".")
         if block == "bench" and name in _BENCH_FIELDS:
-            bench_kw[name] = _convert(key, value, _BENCH_FIELDS[name])
+            bench_kw[name] = _convert(key, value, _BENCH_FIELDS[name], at(key))
         elif block == "model" and name in _MODEL_FIELDS:
-            converted = _convert(key, value, _MODEL_FIELDS[name])
+            converted = _convert(key, value, _MODEL_FIELDS[name], at(key))
             if name == "strategy":
                 strategy = converted
             elif name == "seed":
@@ -229,14 +232,14 @@ def parse_config(text: str, source: str = "<config>") -> RunConfig:
             else:
                 model_kw[name] = converted
         elif block == "train" and name in _TRAIN_FIELDS:
-            train_kw[name] = _convert(key, value, _TRAIN_FIELDS[name])
+            train_kw[name] = _convert(key, value, _TRAIN_FIELDS[name], at(key))
         elif block == "run" and name in _RUN_FIELDS:
-            run_kw[name] = _convert(key, value, _RUN_FIELDS[name])
+            run_kw[name] = _convert(key, value, _RUN_FIELDS[name], at(key))
         elif key.startswith("modality."):
-            raise ConfigError(f"field '{key}' refers to a modality not in "
-                              f"'modalities'")
+            raise ConfigError(f"{at(key)}: field '{key}' refers to a "
+                              f"modality not in 'modalities'")
         else:
-            raise ConfigError(f"unknown key '{key}'")
+            raise ConfigError(f"{at(key)}: unknown key '{key}'")
 
     try:
         spec = BenchSpec(modalities=tuple(mods), **bench_kw)

@@ -27,11 +27,11 @@ OUT_ROOT_ENV = "MODFUSE_OUT_ROOT"
 CHECKPOINT_NAME = "model.ckpt"
 METRICS_NAME = "metrics.jsonl"
 
-ABLATE_AXES = ("fusion", "rank", "tokens", "mode", "prioritize")
+ABLATE_AXES = ("fusion", "rank", "tokens", "mode")
 _FUSION_GRID = ("Concat", "Linear", "MoE", "CrossAttention", "SelfGated")
 _RANK_GRID = (2, 4, 8)
 _TOKEN_GRID = (2, 4, 8)
-_MODE_GRID = ("sequential", "sequential_reversed", "joint")
+_MODE_GRID = ("sequential", "joint")
 
 
 def resolve_outdir(config: RunConfig, cli_out: str | None = None,
@@ -132,21 +132,8 @@ def _variant_configs(config: RunConfig, axis: str):
             yield f"tokens{tokens}", dataclasses.replace(config, dims=dims)
     elif axis == "mode":
         for mode in _MODE_GRID:
-            if mode == "sequential_reversed":
-                spec = dataclasses.replace(
-                    config.spec,
-                    modalities=tuple(reversed(config.spec.modalities)))
-                train = dataclasses.replace(config.train, mode="sequential")
-                yield mode, dataclasses.replace(
-                    config, spec=spec, train=train,
-                    model_modalities=tuple(
-                        reversed(config.model_modalities)))
-            else:
-                train = dataclasses.replace(config.train, mode=mode)
-                yield mode, dataclasses.replace(config, train=train)
-    elif axis == "prioritize":
-        for m in config.model_modalities:
-            yield f"major_{m}", dataclasses.replace(config, major=m)
+            train = dataclasses.replace(config.train, mode=mode)
+            yield mode, dataclasses.replace(config, train=train)
     else:
         raise ValueError(f"unknown ablation axis '{axis}'; choose from "
                          f"{', '.join(ABLATE_AXES)}")

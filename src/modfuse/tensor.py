@@ -336,18 +336,6 @@ def _sigmoid_data(x: np.ndarray) -> np.ndarray:
     return n
 
 
-def sigmoid(a: Tensor) -> Tensor:
-    y = _sigmoid_data(a.data)
-
-    def backward_fn(g):
-        if a.requires_grad:
-            gy = g * y
-            gy *= 1.0 - y
-            a.accumulate(gy)
-
-    return _make(y, (a,), "sigmoid", backward_fn)
-
-
 def silu(a: Tensor) -> Tensor:
     """x * sigmoid(x), the smooth self-gating nonlinearity."""
     s = _sigmoid_data(a.data)

@@ -50,8 +50,6 @@ class TrainConfig:
     mode: str = "sequential"
     early_exit: bool = False
     exit_on_rise: bool = False     # alternative inequality direction
-    shuffle_modalities: bool = False
-    warm_start: bool = False
     eval_batch: int = 256
 
     def validate(self) -> None:
@@ -259,8 +257,6 @@ def train_epoch(model: FusionModel, opt: T.Adam, train: Dataset,
         batch = train.slice(idx)
         cache = {m: a[idx] for m, a in (frozen or {}).items()}
         active = [m for m in model.order if history[m].active]
-        if config.shuffle_modalities:
-            active = [str(m) for m in rng.permutation(active)]
         if config.mode == "joint":
             step_tags = [set(active) | {"fusion"}]
         elif active:
@@ -295,8 +291,6 @@ def fit(model: FusionModel, train: Dataset, test: Dataset,
     # move again: computed once, then reused by every step and evaluation
     train_tokens: dict[str, np.ndarray] = {}
     test_tokens: dict[str, np.ndarray] = {}
-    if config.warm_start:
-        warm_start(model, train, config)
     for epoch in range(1, config.epochs + 1):
         loss, averages = train_epoch(model, opt, train, config, history,
                                      epoch, report.update_steps, train_tokens)
@@ -322,20 +316,6 @@ def fit(model: FusionModel, train: Dataset, test: Dataset,
             active=[m for m in model.order if history[m].active]))
     report.final_accuracy = report.epochs[-1].accuracy if report.epochs else {}
     return report
-
-
-def warm_start(model: FusionModel, train: Dataset, config: TrainConfig) -> None:
-    """Pre-fit each adapter on its own unimodal questions for one epoch."""
-    opt = T.Adam(lr=config.lr, beta1=config.beta1, beta2=config.beta2)
-    for i, m in enumerate(model.order):
-        token = train.spec.modality_token(train.spec.names.index(m))
-        mask = (train.template_ids == 0) & (train.questions[:, 1] == token)
-        subset = train.slice(np.flatnonzero(mask))
-        if not len(subset):
-            continue
-        rng = np.random.default_rng(np.random.SeedSequence([config.seed, 77, i]))
-        for idx in _batches(len(subset), config.batch_size, rng):
-            train_step(model, opt, subset.slice(idx), {m, "fusion"})
 
 
 def census_summary(model: FusionModel) -> dict[str, int]:

@@ -1,9 +1,18 @@
 """Config parsing, validation diagnostics, canonical text, digests."""
 
+import dataclasses
+import re
+from pathlib import Path
+
 import pytest
 
-from modfuse.config import (ConfigError, RunConfig, build_model, load_config,
-                            parse_config, parse_kv_text)
+from modfuse.config import (_BENCH_FIELDS, _MODEL_FIELDS, _RUN_FIELDS,
+                            _TRAIN_FIELDS, ConfigError, RunConfig,
+                            build_model, load_config, parse_config,
+                            parse_kv_text)
+from modfuse.training import TrainConfig
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 BASE = """
 # three modalities, video leads
@@ -22,12 +31,14 @@ model.strategy = SelfGated
 train.epochs = 2
 train.lr = 0.003
 """
+# the line number of a key appended to BASE
+APPENDED = len(BASE.splitlines()) + 1
 
 
 class TestRawParser:
     def test_comments_and_blanks_skipped(self):
         raw = parse_kv_text("a = 1\n\n# note\nb.c = x  # trailing\n")
-        assert raw == {"a": "1", "b.c": "x"}
+        assert raw == {"a": ("1", 1), "b.c": ("x", 4)}
 
     def test_missing_equals(self):
         with pytest.raises(ConfigError, match=r"cfg:2: expected 'key = value'"):
@@ -58,21 +69,55 @@ class TestFullParse:
         assert parse_config(text).major == "video"
 
     def test_unknown_key(self):
-        with pytest.raises(ConfigError, match="unknown key 'model.dd'"):
-            parse_config(BASE + "model.dd = 64\n")
+        with pytest.raises(ConfigError,
+                           match=f"^my.cfg:{APPENDED}: unknown key 'model.dd'"):
+            parse_config(BASE + "model.dd = 64\n", source="my.cfg")
 
     def test_unknown_modality_field(self):
-        with pytest.raises(ConfigError, match="not in 'modalities'"):
-            parse_config(BASE + "modality.thermal.feat_dim = 9\n")
+        with pytest.raises(ConfigError,
+                           match=f"^my.cfg:{APPENDED}: .*not in 'modalities'"):
+            parse_config(BASE + "modality.thermal.feat_dim = 9\n",
+                         source="my.cfg")
 
     def test_type_diagnostics(self):
-        with pytest.raises(ConfigError, match="'model.d' expects int"):
-            parse_config(BASE + "model.d = big\n")
+        with pytest.raises(ConfigError,
+                           match=f"^my.cfg:{APPENDED}: .*'model.d' expects int"):
+            parse_config(BASE + "model.d = big\n", source="my.cfg")
         with pytest.raises(ConfigError, match="'train.tau' expects float"):
             parse_config(BASE + "train.tau = soon\n")
         with pytest.raises(ConfigError,
                            match="'train.early_exit' expects bool"):
             parse_config(BASE + "train.early_exit = yes\n")
+        # a key read before the loop over the rest, on its own line
+        with pytest.raises(ConfigError,
+                           match="^my.cfg:8: .*'modality.video.seq_len' "
+                                 "expects int"):
+            parse_config(BASE.replace("seq_len = 8", "seq_len = long"),
+                         source="my.cfg")
+
+    @pytest.mark.parametrize("name", ["shuffle_modalities", "warm_start"])
+    def test_removed_train_keys_rejected(self, name):
+        # checkpoints written while these existed name them; reject, retrain
+        with pytest.raises(ConfigError,
+                           match=f"^old.cfg:{APPENDED}: unknown key "
+                                 f"'train.{name}'"):
+            parse_config(BASE + f"train.{name} = false\n", source="old.cfg")
+
+    def test_every_train_config_field_is_a_key(self):
+        assert list(_TRAIN_FIELDS) == [
+            f.name for f in dataclasses.fields(TrainConfig)]
+
+    def test_readme_config_block_matches_parser(self):
+        block = README.read_text().split("```ini\n", 1)[1].split("```")[0]
+        # every key it sets parses, once the two omitted feat_dims are added
+        parse_config(block + "modality.audio.feat_dim = 8\n"
+                             "modality.depth.feat_dim = 8\n")
+        # and its comments name every field of every block, and no other
+        words = set(re.findall(r"[a-z_0-9]+", block))
+        for fields in (_BENCH_FIELDS, _MODEL_FIELDS, _TRAIN_FIELDS,
+                       _RUN_FIELDS):
+            assert set(fields) <= words
+        assert {"shuffle_modalities", "warm_start"}.isdisjoint(words)
 
     def test_missing_required(self):
         with pytest.raises(ConfigError, match="'modalities' is required"):

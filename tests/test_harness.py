@@ -10,7 +10,7 @@ from modfuse import model as model_module
 from modfuse.bench import gen_dataset
 from modfuse.checkpoint import save_checkpoint
 from modfuse.cli import main
-from modfuse.config import build_model, parse_config
+from modfuse.config import RunConfig, build_model, parse_config
 from modfuse.metrics import (SCHEMA_VERSION, read_jsonl, run_records,
                              summarize, write_jsonl)
 from modfuse.runner import (resolve_outdir, run_ablate, run_eval,
@@ -192,17 +192,10 @@ class TestRunner:
         cfg = parse_config(SMALL.replace("train.epochs = 2",
                                          "train.epochs = 1"))
         rows = run_ablate(cfg, "mode", str(tmp_path))
-        assert [r["label"] for r in rows] == ["sequential",
-                                              "sequential_reversed", "joint"]
+        assert [r["label"] for r in rows] == ["sequential", "joint"]
         for row in rows:
             assert os.path.exists(
                 os.path.join(str(tmp_path), f"{row['label']}.metrics.jsonl"))
-
-    def test_ablate_prioritize_axis(self, tmp_path):
-        cfg = parse_config(SMALL.replace("train.epochs = 2",
-                                         "train.epochs = 1"))
-        rows = run_ablate(cfg, "prioritize", str(tmp_path))
-        assert [r["label"] for r in rows] == ["major_video", "major_audio"]
 
     def test_ablate_rank_axis_census_varies(self, tmp_path):
         cfg = parse_config(SMALL.replace("train.epochs = 2",
@@ -290,6 +283,32 @@ class TestCli:
         assert "warning: header copy of model.strategy" in \
             capsys.readouterr().out
 
+    def test_checkpoint_naming_removed_key_exits_2(self, tmp_path, capsys,
+                                                   monkeypatch):
+        # every checkpoint written while train.shuffle_modalities and
+        # train.warm_start existed names them in its config text
+        cfg = parse_config(SMALL)
+        lines = sorted(cfg.to_text().splitlines()
+                       + ["train.shuffle_modalities = false",
+                          "train.warm_start = false"])
+        line = lines.index("train.shuffle_modalities = false") + 1
+        monkeypatch.setattr(RunConfig, "to_text",
+                            lambda self: "\n".join(lines) + "\n")
+        ckpt = str(tmp_path / "old.ckpt")
+        save_checkpoint(ckpt, build_model(cfg).registry, cfg)
+        monkeypatch.undo()
+        for flags in ([], ["--force"]):
+            assert main(["eval", ckpt, *flags]) == 2
+            assert (f"<checkpoint>:{line}: unknown key "
+                    f"'train.shuffle_modalities'") in capsys.readouterr().err
+
+    def test_removed_ablate_axis_rejected(self, tmp_path, capsys):
+        cfg_path = self.write_config(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["ablate", cfg_path, "--axis", "prioritize"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'prioritize'" in capsys.readouterr().err
+
     def test_missing_checkpoint_exits_nonzero(self, tmp_path, capsys):
         assert main(["eval", str(tmp_path / "nope.ckpt")]) == 2
         assert "error:" in capsys.readouterr().err
@@ -300,7 +319,7 @@ class TestCli:
         out = str(tmp_path / "ab")
         assert main(["ablate", cfg_path, "--axis", "mode", "--out", out]) == 0
         stdout = capsys.readouterr().out
-        assert "sequential_reversed" in stdout and "variant" in stdout
+        assert "joint" in stdout and "variant" in stdout
 
     def test_gradcheck_command(self, capsys):
         assert main(["gradcheck", "--sample", "2"]) == 0

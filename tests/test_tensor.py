@@ -15,8 +15,9 @@ class TestFrozenValues:
     """Hand-computed expected values for the core ops."""
 
     def test_sigmoid_at_two(self):
-        out = T.sigmoid(T.Tensor([2.0], dtype=np.float64))
-        assert abs(out.data[0] - 0.880797) < 1e-6
+        # the gate inside silu
+        out = T._sigmoid_data(np.array([2.0]))
+        assert abs(out[0] - 0.880797) < 1e-6
 
     def test_silu_at_two(self):
         out = T.silu(T.Tensor([2.0], dtype=np.float64))
@@ -83,9 +84,16 @@ class TestOpProperties:
         np.testing.assert_allclose(out.data.std(axis=-1), 1.0, atol=1e-4)
 
     def test_sigmoid_extreme_inputs_stay_finite(self):
-        out = T.sigmoid(T.Tensor([-1000.0, -50.0, 0.0, 50.0, 1000.0]))
+        out = T._sigmoid_data(np.array([-1000.0, -50.0, 0.0, 50.0, 1000.0]))
+        assert np.all(np.isfinite(out))
+        assert out[0] == 0.0 and out[2] == 0.5 and out[-1] == 1.0
+
+    def test_silu_extreme_inputs_stay_finite(self):
+        # silu's gate is _sigmoid_data, which must not overflow either way
+        out = T.silu(T.Tensor([-1000.0, -50.0, 0.0, 50.0, 1000.0]))
         assert np.all(np.isfinite(out.data))
-        assert out.data[0] == 0.0 and out.data[-1] == 1.0
+        assert out.data[0] == 0.0 and out.data[-1] == 1000.0
+        assert -1e-20 < out.data[1] < 0.0 and out.data[3] == 50.0
 
     def test_cross_entropy_extreme_logits_stay_finite(self):
         logits = T.Tensor([[500.0, -500.0, 0.0]], dtype=np.float64)
@@ -109,9 +117,11 @@ class TestOpProperties:
         with pytest.raises(FloatingPointError, match="op 'leaf'"):
             T.Tensor(np.array([3e38, np.inf], np.float32))
         big = T.Tensor(np.array([3e38, 1.0], np.float32))
-        with pytest.raises(FloatingPointError, match="op 'scale'"):
+        with pytest.raises(FloatingPointError, match="op 'scale'"), \
+                pytest.warns(RuntimeWarning, match="overflow"):
             T.mul(big, 10.0)
-        with pytest.raises(FloatingPointError, match="op 'add'"):
+        with pytest.raises(FloatingPointError, match="op 'add'"), \
+                pytest.warns(RuntimeWarning, match="overflow"):
             T.add(big, big)
 
     def test_cross_entropy_rejects_bad_target(self):
@@ -153,6 +163,14 @@ class TestSigmoidData:
             want = self.two_branch(x)
             assert got.dtype == want.dtype == dtype
             assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_input_untouched(self, dtype):
+        # it writes in place, but only into the arrays it allocates
+        x = (np.random.default_rng(6).normal(size=(4, 9)) * 8).astype(dtype)
+        before = x.copy()
+        T._sigmoid_data(x)
+        assert x.tobytes() == before.tobytes()
 
 
 # The kernels as they were before they were made lean, kept as references:
@@ -286,10 +304,12 @@ class TestAttention:
         keys[0, 1] = sign * 1e20
         k = T.Tensor(keys, dtype=np.float32)
         v = T.Tensor(np.ones((1, 3, 4)), dtype=np.float32)
-        with pytest.raises(FloatingPointError, match="op 'attention'"):
+        with pytest.raises(FloatingPointError, match="op 'attention'"), \
+                pytest.warns(RuntimeWarning, match="overflow"):
             T.attention(q, k, v, 2)
         with T.no_grad(), pytest.raises(FloatingPointError,
-                                        match="op 'attention'"):
+                                        match="op 'attention'"), \
+                pytest.warns(RuntimeWarning, match="overflow"):
             T.attention(q, k, v, 2)
 
 
@@ -361,7 +381,7 @@ class TestLeanKernels:
             assert gv.dtype == dtype and gv.tobytes() == wv.tobytes()
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_silu_and_sigmoid(self, dtype):
+    def test_silu(self, dtype):
         rng = np.random.default_rng(4)
         edges = np.array([0.0, -0.0, 30.0, -30.0, 1e30, -1e30], dtype)
         x = np.concatenate([edges, (rng.normal(size=600) * 6).astype(dtype)])
@@ -372,11 +392,6 @@ class TestLeanKernels:
         want = ref_silu(x, g)
         assert out.data.tobytes() == want[0].tobytes()
         assert a.grad.dtype == dtype and a.grad.tobytes() == want[1].tobytes()
-        a.grad = None
-        out = T.sigmoid(a)
-        out._backward_fn(g)
-        s = TestSigmoidData.two_branch(x)
-        assert a.grad.tobytes() == (g * s * (1.0 - s)).tobytes()
 
 
 def _op_cases():
@@ -393,7 +408,6 @@ def _op_cases():
         "broadcast_to": ([(4, 1)], lambda a, p: T.broadcast_to(a, (3, 4, 8))),
         "tsum": ([(3, 4, 8)], lambda a, p: T.tsum(a, axis=1)),
         "tmean": ([(3, 4, 8)], lambda a, p: T.tmean(a, axis=-1)),
-        "sigmoid": ([(3, 4, 8)], lambda a, p: T.sigmoid(a)),
         "silu": ([(3, 4, 8)], lambda a, p: T.silu(a)),
         "softmax": ([(3, 4, 8)], lambda a, p: T.softmax(a, axis=-1)),
         "softmax-axis0": ([(3, 4, 8)], lambda a, p: T.softmax(a, axis=0)),
@@ -551,7 +565,7 @@ class TestGradCheck:
         def f():
             h = T.layer_norm(T.Tensor(x, dtype=np.float64) @ w, gain, bias)
             att = T.softmax(h, axis=-1)
-            return T.tmean(T.sigmoid(att @ w) * h)
+            return T.tmean(T.silu(att @ w) * h)
 
         report = T.grad_check(f, {"w": w, "gain": gain, "bias": bias})
         assert report.passed, report.summary()

@@ -15,7 +15,7 @@ from modfuse.training import (MODES, GradHistory, TrainConfig,
                               early_exit_indicator, evaluate, fit,
                               grad_magnitude, masked_params, predict_dataset,
                               replay_exits, should_exit, train_epoch,
-                              train_step, warm_start)
+                              train_step)
 from modfuse import model as model_module
 from modfuse import tensor as T
 
@@ -398,45 +398,6 @@ class TestEpochAndFit:
         assert set(acc) == {"overall", "unimodal", "equal", "count"}
         assert all(0.0 <= v <= 1.0 for v in acc.values())
 
-    def test_warm_start_touches_target_tags_only(self):
-        spec = small_spec(n=2)
-        model = build_model(spec)
-        train, _ = gen_dataset(spec)
-        config = TrainConfig(batch_size=32, seed=5)
-        before = {tag: model.registry.checksum({tag})
-                  for tag in ("video", "frozen")}
-        warm_start(model, train, config)
-        assert model.registry.checksum({"frozen"}) == before["frozen"]
-        assert model.registry.checksum({"video"}) != before["video"]
-
-
-class TestWarmStart:
-    def test_subsets_ask_about_their_own_modality(self, monkeypatch):
-        # the model's order differs from the benchmark's (video, audio,
-        # depth), so a question's modality token must be looked up by name
-        spec = small_spec(n=3, train_size=128)
-        depth, video = spec.modalities[2], spec.modalities[0]
-        model = FusionModel(ModelDims(), [depth, video], "depth",
-                            "SelfGated", spec.vocab, spec.classes, 11)
-        train, _ = gen_dataset(spec)
-        steps = []
-        step = training.train_step
-
-        def recording(model, opt, batch, tags, cache=None):
-            steps.append((tags, batch))
-            return step(model, opt, batch, tags, cache)
-
-        monkeypatch.setattr(training, "train_step", recording)
-        warm_start(model, train, TrainConfig(batch_size=8, seed=5))
-        seen = set()
-        for tags, batch in steps:
-            (m,) = tags - {"fusion"}
-            seen.add(m)
-            token = spec.modality_token(spec.names.index(m))
-            assert np.all(batch.template_ids == 0), m
-            assert np.all(batch.questions[:, 1] == token), m
-        assert seen == {"depth", "video"}
-
 
 class TestRegistry:
     def test_frozen_tag_on_trainable_tensor_rejected(self):
@@ -567,10 +528,9 @@ class TestTokenReuse:
 
     @pytest.mark.parametrize("kw", [
         dict(),
-        dict(shuffle_modalities=True),
         dict(early_exit=True, tau=1e6),
         dict(mode="joint", early_exit=True, tau=1e6),
-    ], ids=["sequential", "shuffled", "early-exit", "joint-early-exit"])
+    ], ids=["sequential", "early-exit", "joint-early-exit"])
     def test_cached_tokens_are_never_stale(self, kw, monkeypatch):
         spec = small_spec(n=3)
         model = build_model(spec)
