@@ -5,8 +5,6 @@ Layout (little-endian throughout):
     magic   4 bytes  b"CRMA"
     version u32
     digest  32 bytes SHA-256 of the canonical config text
-    order   u16 count, then per modality u16 length + utf-8 name
-    strategy  u16 length + utf-8
     config  u32 length + utf-8 canonical config text
     tensors u32 count, then per tensor:
         u16 name length + utf-8 dotted name
@@ -19,12 +17,15 @@ Every registry entry is stored, frozen ones included, so a restore
 reproduces the model bit for bit. Saves stage to a uniquely named
 temporary file beside the target, commit with an atomic rename and sync
 the directory. Loads verify the stored digest against the embedded
-config text and fail on truncation with the byte offset; rebuilding a
-model fails when the header's modality order or strategy differs from
-the config text, and restores fail on a tensor holding NaN or Inf,
-naming it. ``force`` downgrades mismatches to warnings and skips tensors
-whose name or shape no longer fits, which is how a checkpoint from a
-smaller modality set is carried into an extended model.
+config text and fail on truncation with the byte offset; restores fail
+on a tensor holding NaN or Inf, naming it. The config text is the only
+description of the run, so the modality order and the fusion strategy
+are read from it alone. A file of any other version fails to load, with
+or without ``force``; it is retrained, not converted. A config error in
+a loaded file names its path and line. ``force`` skips the digest check
+and downgrades tensor mismatches to warnings, skipping tensors whose name
+or shape no longer fits, which is how a checkpoint from a smaller
+modality set is carried into an extended model.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from modfuse.config import RunConfig
 
 MAGIC = b"CRMA"
 END = b"END!"
-VERSION = 1
+VERSION = 2
 _DTYPE_CODES = {np.dtype(np.float32): 0, np.dtype(np.float64): 1}
 _CODE_DTYPES = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
 
@@ -56,10 +57,10 @@ class CheckpointError(ValueError):
 class Checkpoint:
     version: int
     digest: str
-    order: list[str]
-    strategy: str
     config_text: str
     tensors: dict[str, np.ndarray] = field(default_factory=dict)
+    # where the bytes came from, named by config errors; set on load
+    source: str = "<checkpoint>"
 
 
 class _Writer:
@@ -128,11 +129,6 @@ def checkpoint_bytes(registry: ParamRegistry, config: RunConfig) -> bytes:
     w.raw(MAGIC)
     w.u32(VERSION)
     w.raw(bytes.fromhex(config.digest()))
-    order = list(config.model_modalities)
-    w.u16(len(order))
-    for name in order:
-        w.str16(name)
-    w.str16(config.strategy)
     w.str32(config.to_text())
     entries = registry.named()
     w.u32(len(entries))
@@ -188,8 +184,6 @@ def parse_checkpoint(data: bytes, force: bool = False) -> Checkpoint:
     if version != VERSION:
         raise CheckpointError(f"unsupported checkpoint version {version}")
     digest = r.raw(32, "config digest").hex()
-    order = [r.str16("modality name") for _ in range(r.u16("modality count"))]
-    strategy = r.str16("fusion strategy")
     config_text = r.str32("config text")
     actual = hashlib.sha256(config_text.encode()).hexdigest()
     if actual != digest and not force:
@@ -213,15 +207,16 @@ def parse_checkpoint(data: bytes, force: bool = False) -> Checkpoint:
     if r.off != len(data):
         raise CheckpointError(f"{len(data) - r.off} trailing bytes after "
                               f"the end marker")
-    return Checkpoint(version=version, digest=digest, order=order,
-                      strategy=strategy, config_text=config_text,
-                      tensors=tensors)
+    return Checkpoint(version=version, digest=digest,
+                      config_text=config_text, tensors=tensors)
 
 
 def load_checkpoint(path: str, force: bool = False) -> Checkpoint:
     with open(path, "rb") as f:
         data = f.read()
-    return parse_checkpoint(data, force=force)
+    ckpt = parse_checkpoint(data, force=force)
+    ckpt.source = path
+    return ckpt
 
 
 def restore_into(registry: ParamRegistry, ckpt: Checkpoint,
@@ -268,19 +263,7 @@ def restore_into(registry: ParamRegistry, ckpt: Checkpoint,
 def model_from_checkpoint(ckpt: Checkpoint, force: bool = False):
     """Rebuild the saved model: parse the embedded config, restore tensors."""
     from modfuse.config import build_model, parse_config
-    config = parse_config(ckpt.config_text, source="<checkpoint>")
-    warnings: list[str] = []
-    # the header copies these keys from the config text, which alone the
-    # digest covers
-    for key, header, parsed in (
-            ("model.modalities", ckpt.order, list(config.model_modalities)),
-            ("model.strategy", ckpt.strategy, config.strategy)):
-        if header != parsed:
-            msg = (f"header copy of {key} {header!r} does not match "
-                   f"{parsed!r} in the config text")
-            if not force:
-                raise CheckpointError(f"{msg}; the file is corrupt")
-            warnings.append(msg)
+    config = parse_config(ckpt.config_text, source=ckpt.source)
     model = build_model(config)
-    warnings += restore_into(model.registry, ckpt, force=force)
+    warnings = restore_into(model.registry, ckpt, force=force)
     return model, config, warnings

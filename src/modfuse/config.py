@@ -6,16 +6,20 @@ integers, floats, booleans (``true``/``false``), bare strings, or
 comma-separated lists. Errors carry the line number and field name.
 
 A run is described by the modality list plus three blocks: ``bench.*``
-(synthetic data), ``model.*`` (architecture), ``train.*`` (optimization).
-``to_text`` emits a canonical sorted form whose SHA-256 is the config
-digest stored in checkpoints.
+(synthetic data), ``model.*`` (architecture), ``train.*`` (optimization),
+and ``run.*``. ``KEYS`` lists every block key with its field and type, read
+from the dataclass fields of ``BenchSpec`` (all but ``modalities``),
+``ModelDims`` and ``TrainConfig``, plus the six kept on ``RunConfig``
+itself; a new field there is a new key. ``to_text`` emits a canonical
+sorted form whose SHA-256 is the config digest stored in checkpoints.
 """
 
 from __future__ import annotations
 
 import hashlib
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from typing import get_type_hints
 
 from modfuse.bench import BenchModality, BenchSpec
 from modfuse.fusion import STRATEGIES
@@ -65,6 +69,8 @@ def _convert(key: str, value: str, kind: type, where: str):
             return int(value)
         if kind is float:
             return float(value)
+        if kind is tuple:
+            return tuple(n.strip() for n in value.split(",") if n.strip())
         return value
     except ValueError:
         raise ConfigError(f"{where}: field '{key}' expects "
@@ -74,20 +80,9 @@ def _convert(key: str, value: str, kind: type, where: str):
 def _format(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
+    if isinstance(value, tuple):
+        return ",".join(value)
     return str(value)
-
-
-_BENCH_FIELDS = {"alphabet": int, "noise": float, "train_size": int,
-                 "test_size": int, "seed": int}
-_MODEL_FIELDS = {"d": int, "layers": int, "heads": int, "tokens": int,
-                 "rank": int, "head_width": int, "head_layers": int,
-                 "seed": int, "strategy": str, "train_classifier": bool,
-                 "modalities": str}
-_TRAIN_FIELDS = {"lr": float, "beta1": float, "beta2": float, "epochs": int,
-                 "batch_size": int, "seed": int, "tau": float, "mode": str,
-                 "early_exit": bool, "exit_on_rise": bool,
-                 "eval_batch": int}
-_RUN_FIELDS = {"name": str, "outdir": str}
 
 
 @dataclass
@@ -160,28 +155,36 @@ class RunConfig:
         for m in self.spec.modalities:
             pairs[f"modality.{m.name}.feat_dim"] = str(m.feat_dim)
             pairs[f"modality.{m.name}.seq_len"] = str(m.seq_len)
-        for name in _BENCH_FIELDS:
-            pairs[f"bench.{name}"] = _format(getattr(self.spec, name))
-        for name, kind in _MODEL_FIELDS.items():
-            if name == "strategy":
-                pairs["model.strategy"] = self.strategy
-            elif name == "seed":
-                pairs["model.seed"] = str(self.model_seed)
-            elif name == "train_classifier":
-                pairs["model.train_classifier"] = _format(self.train_classifier)
-            elif name == "modalities":
-                pairs["model.modalities"] = ",".join(self.model_modalities)
-            else:
-                pairs[f"model.{name}"] = _format(getattr(self.dims, name))
-        for name in _TRAIN_FIELDS:
-            pairs[f"train.{name}"] = _format(getattr(self.train, name))
-        pairs["run.name"] = self.name
-        pairs["run.outdir"] = self.outdir
+        for key, (block, name, _) in KEYS.items():
+            holder = self if block is None else getattr(self, block)
+            pairs[key] = _format(getattr(holder, name))
         lines = [f"{k} = {pairs[k]}" for k in sorted(pairs)]
         return "\n".join(lines) + "\n"
 
     def digest(self) -> str:
         return hashlib.sha256(self.to_text().encode()).hexdigest()
+
+
+def _field_keys(prefix: str, block: str, cls, skip: tuple = ()) -> dict:
+    hints = get_type_hints(cls)
+    return {f"{prefix}.{f.name}": (block, f.name, hints[f.name])
+            for f in fields(cls) if f.name not in skip}
+
+
+_RUN_HINTS = get_type_hints(RunConfig)
+# every key outside ``modalities``, ``major`` and ``modality.<m>.*``: the
+# RunConfig field holding its block (None: RunConfig itself), its field
+# name there and the field's type
+KEYS: dict[str, tuple[str | None, str, type]] = {
+    **_field_keys("bench", "spec", BenchSpec, skip=("modalities",)),
+    **_field_keys("model", "dims", ModelDims),
+    **_field_keys("train", "train", TrainConfig),
+    **{key: (None, name, _RUN_HINTS[name]) for key, name in (
+        ("model.strategy", "strategy"), ("model.seed", "model_seed"),
+        ("model.train_classifier", "train_classifier"),
+        ("model.modalities", "model_modalities"),
+        ("run.name", "name"), ("run.outdir", "outdir"))},
+}
 
 
 def parse_config(text: str, source: str = "<config>") -> RunConfig:
@@ -194,11 +197,14 @@ def parse_config(text: str, source: str = "<config>") -> RunConfig:
 
     if "modalities" not in raw:
         raise ConfigError("field 'modalities' is required")
-    names = [n.strip() for n in raw.pop("modalities").split(",") if n.strip()]
+    names = _convert("modalities", raw.pop("modalities"), tuple,
+                     at("modalities"))
     if not names:
-        raise ConfigError("field 'modalities' must list at least one name")
+        raise ConfigError(f"{at('modalities')}: field 'modalities' must "
+                          f"list at least one name")
     if len(set(names)) != len(names):
-        raise ConfigError("field 'modalities' has duplicate names")
+        raise ConfigError(f"{at('modalities')}: field 'modalities' has "
+                          f"duplicate names")
     major = raw.pop("major", names[0])
 
     mods = []
@@ -211,30 +217,12 @@ def parse_config(text: str, source: str = "<config>") -> RunConfig:
                    if sl_key in raw else 8)
         mods.append(BenchModality(n, feat_dim, seq_len))
 
-    bench_kw, model_kw, train_kw, run_kw = {}, {}, {}, {}
-    strategy, model_seed, train_classifier = "SelfGated", 0, False
-    model_mods: tuple = ()
+    kwargs: dict[str | None, dict] = {block: {} for block, _, _ in
+                                      KEYS.values()}
     for key, value in raw.items():
-        block, _, name = key.partition(".")
-        if block == "bench" and name in _BENCH_FIELDS:
-            bench_kw[name] = _convert(key, value, _BENCH_FIELDS[name], at(key))
-        elif block == "model" and name in _MODEL_FIELDS:
-            converted = _convert(key, value, _MODEL_FIELDS[name], at(key))
-            if name == "strategy":
-                strategy = converted
-            elif name == "seed":
-                model_seed = converted
-            elif name == "train_classifier":
-                train_classifier = converted
-            elif name == "modalities":
-                model_mods = tuple(n.strip() for n in converted.split(",")
-                                   if n.strip())
-            else:
-                model_kw[name] = converted
-        elif block == "train" and name in _TRAIN_FIELDS:
-            train_kw[name] = _convert(key, value, _TRAIN_FIELDS[name], at(key))
-        elif block == "run" and name in _RUN_FIELDS:
-            run_kw[name] = _convert(key, value, _RUN_FIELDS[name], at(key))
+        if key in KEYS:
+            block, name, kind = KEYS[key]
+            kwargs[block][name] = _convert(key, value, kind, at(key))
         elif key.startswith("modality."):
             raise ConfigError(f"{at(key)}: field '{key}' refers to a "
                               f"modality not in 'modalities'")
@@ -242,14 +230,12 @@ def parse_config(text: str, source: str = "<config>") -> RunConfig:
             raise ConfigError(f"{at(key)}: unknown key '{key}'")
 
     try:
-        spec = BenchSpec(modalities=tuple(mods), **bench_kw)
+        spec = BenchSpec(modalities=tuple(mods), **kwargs["spec"])
     except ValueError as e:
         raise ConfigError(str(e)) from None
-    config = RunConfig(spec=spec, dims=ModelDims(**model_kw),
-                       train=TrainConfig(**train_kw), major=major,
-                       strategy=strategy, model_seed=model_seed,
-                       train_classifier=train_classifier,
-                       model_modalities=model_mods, **run_kw)
+    config = RunConfig(spec=spec, dims=ModelDims(**kwargs["dims"]),
+                       train=TrainConfig(**kwargs["train"]), major=major,
+                       **kwargs[None])
     config.validate()
     return config
 

@@ -1,16 +1,12 @@
 """Config parsing, validation diagnostics, canonical text, digests."""
 
-import dataclasses
 import re
 from pathlib import Path
 
 import pytest
 
-from modfuse.config import (_BENCH_FIELDS, _MODEL_FIELDS, _RUN_FIELDS,
-                            _TRAIN_FIELDS, ConfigError, RunConfig,
-                            build_model, load_config, parse_config,
-                            parse_kv_text)
-from modfuse.training import TrainConfig
+from modfuse.config import (KEYS, ConfigError, RunConfig, build_model,
+                            load_config, parse_config, parse_kv_text)
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -103,9 +99,30 @@ class TestFullParse:
                                  f"'train.{name}'"):
             parse_config(BASE + f"train.{name} = false\n", source="old.cfg")
 
-    def test_every_train_config_field_is_a_key(self):
-        assert list(_TRAIN_FIELDS) == [
-            f.name for f in dataclasses.fields(TrainConfig)]
+    def test_keys_are_pinned(self):
+        # a new dataclass field is a new key, and a new line in the config
+        # text of every checkpoint; that must be a deliberate change
+        assert sorted(KEYS) == [
+            "bench.alphabet", "bench.noise", "bench.seed", "bench.test_size",
+            "bench.train_size", "model.d", "model.head_layers",
+            "model.head_width", "model.heads", "model.layers",
+            "model.modalities", "model.rank", "model.seed", "model.strategy",
+            "model.tokens", "model.train_classifier", "run.name",
+            "run.outdir", "train.batch_size", "train.beta1", "train.beta2",
+            "train.early_exit", "train.epochs", "train.eval_batch",
+            "train.exit_on_rise", "train.lr", "train.mode", "train.seed",
+            "train.tau"]
+
+    @pytest.mark.parametrize("value,message", [
+        ("video,audio,video", "has duplicate names"),
+        (" , ", "must list at least one name"),
+    ])
+    def test_modalities_value_errors_name_the_line(self, value, message):
+        text = BASE.replace("modalities = video,audio,depth",
+                            f"modalities = {value}")
+        with pytest.raises(ConfigError,
+                           match=f"^my.cfg:3: field 'modalities' {message}"):
+            parse_config(text, source="my.cfg")
 
     def test_readme_config_block_matches_parser(self):
         block = README.read_text().split("```ini\n", 1)[1].split("```")[0]
@@ -114,9 +131,7 @@ class TestFullParse:
                              "modality.depth.feat_dim = 8\n")
         # and its comments name every field of every block, and no other
         words = set(re.findall(r"[a-z_0-9]+", block))
-        for fields in (_BENCH_FIELDS, _MODEL_FIELDS, _TRAIN_FIELDS,
-                       _RUN_FIELDS):
-            assert set(fields) <= words
+        assert {key.split(".")[1] for key in KEYS} <= words
         assert {"shuffle_modalities", "warm_start"}.isdisjoint(words)
 
     def test_missing_required(self):

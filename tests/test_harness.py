@@ -268,20 +268,19 @@ class TestCli:
         assert main(["eval", ckpt]) == 2
         assert "'audio.queries' holds non-finite" in capsys.readouterr().err
 
-    def test_corrupt_header_exits_2_naming_field(self, tmp_path, capsys):
+    def test_version_1_checkpoint_exits_2(self, tmp_path, capsys):
+        # version 1 copied model.modalities and model.strategy into its
+        # header; such files are retrained, not converted
         cfg = parse_config(SMALL)
-        ckpt = str(tmp_path / "model.ckpt")
+        ckpt = str(tmp_path / "v1.ckpt")
         save_checkpoint(ckpt, build_model(cfg).registry, cfg)
-        with open(ckpt, "rb") as f:
-            raw = f.read()
-        at = raw.index(b"SelfGated", 40)
-        with open(ckpt, "wb") as f:
-            f.write(raw[:at] + b"Linear\0\0\0" + raw[at + 9:])
-        assert main(["eval", ckpt]) == 2
-        assert "model.strategy" in capsys.readouterr().err
-        assert main(["eval", ckpt, "--force"]) == 0
-        assert "warning: header copy of model.strategy" in \
-            capsys.readouterr().out
+        with open(ckpt, "r+b") as f:
+            f.seek(4)
+            f.write((1).to_bytes(4, "little"))
+        for flags in ([], ["--force"]):
+            assert main(["eval", ckpt, *flags]) == 2
+            assert "unsupported checkpoint version 1" in \
+                capsys.readouterr().err
 
     def test_checkpoint_naming_removed_key_exits_2(self, tmp_path, capsys,
                                                    monkeypatch):
@@ -294,12 +293,15 @@ class TestCli:
         line = lines.index("train.shuffle_modalities = false") + 1
         monkeypatch.setattr(RunConfig, "to_text",
                             lambda self: "\n".join(lines) + "\n")
-        ckpt = str(tmp_path / "old.ckpt")
-        save_checkpoint(ckpt, build_model(cfg).registry, cfg)
+        bad = str(tmp_path / "old.ckpt")
+        save_checkpoint(bad, build_model(cfg).registry, cfg)
         monkeypatch.undo()
-        for flags in ([], ["--force"]):
-            assert main(["eval", ckpt, *flags]) == 2
-            assert (f"<checkpoint>:{line}: unknown key "
+        good = str(tmp_path / "new.ckpt")
+        save_checkpoint(good, build_model(cfg).registry, cfg)
+        for args in ([bad], [bad, "--force"],
+                     [good, "--easy-hard", "--reference", bad]):
+            assert main(["eval", *args]) == 2
+            assert (f"error: {bad}:{line}: unknown key "
                     f"'train.shuffle_modalities'") in capsys.readouterr().err
 
     def test_removed_ablate_axis_rejected(self, tmp_path, capsys):

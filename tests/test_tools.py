@@ -26,8 +26,10 @@ def test_byte_digests_repeat(tmp_path):
         "SelfGated-sequential-exit-eval13-seed7"]
     for line in lines[:-1]:
         assert len(line["data_sha256"]) == len(line["metrics_sha256"]) == len(
-            line["records_sha256"]) == len(line["checkpoint_sha256"]) == 64
+            line["records_sha256"]) == len(line["checkpoint_sha256"]) == len(
+            line["tensors_sha256"]) == 64
         assert line["records_sha256"] != line["metrics_sha256"]
+        assert line["tensors_sha256"] != line["checkpoint_sha256"]
         census = line["census"]
         assert set(census) == {"trainable", "total", "video", "audio",
                                "depth", "fusion"}

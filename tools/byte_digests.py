@@ -23,15 +23,20 @@ order, then questions, answers, latents and template ids), the SHA-256 of
 its ``metrics.jsonl`` (``metrics.run_records``), the SHA-256 of those
 records with the ``census`` field dropped from each (``records_sha256``),
 the final parameter census (``census``), the SHA-256 of its
-checkpoint, the ``run_eval`` accuracies of that checkpoint
-(``accuracy``) and its ``run_eval`` accuracies with only the major
-modality visible (``major_only_accuracy``). The last
-line is the full-model gradcheck summary (``modfuse gradcheck``), which
-prints its worst relative error to four digits.
+checkpoint file (``checkpoint_sha256``), the SHA-256 of the tensors that
+``checkpoint.load_checkpoint`` reads from it (``tensors_sha256``: name,
+dtype, shape and bytes of each, in file order), the ``run_eval``
+accuracies of that checkpoint (``accuracy``) and its ``run_eval``
+accuracies with only the major modality visible
+(``major_only_accuracy``). The last line is the full-model gradcheck
+summary (``modfuse gradcheck``), which prints its worst relative error
+to four digits.
 
 A change to the parameter layout alone (a tensor added, dropped or
 retagged) shows as a ``census`` diff beside an unchanged
-``records_sha256``: the training bytes stayed as they were.
+``records_sha256``: the training bytes stayed as they were. Likewise a
+change to the checkpoint format alone shows as a ``checkpoint_sha256``
+diff beside an unchanged ``tensors_sha256``.
 """
 
 from __future__ import annotations
@@ -109,6 +114,16 @@ def records_sha256(records: list[dict]) -> str:
     return h.hexdigest()
 
 
+def tensors_sha256(path: str) -> str:
+    from modfuse.checkpoint import load_checkpoint
+
+    h = hashlib.sha256()
+    for name, arr in load_checkpoint(path).tensors.items():
+        h.update(f"{name}\0{arr.dtype.str}\0{arr.shape}\0".encode())
+        h.update(arr.tobytes())
+    return h.hexdigest()
+
+
 def digest_line(label: str, text: str, outdir: str) -> dict:
     from modfuse import config, metrics, runner
 
@@ -122,6 +137,7 @@ def digest_line(label: str, text: str, outdir: str) -> dict:
             "records_sha256": records_sha256(records),
             "census": records[-1]["census"],
             "checkpoint_sha256": _sha256(ckpt),
+            "tensors_sha256": tensors_sha256(ckpt),
             "accuracy": runner.run_eval(ckpt)["accuracy"],
             "major_only_accuracy": runner.run_eval(
                 ckpt, modalities=[cfg.major])["accuracy"]}
