@@ -16,7 +16,7 @@ import hashlib
 import numpy as np
 
 from modfuse import tensor as T
-from modfuse.adapters import FeatureBatch, mmqa_create
+from modfuse.adapters import FeatureBatch, mmqa_create, named_tensors
 from modfuse.backbone import init_backbone, qformer_forward
 
 D, LAYERS, HEADS, TOKENS, RANK = 32, 2, 4, 4, 4
@@ -50,10 +50,10 @@ def digest(named):
 
 print()
 print("=== training moves adapter bytes, never backbone bytes ===")
-backbone_before = digest(backbone.named_tensors())
-adapter_before = digest(adapter.named_tensors())
+backbone_before = digest(named_tensors(backbone, "backbone"))
+adapter_before = digest(named_tensors(adapter, "audio"))
 opt = T.Adam(lr=1e-2)
-params = list(adapter.named_tensors())
+params = list(named_tensors(adapter, "audio"))
 for step in range(20):
     tokens = qformer_forward(backbone, adapter, feats)
     loss = T.tmean(tokens * tokens)  # shrink the summary tokens
@@ -62,14 +62,14 @@ for step in range(20):
     T.zero_grads([t for _, t in params])
 print(f"loss after 20 steps: {float(loss.data):.5f}")
 print("backbone digest unchanged:",
-      digest(backbone.named_tensors()) == backbone_before)
+      digest(named_tensors(backbone, "backbone")) == backbone_before)
 print("adapter digest changed:   ",
-      digest(adapter.named_tensors()) != adapter_before)
+      digest(named_tensors(adapter, "audio")) != adapter_before)
 
 print()
 print("=== the trainable footprint ===")
-adapter_scalars = sum(t.size for _, t in adapter.named_tensors())
-backbone_scalars = sum(t.size for _, t in backbone.named_tensors())
+adapter_scalars = sum(t.size for _, t in named_tensors(adapter, "audio"))
+backbone_scalars = sum(t.size for _, t in named_tensors(backbone, "backbone"))
 formula = LAYERS * 2 * 2 * D * RANK + TOKENS * D + (24 * D + D)
 print(f"adapter scalars:  {adapter_scalars:>7,} "
       f"(closed form {formula:,}: two rank-{RANK} pairs per layer, "

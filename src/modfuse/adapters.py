@@ -3,19 +3,25 @@
 An adapter is everything one modality owns: learnable query tokens, one
 low-rank pair per self-attention q/v projection per backbone layer, and
 (when the modality's native feature width differs from the hidden size)
-an affine alignment map. Every tensor is registered under a dotted name
-prefixed by the modality, which is what makes masked per-modality
-optimizer updates possible.
+an affine alignment map (``align``).
+
+``named_tensors`` names every tensor of a component by its path through
+dataclass fields, list indices and dict keys; the model registers each
+one under that name, so an adapter's names are prefixed by its modality
+(``audio.lora.0.q.down``, ``audio.align.w``), and its tensors carry the
+modality's tag, which is what makes masked per-modality optimizer
+updates possible.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
+from functools import cache
 
 import numpy as np
 
 from modfuse import tensor as T
-from modfuse.backbone import INIT_STD
+from modfuse.backbone import INIT_STD, Affine
 from modfuse.rng import component_rng
 
 
@@ -36,20 +42,8 @@ class MMQAdapter:
     name: str                              # the modality this adapter serves
     queries: T.Tensor                      # [T, d]
     lora: list[dict[str, LoraPair]]        # per layer, sites "q" and "v"
-    align_w: T.Tensor | None               # [f, d] iff f != d
-    align_b: T.Tensor | None
+    align: Affine | None                   # [f, d] map iff f != d
     feat_dim: int
-
-    def named_tensors(self):
-        m = self.name
-        yield f"{m}.queries", self.queries
-        for i, site in enumerate(self.lora):
-            for key, pair in site.items():
-                yield f"{m}.lora.{i}.{key}.down", pair.down
-                yield f"{m}.lora.{i}.{key}.up", pair.up
-        if self.align_w is not None:
-            yield f"{m}.align.w", self.align_w
-            yield f"{m}.align.b", self.align_b
 
 
 def mmqa_create(name: str, d: int, r: int, tokens: int, layers: int,
@@ -70,28 +64,41 @@ def mmqa_create(name: str, d: int, r: int, tokens: int, layers: int,
                             requires_grad=True, dtype=dtype),
             )
         lora.append(site)
-    align_w = align_b = None
+    align = None
     if feat_dim != d:
-        align_w = T.Tensor(rng.normal(0.0, INIT_STD, size=(feat_dim, d)),
-                           requires_grad=True, dtype=dtype)
-        align_b = T.Tensor(np.zeros(d), requires_grad=True, dtype=dtype)
-    return MMQAdapter(name=name, queries=queries, lora=lora,
-                      align_w=align_w, align_b=align_b, feat_dim=feat_dim)
+        align = Affine(
+            w=T.Tensor(rng.normal(0.0, INIT_STD, size=(feat_dim, d)),
+                       requires_grad=True, dtype=dtype),
+            b=T.Tensor(np.zeros(d), requires_grad=True, dtype=dtype))
+    return MMQAdapter(name=name, queries=queries, lora=lora, align=align,
+                      feat_dim=feat_dim)
 
 
-def align_features(adapter: MMQAdapter, feats: FeatureBatch) -> T.Tensor:
-    """Map native-width features onto the hidden size (identity when equal)."""
-    if feats.modality != adapter.name:
-        raise ValueError(f"features for '{feats.modality}' passed to the "
-                         f"'{adapter.name}' adapter")
-    arr = feats.features
-    if arr.ndim != 3 or arr.shape[-1] != adapter.feat_dim:
-        raise ValueError(f"expected features [B, S, {adapter.feat_dim}], "
-                         f"got {arr.shape}")
-    x = T.Tensor(arr, dtype=adapter.queries.dtype)
-    if adapter.align_w is None:
-        return x
-    return T.matmul(x, adapter.align_w) + adapter.align_b
+def named_tensors(node, prefix: str):
+    """(dotted name, tensor) for every tensor under ``node``, in order.
+
+    A name is ``prefix`` followed by the path to the tensor: dataclass
+    field names in declaration order, list indices and dict keys. Any
+    other value (None, a number, a string) holds no tensor.
+    """
+    if isinstance(node, T.Tensor):
+        yield prefix, node
+    elif isinstance(node, list):
+        for i, item in enumerate(node):
+            yield from named_tensors(item, f"{prefix}.{i}")
+    elif isinstance(node, dict):
+        for key, item in node.items():
+            yield from named_tensors(item, f"{prefix}.{key}")
+    elif is_dataclass(node):
+        for name in _field_names(type(node)):
+            yield from named_tensors(getattr(node, name), f"{prefix}.{name}")
+
+
+@cache
+def _field_names(cls) -> tuple[str, ...]:
+    # dataclasses.fields rebuilds its tuple on every call; every model
+    # build walks the same few classes
+    return tuple(f.name for f in fields(cls))
 
 
 @dataclass

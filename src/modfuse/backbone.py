@@ -7,6 +7,11 @@ and a feed-forward sublayer, all with residual connections. The backbone
 is initialized once and never trained; all task capacity lives in the
 per-modality adapters.
 
+Every tensor is a dataclass field, registered under its field path
+(``backbone.layers.<i>.selfattn.wq``). ``align_features`` maps a
+modality's features onto the hidden size with its adapter's ``align``
+map before the first cross-attention.
+
 Modality features carry no positional encoding, so the cross-attention
 treats them as an unordered set and the output is invariant to permuting
 feature positions.
@@ -14,7 +19,7 @@ feature positions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,38 +48,31 @@ class LayerNormWeights:
 
 
 @dataclass
+class Affine:
+    w: T.Tensor
+    b: T.Tensor
+
+
+@dataclass
+class FeedForward:
+    w1: T.Tensor
+    w2: T.Tensor
+
+
+@dataclass
 class BackboneLayer:
     ln1: LayerNormWeights
-    self_attn: AttentionWeights
+    selfattn: AttentionWeights
     ln2: LayerNormWeights
-    cross_attn: AttentionWeights
+    crossattn: AttentionWeights
     ln3: LayerNormWeights
-    ffn_w1: T.Tensor
-    ffn_w2: T.Tensor
+    ffn: FeedForward
 
 
 @dataclass
 class Backbone:
-    d: int
     heads: int
-    tokens: int
-    layers: list[BackboneLayer] = field(default_factory=list)
-
-    def named_tensors(self):
-        for i, layer in enumerate(self.layers):
-            base = f"backbone.layers.{i}"
-            yield f"{base}.ln1.gain", layer.ln1.gain
-            yield f"{base}.ln1.bias", layer.ln1.bias
-            for site in ("wq", "wk", "wv", "wo"):
-                yield f"{base}.selfattn.{site}", getattr(layer.self_attn, site)
-            yield f"{base}.ln2.gain", layer.ln2.gain
-            yield f"{base}.ln2.bias", layer.ln2.bias
-            for site in ("wq", "wk", "wv", "wo"):
-                yield f"{base}.crossattn.{site}", getattr(layer.cross_attn, site)
-            yield f"{base}.ln3.gain", layer.ln3.gain
-            yield f"{base}.ln3.bias", layer.ln3.bias
-            yield f"{base}.ffn.w1", layer.ffn_w1
-            yield f"{base}.ffn.w2", layer.ffn_w2
+    layers: list[BackboneLayer]
 
 
 def _init_ln(d: int, dtype) -> LayerNormWeights:
@@ -97,18 +95,15 @@ def init_backbone(seed: int, d: int, layers: int, heads: int, tokens: int,
     if d % heads != 0:
         raise ValueError(f"hidden size {d} not divisible by {heads} heads")
     rng = component_rng(seed, "backbone")
-    out = Backbone(d=d, heads=heads, tokens=tokens)
-    for _ in range(layers):
-        out.layers.append(BackboneLayer(
-            ln1=_init_ln(d, dtype),
-            self_attn=_init_attn(rng, d, dtype),
-            ln2=_init_ln(d, dtype),
-            cross_attn=_init_attn(rng, d, dtype),
-            ln3=_init_ln(d, dtype),
-            ffn_w1=_init(rng, (d, 4 * d), dtype),
-            ffn_w2=_init(rng, (4 * d, d), dtype),
-        ))
-    return out
+    return Backbone(heads=heads, layers=[BackboneLayer(
+        ln1=_init_ln(d, dtype),
+        selfattn=_init_attn(rng, d, dtype),
+        ln2=_init_ln(d, dtype),
+        crossattn=_init_attn(rng, d, dtype),
+        ln3=_init_ln(d, dtype),
+        ffn=FeedForward(w1=_init(rng, (d, 4 * d), dtype),
+                        w2=_init(rng, (4 * d, d), dtype)),
+    ) for _ in range(layers)])
 
 
 def lora_linear(x: T.Tensor, w: T.Tensor, lora=None) -> T.Tensor:
@@ -139,8 +134,24 @@ def attention(q_in: T.Tensor, kv_in: T.Tensor, weights: AttentionWeights,
                     weights.wo)
 
 
-def ffn(x: T.Tensor, w1: T.Tensor, w2: T.Tensor) -> T.Tensor:
-    return T.matmul(T.silu(T.matmul(x, w1)), w2)
+def ffn(x: T.Tensor, weights: FeedForward) -> T.Tensor:
+    return T.matmul(T.silu(T.matmul(x, weights.w1)), weights.w2)
+
+
+def align_features(adapter, feats) -> T.Tensor:
+    """Map native-width features onto the hidden size (identity when the
+    adapter has no alignment map)."""
+    if feats.modality != adapter.name:
+        raise ValueError(f"features for '{feats.modality}' passed to the "
+                         f"'{adapter.name}' adapter")
+    arr = feats.features
+    if arr.ndim != 3 or arr.shape[-1] != adapter.feat_dim:
+        raise ValueError(f"expected features [B, S, {adapter.feat_dim}], "
+                         f"got {arr.shape}")
+    x = T.Tensor(arr, dtype=adapter.queries.dtype)
+    if adapter.align is None:
+        return x
+    return T.matmul(x, adapter.align.w) + adapter.align.b
 
 
 def qformer_forward(backbone: Backbone, adapter, feats,
@@ -151,8 +162,6 @@ def qformer_forward(backbone: Backbone, adapter, feats,
     for the self-attention q/v projections, and the feature alignment
     map; ``feats`` is that modality's FeatureBatch. Output [B, T, d].
     """
-    from modfuse.adapters import align_features
-
     aligned = align_features(adapter, feats)
     b = aligned.shape[0]
     tcount, d = adapter.queries.shape
@@ -160,12 +169,12 @@ def qformer_forward(backbone: Backbone, adapter, feats,
     for i, layer in enumerate(backbone.layers):
         site = adapter.lora[i]
         h = T.layer_norm(x, layer.ln1.gain, layer.ln1.bias)
-        x = x + attention(h, h, layer.self_attn, backbone.heads,
+        x = x + attention(h, h, layer.selfattn, backbone.heads,
                           lora_q=site["q"], lora_v=site["v"],
                           attn_probes=attn_probes)
         h = T.layer_norm(x, layer.ln2.gain, layer.ln2.bias)
-        x = x + attention(h, aligned, layer.cross_attn, backbone.heads,
+        x = x + attention(h, aligned, layer.crossattn, backbone.heads,
                           attn_probes=attn_probes)
         h = T.layer_norm(x, layer.ln3.gain, layer.ln3.bias)
-        x = x + ffn(h, layer.ffn_w1, layer.ffn_w2)
+        x = x + ffn(h, layer.ffn)
     return x

@@ -59,6 +59,14 @@ def parse_kv_text(text: str,
 
 
 def _convert(key: str, value: str, kind: type, where: str):
+    if kind is tuple:
+        names = tuple(n.strip() for n in value.split(",") if n.strip())
+        if not names:
+            raise ConfigError(f"{where}: field '{key}' must list at least "
+                              f"one name")
+        if len(set(names)) != len(names):
+            raise ConfigError(f"{where}: field '{key}' has duplicate names")
+        return names
     try:
         if kind is bool:
             low = value.lower()
@@ -69,8 +77,6 @@ def _convert(key: str, value: str, kind: type, where: str):
             return int(value)
         if kind is float:
             return float(value)
-        if kind is tuple:
-            return tuple(n.strip() for n in value.split(",") if n.strip())
         return value
     except ValueError:
         raise ConfigError(f"{where}: field '{key}' expects "
@@ -199,12 +205,6 @@ def parse_config(text: str, source: str = "<config>") -> RunConfig:
         raise ConfigError("field 'modalities' is required")
     names = _convert("modalities", raw.pop("modalities"), tuple,
                      at("modalities"))
-    if not names:
-        raise ConfigError(f"{at('modalities')}: field 'modalities' must "
-                          f"list at least one name")
-    if len(set(names)) != len(names):
-        raise ConfigError(f"{at('modalities')}: field 'modalities' has "
-                          f"duplicate names")
     major = raw.pop("major", names[0])
 
     mods = []

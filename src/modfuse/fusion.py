@@ -27,15 +27,9 @@ FUSED_TAG = "fused"
 @dataclass
 class FusionModule:
     strategy: str
-    n: int          # total modality count, major included
     tokens: int     # T, per-modality query token count
-    d: int
     heads: int
     params: dict[str, T.Tensor] = field(default_factory=dict)
-
-    def named_tensors(self):
-        for name, t in self.params.items():
-            yield f"fusion.{name}", t
 
 
 def block_count(strategy: str, n: int) -> int:
@@ -57,7 +51,7 @@ def create_fusion(strategy: str, n: int, tokens: int, d: int, heads: int,
     """Initialize strategy parameters for ``n`` total modalities."""
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown fusion strategy '{strategy}'")
-    module = FusionModule(strategy=strategy, n=n, tokens=tokens, d=d, heads=heads)
+    module = FusionModule(strategy=strategy, tokens=tokens, heads=heads)
     if n == 1 or strategy == "Concat":
         return module
     rng = component_rng(seed, f"fusion.{strategy}")

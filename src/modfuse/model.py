@@ -15,7 +15,7 @@ import numpy as np
 
 from modfuse import tensor as T
 from modfuse.adapters import (FeatureBatch, MMQAdapter, ParamRegistry,
-                              mmqa_create)
+                              mmqa_create, named_tensors)
 from modfuse.backbone import Backbone, init_backbone, qformer_forward
 from modfuse.bench import BenchModality
 from modfuse.fusion import (FusionModule, create_fusion, create_prefixes,
@@ -58,13 +58,11 @@ class FusionModel:
             raise ValueError(f"major modality '{major}' is not one of {names}")
         self.dims = dims
         self.dtype = dtype
-        self.seed = seed
         self.strategy = strategy
         self.order = names
         self.major = major
         self.vocab = vocab
         self.classes = classes
-        self.train_classifier = train_classifier
 
         self.backbone: Backbone = init_backbone(
             seed, dims.d, dims.layers, dims.heads, dims.tokens, dtype=dtype)
@@ -86,21 +84,25 @@ class FusionModel:
         self.registry = self._build_registry()
 
     def _build_registry(self) -> ParamRegistry:
+        """Every tensor under its path through the components. An
+        adapter's tensors take its modality's tag. Backbone tensors are
+        "frozen", and so are head tensors that do not train; the head's
+        trainable classifier, the fusion parameters and the prefixes are
+        "fusion"."""
         reg = ParamRegistry()
-        for name, t in self.backbone.named_tensors():
-            reg.register(name, t, "frozen")
-        for m, adapter in self.adapters.items():
-            for name, t in adapter.named_tensors():
-                reg.register(name, t, m)
-        for name, t in self.fusion.named_tensors():
-            reg.register(name, t, "fusion")
-        for m, t in self.prefixes.items():
-            reg.register(f"prefix.{m}", t, "fusion")
-        for name, t in self.head.named_tensors():
-            reg.register(name, t, "frozen")
-        for name, t in self.head.classifier_tensors():
-            reg.register(name, t,
-                         "fusion" if self.train_classifier else "frozen")
+        for part, node in [("backbone", self.backbone),
+                           *self.adapters.items(),
+                           ("fusion", self.fusion.params),
+                           ("prefix", self.prefixes), ("head", self.head)]:
+            for name, t in named_tensors(node, part):
+                if isinstance(node, MMQAdapter):
+                    tag = part
+                elif part == "backbone" or (part == "head"
+                                            and not t.requires_grad):
+                    tag = "frozen"
+                else:
+                    tag = "fusion"
+                reg.register(name, t, tag)
         return reg
 
     @property

@@ -7,18 +7,21 @@ over the closed answer vocabulary. Frozen after random init, so all
 task-solving capacity must come from the adapters and the fusion
 module. A config flag may make the final classifier trainable; that
 escape hatch is reported in metrics whenever it is on.
+
+``AnswerHead`` declares its tensors in checkpoint order (``embed``,
+``input``, ``layers``, ``classifier``); the registry names them by field
+path (``head.input.w``, ``head.layers.<i>.ffn.w1``, ``head.classifier.b``).
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from modfuse import tensor as T
-from modfuse.backbone import (AttentionWeights, LayerNormWeights, attention,
-                              ffn, INIT_STD)
+from modfuse.backbone import (Affine, AttentionWeights, FeedForward,
+                              LayerNormWeights, attention, ffn, INIT_STD)
 from modfuse.fusion import block_count
 from modfuse.rng import component_rng
 
@@ -42,43 +45,16 @@ class HeadLayer:
     ln1: LayerNormWeights
     attn: AttentionWeights
     ln2: LayerNormWeights
-    ffn_w1: T.Tensor
-    ffn_w2: T.Tensor
+    ffn: FeedForward
 
 
 @dataclass
 class AnswerHead:
-    d: int            # incoming token width
-    width: int        # internal hidden size
     heads: int
-    classes: int
-    vocab: int
     embed: T.Tensor           # [vocab, d] question-token table
-    in_w: T.Tensor            # [d, width]
-    in_b: T.Tensor            # [width]
-    cls_w: T.Tensor           # [width, classes]
-    cls_b: T.Tensor           # [classes]
-    train_classifier: bool
-    layers: list[HeadLayer] = field(default_factory=list)
-
-    def named_tensors(self):
-        yield "head.embed", self.embed
-        yield "head.input.w", self.in_w
-        yield "head.input.b", self.in_b
-        for i, layer in enumerate(self.layers):
-            base = f"head.layers.{i}"
-            yield f"{base}.ln1.gain", layer.ln1.gain
-            yield f"{base}.ln1.bias", layer.ln1.bias
-            for site in ("wq", "wk", "wv", "wo"):
-                yield f"{base}.attn.{site}", getattr(layer.attn, site)
-            yield f"{base}.ln2.gain", layer.ln2.gain
-            yield f"{base}.ln2.bias", layer.ln2.bias
-            yield f"{base}.ffn.w1", layer.ffn_w1
-            yield f"{base}.ffn.w2", layer.ffn_w2
-
-    def classifier_tensors(self):
-        yield "head.classifier.w", self.cls_w
-        yield "head.classifier.b", self.cls_b
+    input: Affine             # [d, width] projection into the head
+    layers: list[HeadLayer]
+    classifier: Affine        # [width, classes]
 
 
 def create_head(seed: int, d: int, width: int, heads: int, layers: int,
@@ -96,29 +72,26 @@ def create_head(seed: int, d: int, width: int, heads: int, layers: int,
         return LayerNormWeights(gain=T.Tensor(np.ones(width), dtype=dtype),
                                 bias=T.Tensor(np.zeros(width), dtype=dtype))
 
-    head = AnswerHead(
-        d=d, width=width, heads=heads, classes=classes, vocab=vocab,
-        embed=normal((vocab, d)),
-        in_w=normal((d, width), gain=HEAD_GAIN),
-        in_b=T.Tensor(np.zeros(width), dtype=dtype),
-        cls_w=normal((width, classes), gain=HEAD_GAIN,
-                     trainable=train_classifier),
-        cls_b=T.Tensor(np.zeros(classes), requires_grad=train_classifier,
-                       dtype=dtype),
-        train_classifier=train_classifier,
-    )
-    for _ in range(layers):
-        head.layers.append(HeadLayer(
+    # drawn in the order embed, input, classifier, layers: the classifier
+    # comes before the layers it follows in the checkpoint
+    embed = normal((vocab, d))
+    input_map = Affine(w=normal((d, width), gain=HEAD_GAIN),
+                       b=T.Tensor(np.zeros(width), dtype=dtype))
+    classifier = Affine(
+        w=normal((width, classes), gain=HEAD_GAIN, trainable=train_classifier),
+        b=T.Tensor(np.zeros(classes), requires_grad=train_classifier,
+                   dtype=dtype))
+    return AnswerHead(heads=heads, embed=embed, input=input_map, layers=[
+        HeadLayer(
             ln1=ln(),
             attn=AttentionWeights(wq=normal((width, width), gain=ATTN_GAIN),
                                   wk=normal((width, width), gain=ATTN_GAIN),
                                   wv=normal((width, width), gain=HEAD_GAIN),
                                   wo=normal((width, width), gain=HEAD_GAIN)),
             ln2=ln(),
-            ffn_w1=normal((width, 4 * width), gain=HEAD_GAIN),
-            ffn_w2=normal((4 * width, width), gain=HEAD_GAIN),
-        ))
-    return head
+            ffn=FeedForward(w1=normal((width, 4 * width), gain=HEAD_GAIN),
+                            w2=normal((4 * width, width), gain=HEAD_GAIN)),
+        ) for _ in range(layers)], classifier=classifier)
 
 
 def input_length(blocks: int, tokens: int, q_len: int) -> int:
@@ -150,14 +123,14 @@ def assemble_input(fused: T.Tensor, prefixes: dict[str, T.Tensor],
 
 def predict(head: AnswerHead, assembled: T.Tensor) -> T.Tensor:
     """Deterministic answer logits [B, classes]; argmax is the prediction."""
-    x = T.matmul(assembled, head.in_w) + head.in_b
+    x = T.matmul(assembled, head.input.w) + head.input.b
     for layer in head.layers:
         h = T.layer_norm(x, layer.ln1.gain, layer.ln1.bias)
         x = x + attention(h, h, layer.attn, head.heads)
         h = T.layer_norm(x, layer.ln2.gain, layer.ln2.bias)
-        x = x + ffn(h, layer.ffn_w1, layer.ffn_w2)
+        x = x + ffn(h, layer.ffn)
     pooled = T.tmean(x, axis=1)
-    return T.matmul(pooled, head.cls_w) + head.cls_b
+    return T.matmul(pooled, head.classifier.w) + head.classifier.b
 
 
 def reasoner_flops(n: int, tokens: int, q_len: int, strategy: str, d: int,

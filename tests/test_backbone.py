@@ -5,7 +5,7 @@ import pytest
 
 from modfuse import tensor as T
 from modfuse.adapters import (FeatureBatch, ParamRegistry, count_trainable,
-                              mmqa_create)
+                              mmqa_create, named_tensors)
 from modfuse.backbone import init_backbone, lora_linear, qformer_forward
 from modfuse.tensor import Tensor
 
@@ -16,7 +16,8 @@ def make_adapter(name="video", d=32, r=4, tokens=4, layers=2, f=16, seed=0,
 
 
 def backbone_bytes(bb):
-    return b"".join(t.data.tobytes() for _, t in bb.named_tensors())
+    return b"".join(t.data.tobytes()
+                    for _, t in named_tensors(bb, "backbone"))
 
 
 class TestBackboneInit:
@@ -36,7 +37,8 @@ class TestBackboneInit:
         d, layers = 32, 2
         bb = init_backbone(0, d, layers, 4, 4)
         expected = layers * (16 * d * d + 6 * d)
-        assert sum(t.size for _, t in bb.named_tensors()) == expected
+        assert sum(t.size for _, t in named_tensors(bb, "backbone")) == \
+            expected
 
     def test_indivisible_heads_rejected(self):
         with pytest.raises(ValueError, match="divisible"):
@@ -44,7 +46,8 @@ class TestBackboneInit:
 
     def test_nothing_trainable(self):
         bb = init_backbone(0, 32, 2, 4, 4)
-        assert all(not t.requires_grad for _, t in bb.named_tensors())
+        assert all(not t.requires_grad
+                   for _, t in named_tensors(bb, "backbone"))
 
 
 class TestLoraLinear:
@@ -100,14 +103,14 @@ class TestAdapterCreate:
     def test_census_formula_with_alignment(self):
         d, r, tokens, layers, f = 32, 4, 4, 2, 16
         adapter = make_adapter(d=d, r=r, tokens=tokens, layers=layers, f=f)
-        count = sum(t.size for _, t in adapter.named_tensors())
+        count = sum(t.size for _, t in named_tensors(adapter, adapter.name))
         assert count == layers * 2 * 2 * d * r + tokens * d + (f * d + d)
         assert count == 1696
 
     def test_matching_width_drops_alignment(self):
         adapter = make_adapter(d=32, f=32)
-        assert adapter.align_w is None
-        names = [n for n, _ in adapter.named_tensors()]
+        assert adapter.align is None
+        names = [n for n, _ in named_tensors(adapter, adapter.name)]
         assert not any("align" in n for n in names)
 
     def test_down_projections_start_zero(self):
@@ -124,13 +127,14 @@ class TestAdapterCreate:
     def test_same_seed_identical(self):
         a = make_adapter(seed=5)
         b = make_adapter(seed=5)
-        for (na, ta), (nb, tb) in zip(a.named_tensors(), b.named_tensors()):
+        for (na, ta), (nb, tb) in zip(named_tensors(a, a.name),
+                                      named_tensors(b, b.name)):
             assert na == nb
             assert np.array_equal(ta.data, tb.data)
 
     def test_names_prefixed_by_modality(self):
         adapter = make_adapter(name="audio")
-        for name, _ in adapter.named_tensors():
+        for name, _ in named_tensors(adapter, adapter.name):
             assert name.startswith("audio.")
 
 
@@ -186,8 +190,8 @@ class TestQformerForward:
 
     def test_identical_trainable_values_identical_output(self):
         other = make_adapter(seed=99)
-        for (_, src), (_, dst) in zip(self.adapter.named_tensors(),
-                                      other.named_tensors()):
+        for (_, src), (_, dst) in zip(named_tensors(self.adapter, "video"),
+                                      named_tensors(other, "video")):
             dst.data[...] = src.data
         a = qformer_forward(self.bb, self.adapter, self.feats)
         b = qformer_forward(self.bb, other, self.feats)
@@ -197,9 +201,9 @@ class TestQformerForward:
         out = qformer_forward(self.bb, self.adapter, self.feats)
         T.backward(T.tsum(out))
         assert np.any(self.adapter.queries.grad != 0.0)
-        assert np.any(self.adapter.align_w.grad != 0.0)
+        assert np.any(self.adapter.align.w.grad != 0.0)
         assert np.any(self.adapter.lora[0]["q"].down.grad != 0.0)
-        for _, t in self.bb.named_tensors():
+        for _, t in named_tensors(self.bb, "backbone"):
             assert t.grad is None
 
     def test_backbone_bytes_stable_across_forwards(self):
@@ -216,10 +220,10 @@ class TestRegistryCensus:
         names = ["video", "audio", "depth"]
         for name, f in zip(names, feat_dims):
             adapter = make_adapter(name=name, f=f)
-            for n, t in adapter.named_tensors():
+            for n, t in named_tensors(adapter, adapter.name):
                 reg.register(n, t, name)
         bb = init_backbone(0, 32, 2, 4, 4)
-        for n, t in bb.named_tensors():
+        for n, t in named_tensors(bb, "backbone"):
             reg.register(n, t, "frozen")
         return reg
 
@@ -238,7 +242,7 @@ class TestRegistryCensus:
         before_total = count_trainable(reg).scalar_count
         before_video = count_trainable(reg, "video").scalar_count
         extra = make_adapter(name="flow", f=16)
-        for n, t in extra.named_tensors():
+        for n, t in named_tensors(extra, extra.name):
             reg.register(n, t, "flow")
         assert count_trainable(reg).scalar_count == before_total + 1696
         assert count_trainable(reg, "video").scalar_count == before_video
@@ -261,8 +265,8 @@ class TestRegistryCensus:
         rng = np.random.default_rng(1)
         feats = FeatureBatch("video", rng.normal(size=(2, 5, 16)))
         out = qformer_forward(bb, video, feats)
-        leaves = [t for _, t in video.named_tensors()]
-        leaves += [t for _, t in audio.named_tensors()]
+        leaves = [t for _, t in named_tensors(video, video.name)]
+        leaves += [t for _, t in named_tensors(audio, audio.name)]
         T.backward(T.tsum(out), leaves=leaves)
-        for _, t in audio.named_tensors():
+        for _, t in named_tensors(audio, audio.name):
             assert np.all(t.grad == 0.0)

@@ -355,6 +355,26 @@ class TestModelModalitySubset:
         with pytest.raises(ConfigError, match="duplicate"):
             parse_config(BASE + "model.modalities = video,video\n")
 
+    @pytest.mark.parametrize("value,message", [
+        ("video,video", "has duplicate names"),
+        (",", "must list at least one name"),
+        ("", "must list at least one name"),
+    ])
+    def test_value_errors_name_the_line(self, value, message):
+        # an explicit empty list is an error; only an absent key means
+        # every benchmark modality
+        with pytest.raises(ConfigError, match=f"^my.cfg:{APPENDED}: field "
+                                              f"'model.modalities' {message}"):
+            parse_config(BASE + f"model.modalities = {value}\n",
+                         source="my.cfg")
+
+    def test_direct_config_duplicates_rejected(self):
+        cfg = parse_config(BASE)
+        cfg.model_modalities = ("video", "video")
+        with pytest.raises(ConfigError,
+                           match="^model.modalities has duplicate names"):
+            cfg.validate()
+
     def test_subset_round_trips(self):
         cfg = parse_config(BASE + "model.modalities = video\n")
         again = parse_config(cfg.to_text())

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from modfuse import tensor as T
+from modfuse.adapters import named_tensors
 from modfuse.fusion import (create_fusion, create_prefixes,
                             fuse_self_gated, fuse_variant, prefix_schedule,
                             token_budget, MOE_EXPERTS, STRATEGIES)
@@ -259,14 +260,15 @@ class TestAnswerHead:
         out = predict(self.head, x)
         loss = T.cross_entropy(out, np.array([0, 1]))
         T.backward(loss)
-        for _, t in self.head.named_tensors():
+        for _, t in named_tensors(self.head, "head"):
             assert t.grad is None
 
     def test_trainable_classifier_flag(self):
         head = create_head(seed=0, d=32, width=64, heads=4, layers=2,
                            vocab=12, classes=11, train_classifier=True)
-        tensors = dict(head.classifier_tensors())
-        assert all(t.requires_grad for t in tensors.values())
+        trainable = [name for name, t in named_tensors(head, "head")
+                     if t.requires_grad]
+        assert trainable == ["head.classifier.w", "head.classifier.b"]
 
 
 class TestFlopsEstimate:

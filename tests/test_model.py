@@ -89,6 +89,96 @@ class TestAssembly:
             total_scalars(model.registry) < 0.10
 
 
+# The checkpoint namespace of a one-layer model: every registry name with
+# its tag, in registry (and so checkpoint) order.
+NAMESPACE = """\
+backbone.layers.0.ln1.gain frozen
+backbone.layers.0.ln1.bias frozen
+backbone.layers.0.selfattn.wq frozen
+backbone.layers.0.selfattn.wk frozen
+backbone.layers.0.selfattn.wv frozen
+backbone.layers.0.selfattn.wo frozen
+backbone.layers.0.ln2.gain frozen
+backbone.layers.0.ln2.bias frozen
+backbone.layers.0.crossattn.wq frozen
+backbone.layers.0.crossattn.wk frozen
+backbone.layers.0.crossattn.wv frozen
+backbone.layers.0.crossattn.wo frozen
+backbone.layers.0.ln3.gain frozen
+backbone.layers.0.ln3.bias frozen
+backbone.layers.0.ffn.w1 frozen
+backbone.layers.0.ffn.w2 frozen
+video.queries video
+video.lora.0.q.down video
+video.lora.0.q.up video
+video.lora.0.v.down video
+video.lora.0.v.up video
+audio.queries audio
+audio.lora.0.q.down audio
+audio.lora.0.q.up audio
+audio.lora.0.v.down audio
+audio.lora.0.v.up audio
+audio.align.w audio
+audio.align.b audio
+fusion.merge.w fusion
+fusion.merge.b fusion
+prefix.video fusion
+prefix.fused fusion
+head.embed frozen
+head.input.w frozen
+head.input.b frozen
+head.layers.0.ln1.gain frozen
+head.layers.0.ln1.bias frozen
+head.layers.0.attn.wq frozen
+head.layers.0.attn.wk frozen
+head.layers.0.attn.wv frozen
+head.layers.0.attn.wo frozen
+head.layers.0.ln2.gain frozen
+head.layers.0.ln2.bias frozen
+head.layers.0.ffn.w1 frozen
+head.layers.0.ffn.w2 frozen
+head.classifier.w fusion
+head.classifier.b fusion
+"""
+
+FUSION_NAMES = {
+    "SelfGated": ["merge.w", "merge.b"],
+    "Concat": [],
+    "Linear": ["mix.w"],
+    "MoE": ["gate.w", "gate.b"] + [f"experts.{e}.{p}" for e in range(4)
+                                   for p in ("w", "b")],
+    "CrossAttention": ["prompts", "attn.wq", "attn.wk", "attn.wv",
+                       "attn.wo"],
+}
+
+
+class TestNamespace:
+    """Registry names and their order are the checkpoint's; a change to
+    either breaks every saved checkpoint."""
+
+    def build(self, strategy="SelfGated", train_classifier=False):
+        # video matches d (no alignment map); audio does not
+        mods = [BenchModality("video", 8, 3), BenchModality("audio", 6, 2)]
+        dims = ModelDims(d=8, layers=1, heads=2, tokens=2, rank=2,
+                         head_layers=1)
+        return FusionModel(dims, mods, "video", strategy, 5, 3, 0,
+                           train_classifier=train_classifier)
+
+    def test_names_tags_and_order_are_pinned(self):
+        model = self.build(train_classifier=True)
+        got = [f"{name} {e.tag}" for name, e in
+               model.registry.entries.items()]
+        assert got == NAMESPACE.splitlines()
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_fusion_names_per_strategy(self, strategy):
+        model = self.build(strategy)
+        got = [name for name in model.registry.entries
+               if name.startswith("fusion.")]
+        assert got == [f"fusion.{n}" for n in FUSION_NAMES[strategy]]
+        assert {model.registry[n].tag for n in got} <= {"fusion"}
+
+
 class TestForward:
     def test_logits_shape(self):
         model = build_model()
