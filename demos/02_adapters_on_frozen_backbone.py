@@ -20,8 +20,7 @@ from modfuse.adapters import FeatureBatch, mmqa_create, named_tensors
 from modfuse.backbone import init_backbone, qformer_forward
 
 D, LAYERS, HEADS, TOKENS, RANK = 32, 2, 4, 4, 4
-backbone = init_backbone(seed=0, d=D, layers=LAYERS, heads=HEADS,
-                         tokens=TOKENS)
+backbone = init_backbone(seed=0, d=D, layers=LAYERS, heads=HEADS)
 adapter = mmqa_create("audio", D, RANK, TOKENS, LAYERS, feat_dim=24, seed=0)
 
 rng = np.random.default_rng(1)

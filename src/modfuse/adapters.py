@@ -49,8 +49,6 @@ class MMQAdapter:
 def mmqa_create(name: str, d: int, r: int, tokens: int, layers: int,
                 feat_dim: int, seed: int, dtype=np.float32) -> MMQAdapter:
     """Deterministic adapter init: down-projections zero, the rest scaled-normal."""
-    if r >= d:
-        raise ValueError(f"adapter rank {r} must be smaller than hidden size {d}")
     rng = component_rng(seed, f"adapter.{name}")
     queries = T.Tensor(rng.normal(0.0, INIT_STD, size=(tokens, d)),
                        requires_grad=True, dtype=dtype)
@@ -105,12 +103,6 @@ def _field_names(cls) -> tuple[str, ...]:
 class RegistryEntry:
     tensor: T.Tensor
     tag: str
-
-
-@dataclass
-class Census:
-    tensor_count: int
-    scalar_count: int
 
 
 class ParamRegistry:
@@ -171,8 +163,8 @@ class ParamRegistry:
 STRUCTURAL_TAGS = ("fusion", "frozen")
 
 
-def count_trainable(registry: ParamRegistry, tag_filter: str = "all") -> Census:
-    """Census of trainable tensors/scalars, for one tag or the whole model.
+def count_trainable(registry: ParamRegistry, tag_filter: str = "all") -> int:
+    """Trainable scalars, for one tag or the whole model.
 
     The structural tags are always queryable (a registry may hold none of
     them); anything else must be a registered tag.
@@ -181,9 +173,7 @@ def count_trainable(registry: ParamRegistry, tag_filter: str = "all") -> Census:
     if tag_filter != "all" and tag_filter not in known:
         raise ValueError(f"unknown registry tag '{tag_filter}'")
     tags = None if tag_filter == "all" else {tag_filter}
-    entries = registry.named(tags, trainable_only=True)
-    return Census(tensor_count=len(entries),
-                  scalar_count=sum(t.size for _, t in entries))
+    return sum(t.size for _, t in registry.named(tags, trainable_only=True))
 
 
 def total_scalars(registry: ParamRegistry) -> int:

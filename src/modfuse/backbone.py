@@ -87,13 +87,10 @@ def _init_attn(rng, d: int, dtype) -> AttentionWeights:
                             wo=_init(rng, (d, d), dtype))
 
 
-def init_backbone(seed: int, d: int, layers: int, heads: int, tokens: int,
+def init_backbone(seed: int, d: int, layers: int, heads: int,
                   dtype=np.float32) -> Backbone:
-    """Deterministic scaled-normal init; every tensor stays frozen."""
-    if d <= 0 or layers <= 0 or heads <= 0 or tokens <= 0:
-        raise ValueError("backbone dims must be positive")
-    if d % heads != 0:
-        raise ValueError(f"hidden size {d} not divisible by {heads} heads")
+    """Deterministic scaled-normal init; every tensor stays frozen. The
+    dims are taken as ``ModelDims`` checked them."""
     rng = component_rng(seed, "backbone")
     return Backbone(heads=heads, layers=[BackboneLayer(
         ln1=_init_ln(d, dtype),

@@ -56,6 +56,10 @@ class BenchSpec:
             raise ValueError("alphabet size must be at least 2")
         if not self.modalities:
             raise ValueError("at least one modality required")
+        names = [m.name for m in self.modalities]
+        for name in names:
+            if names.count(name) > 1:
+                raise ValueError(f"duplicate modality name '{name}'")
         if self.train_size < 1 or self.test_size < 1:
             raise ValueError("train and test sizes must be positive")
         if not (math.isfinite(self.noise) and self.noise >= 0):

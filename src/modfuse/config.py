@@ -12,6 +12,13 @@ from the dataclass fields of ``BenchSpec`` (all but ``modalities``),
 ``ModelDims`` and ``TrainConfig``, plus the six kept on ``RunConfig``
 itself; a new field there is a new key. ``to_text`` emits a canonical
 sorted form whose SHA-256 is the config digest stored in checkpoints.
+
+Each of those dataclasses is frozen and checks its own ranges when built;
+``RunConfig`` adds the rules across blocks (``major``,
+``model.modalities``, the strategy, ``model.seed``). ``parse_config``
+reports any of them as a ``ConfigError``, and fills in the one default
+that depends on another key: an absent ``model.modalities`` attaches
+every benchmark modality.
 """
 
 from __future__ import annotations
@@ -91,28 +98,20 @@ def _format(value) -> str:
     return str(value)
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
     spec: BenchSpec
     dims: ModelDims
     train: TrainConfig
     major: str
+    model_modalities: tuple
     strategy: str = "SelfGated"
     model_seed: int = 0
     train_classifier: bool = False
-    model_modalities: tuple = ()
     name: str = "run"
     outdir: str = ""
 
     def __post_init__(self):
-        # Empty means "attach every benchmark modality"; normalize so the
-        # field always holds the effective tuple and configs compare equal
-        # after a to_text/parse round trip.
-        if not self.model_modalities:
-            self.model_modalities = tuple(m.name
-                                          for m in self.spec.modalities)
-
-    def validate(self) -> None:
         names = [m.name for m in self.spec.modalities]
         if self.major not in names:
             raise ConfigError(f"major modality '{self.major}' is not in "
@@ -130,28 +129,9 @@ class RunConfig:
         if self.strategy not in STRATEGIES:
             raise ConfigError(f"unknown fusion strategy '{self.strategy}'; "
                               f"choose from {', '.join(STRATEGIES)}")
-        for name, low in (("d", 1), ("layers", 1), ("heads", 1),
-                          ("tokens", 1), ("head_width", 0),
-                          ("head_layers", 0)):
-            value = getattr(self.dims, name)
-            if value < low:
-                raise ConfigError(f"model.{name} must be at least {low}, "
-                                  f"got {value}")
         if self.model_seed < 0:
             raise ConfigError(f"model.seed must be non-negative, got "
                               f"{self.model_seed}")
-        if not 1 <= self.dims.rank < self.dims.d:
-            raise ConfigError(f"model.rank must be at least 1 and below "
-                              f"model.d ({self.dims.d}), got "
-                              f"{self.dims.rank}")
-        if self.dims.d % self.dims.heads:
-            raise ConfigError("model.d must be divisible by model.heads")
-        if self.dims.resolved_head_width() % self.dims.heads:
-            raise ConfigError("head width must be divisible by model.heads")
-        try:
-            self.train.validate()
-        except ValueError as e:
-            raise ConfigError(str(e)) from None
 
     def to_text(self) -> str:
         """Canonical sorted key-value form; parsing it reproduces self."""
@@ -194,7 +174,8 @@ KEYS: dict[str, tuple[str | None, str, type]] = {
 
 
 def parse_config(text: str, source: str = "<config>") -> RunConfig:
-    """Parse and validate a full run configuration."""
+    """Parse a full run configuration; every range is checked as its
+    dataclass is built."""
     entries = parse_kv_text(text, source)
     raw = {key: value for key, (value, _) in entries.items()}
 
@@ -229,15 +210,16 @@ def parse_config(text: str, source: str = "<config>") -> RunConfig:
         else:
             raise ConfigError(f"{at(key)}: unknown key '{key}'")
 
+    # an absent model.modalities attaches every benchmark modality
+    kwargs[None].setdefault("model_modalities", names)
     try:
-        spec = BenchSpec(modalities=tuple(mods), **kwargs["spec"])
+        return RunConfig(spec=BenchSpec(modalities=tuple(mods),
+                                        **kwargs["spec"]),
+                         dims=ModelDims(**kwargs["dims"]),
+                         train=TrainConfig(**kwargs["train"]), major=major,
+                         **kwargs[None])
     except ValueError as e:
         raise ConfigError(str(e)) from None
-    config = RunConfig(spec=spec, dims=ModelDims(**kwargs["dims"]),
-                       train=TrainConfig(**kwargs["train"]), major=major,
-                       **kwargs[None])
-    config.validate()
-    return config
 
 
 def load_config(path: str) -> RunConfig:

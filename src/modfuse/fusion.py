@@ -49,8 +49,6 @@ def token_budget(strategy: str, n: int, tokens: int) -> int:
 def create_fusion(strategy: str, n: int, tokens: int, d: int, heads: int,
                   seed: int, dtype=np.float32) -> FusionModule:
     """Initialize strategy parameters for ``n`` total modalities."""
-    if strategy not in STRATEGIES:
-        raise ValueError(f"unknown fusion strategy '{strategy}'")
     module = FusionModule(strategy=strategy, tokens=tokens, heads=heads)
     if n == 1 or strategy == "Concat":
         return module
@@ -153,8 +151,6 @@ def fuse_variant(fusion: FusionModule, q_major: T.Tensor,
     With no supportive modalities every strategy degenerates to passing
     the major tokens through untouched (token budget T).
     """
-    if fusion.strategy not in STRATEGIES:
-        raise ValueError(f"unknown fusion strategy '{fusion.strategy}'")
     if not supportive:
         return q_major
     if fusion.strategy == "SelfGated":

@@ -4,6 +4,10 @@ Builds a parameter registry over every component from uniquely named
 modalities, one of them named the major; every other is supportive.
 The forward pass is a pure function of registered parameters and the
 input batch.
+
+``ModelDims`` is frozen and checks its ranges when built; the component
+constructors take its sizes as given. ``FusionModel`` rejects an unknown
+strategy through ``prefix_schedule``.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from modfuse.reasoner import (AnswerHead, assemble_input, create_head,
 HEAD_TILE_BYTES = 3 << 18
 
 
-@dataclass
+@dataclass(frozen=True)
 class ModelDims:
     d: int = 32
     layers: int = 2
@@ -39,6 +43,22 @@ class ModelDims:
     rank: int = 4
     head_width: int = 0      # 0 means 2*d
     head_layers: int = 2
+
+    def __post_init__(self):
+        for name, low in (("d", 1), ("layers", 1), ("heads", 1),
+                          ("tokens", 1), ("head_width", 0),
+                          ("head_layers", 0)):
+            value = getattr(self, name)
+            if value < low:
+                raise ValueError(f"model.{name} must be at least {low}, "
+                                 f"got {value}")
+        if not 1 <= self.rank < self.d:
+            raise ValueError(f"model.rank must be at least 1 and below "
+                             f"model.d ({self.d}), got {self.rank}")
+        if self.d % self.heads:
+            raise ValueError("model.d must be divisible by model.heads")
+        if self.resolved_head_width() % self.heads:
+            raise ValueError("head width must be divisible by model.heads")
 
     def resolved_head_width(self) -> int:
         return self.head_width if self.head_width > 0 else 2 * self.d
@@ -64,8 +84,9 @@ class FusionModel:
         self.vocab = vocab
         self.classes = classes
 
+        self.schedule = prefix_schedule(strategy, names, major)
         self.backbone: Backbone = init_backbone(
-            seed, dims.d, dims.layers, dims.heads, dims.tokens, dtype=dtype)
+            seed, dims.d, dims.layers, dims.heads, dtype=dtype)
         self.adapters: dict[str, MMQAdapter] = {}
         for m in modalities:
             self.adapters[m.name] = mmqa_create(
@@ -74,7 +95,6 @@ class FusionModel:
         self.fusion: FusionModule = create_fusion(
             strategy, len(names), dims.tokens, dims.d, dims.heads, seed,
             dtype=dtype)
-        self.schedule = prefix_schedule(strategy, names, major)
         self.prefixes = create_prefixes(names, self.schedule, dims.d, seed,
                                         dtype=dtype)
         self.head: AnswerHead = create_head(

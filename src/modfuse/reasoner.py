@@ -60,8 +60,6 @@ class AnswerHead:
 def create_head(seed: int, d: int, width: int, heads: int, layers: int,
                 vocab: int, classes: int, train_classifier: bool = False,
                 dtype=np.float32) -> AnswerHead:
-    if width % heads != 0:
-        raise ValueError(f"head width {width} not divisible by {heads} heads")
     rng = component_rng(seed, "head")
 
     def normal(shape, gain=1.0, trainable=False):

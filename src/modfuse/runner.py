@@ -140,11 +140,12 @@ def _variant_configs(config: RunConfig, axis: str):
 
 
 def run_ablate(config: RunConfig, axis: str, outdir: str, log=None) -> list:
-    """Train every variant along one axis; one summary row per variant."""
+    """Train every variant along one axis; one summary row per variant.
+    The whole grid is built, and so checked, before the first fit."""
+    variants = list(_variant_configs(config, axis))
     os.makedirs(outdir, exist_ok=True)
     rows = []
-    for label, variant in _variant_configs(config, axis):
-        variant.validate()
+    for label, variant in variants:
         model = build_model(variant)
         train, test = gen_dataset(variant.spec)
         report = fit(model, train, test, variant.train)

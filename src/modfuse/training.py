@@ -21,6 +21,9 @@ saves compute, not just optimizer steps. This relies on the tokens of
 an example not depending on the rest of its batch, which a test pins.
 Joint mode is the conventional alternative: one step per minibatch, all
 trainable tensors of active modalities and fusion updated together.
+
+``TrainConfig`` is frozen and checks its ranges when built, so ``fit``
+takes it as given.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from modfuse.model import FusionModel
 MODES = ("sequential", "joint")
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     lr: float = 3e-3
     beta1: float = 0.9
@@ -52,7 +55,7 @@ class TrainConfig:
     exit_on_rise: bool = False     # alternative inequality direction
     eval_batch: int = 256
 
-    def validate(self) -> None:
+    def __post_init__(self):
         # with lr <= 0 no step descends, and a NaN lr or a beta of 1 (a
         # zero bias correction) fails only inside fit
         if not (math.isfinite(self.lr) and self.lr > 0):
@@ -282,7 +285,6 @@ def train_epoch(model: FusionModel, opt: T.Adam, train: Dataset,
 def fit(model: FusionModel, train: Dataset, test: Dataset,
         config: TrainConfig) -> TrainReport:
     """Full training run; early-exit checks fire at each epoch end."""
-    config.validate()
     opt = T.Adam(lr=config.lr, beta1=config.beta1, beta2=config.beta2)
     history = {m: GradHistory() for m in model.order}
     report = TrainReport(mode=config.mode)
@@ -319,9 +321,9 @@ def fit(model: FusionModel, train: Dataset, test: Dataset,
 
 
 def census_summary(model: FusionModel) -> dict[str, int]:
-    out = {"trainable": count_trainable(model.registry).scalar_count}
+    out = {"trainable": count_trainable(model.registry)}
     out["total"] = total_scalars(model.registry)
     for m in model.order:
-        out[m] = count_trainable(model.registry, m).scalar_count
-    out["fusion"] = count_trainable(model.registry, "fusion").scalar_count
+        out[m] = count_trainable(model.registry, m)
+    out["fusion"] = count_trainable(model.registry, "fusion")
     return out

@@ -72,7 +72,7 @@ def test_fresh_adapters_neutral_and_full_rank_matches_dense():
     # Tolerances: freshly created adapters must be bit-identical to the
     # adapter-free path; at full rank the two thin products must match
     # the dense summed weight within 1e-5 max abs at 32-bit.
-    bb = init_backbone(7, 32, 2, 4, 4, dtype=np.float64)
+    bb = init_backbone(7, 32, 2, 4, dtype=np.float64)
     feats = FeatureBatch(
         "video", np.random.default_rng(7).normal(size=(2, 5, 16)))
     fresh = mmqa_create("video", 32, 4, 4, 2, 16, seed=7, dtype=np.float64)

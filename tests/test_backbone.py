@@ -22,30 +22,26 @@ def backbone_bytes(bb):
 
 class TestBackboneInit:
     def test_same_seed_bitwise_identical(self):
-        a = init_backbone(3, 32, 2, 4, 4)
-        b = init_backbone(3, 32, 2, 4, 4)
+        a = init_backbone(3, 32, 2, 4)
+        b = init_backbone(3, 32, 2, 4)
         assert backbone_bytes(a) == backbone_bytes(b)
 
     def test_different_seed_differs(self):
-        a = init_backbone(3, 32, 2, 4, 4)
-        b = init_backbone(4, 32, 2, 4, 4)
+        a = init_backbone(3, 32, 2, 4)
+        b = init_backbone(4, 32, 2, 4)
         assert backbone_bytes(a) != backbone_bytes(b)
 
     def test_census_formula(self):
         # per layer: two attention blocks of 4 d^2 each, feed-forward 8 d^2,
         # three layer norms of 2d
         d, layers = 32, 2
-        bb = init_backbone(0, d, layers, 4, 4)
+        bb = init_backbone(0, d, layers, 4)
         expected = layers * (16 * d * d + 6 * d)
         assert sum(t.size for _, t in named_tensors(bb, "backbone")) == \
             expected
 
-    def test_indivisible_heads_rejected(self):
-        with pytest.raises(ValueError, match="divisible"):
-            init_backbone(0, 33, 2, 4, 4)
-
     def test_nothing_trainable(self):
-        bb = init_backbone(0, 32, 2, 4, 4)
+        bb = init_backbone(0, 32, 2, 4)
         assert all(not t.requires_grad
                    for _, t in named_tensors(bb, "backbone"))
 
@@ -120,10 +116,6 @@ class TestAdapterCreate:
                 assert np.all(pair.down.data == 0.0)
                 assert np.any(pair.up.data != 0.0)
 
-    def test_rank_not_below_hidden_rejected(self):
-        with pytest.raises(ValueError, match="rank"):
-            make_adapter(d=8, r=8)
-
     def test_same_seed_identical(self):
         a = make_adapter(seed=5)
         b = make_adapter(seed=5)
@@ -140,7 +132,7 @@ class TestAdapterCreate:
 
 class TestQformerForward:
     def setup_method(self):
-        self.bb = init_backbone(7, 32, 2, 4, 4, dtype=np.float64)
+        self.bb = init_backbone(7, 32, 2, 4, dtype=np.float64)
         self.adapter = make_adapter(seed=7)
         self.rng = np.random.default_rng(7)
         self.feats = FeatureBatch(
@@ -222,30 +214,30 @@ class TestRegistryCensus:
             adapter = make_adapter(name=name, f=f)
             for n, t in named_tensors(adapter, adapter.name):
                 reg.register(n, t, name)
-        bb = init_backbone(0, 32, 2, 4, 4)
+        bb = init_backbone(0, 32, 2, 4)
         for n, t in named_tensors(bb, "backbone"):
             reg.register(n, t, "frozen")
         return reg
 
     def test_frozen_filter_counts_zero(self):
         reg = self.build_registry()
-        assert count_trainable(reg, "frozen").scalar_count == 0
+        assert count_trainable(reg, "frozen") == 0
 
     def test_per_modality_count_matches_formula(self):
         reg = self.build_registry()
-        assert count_trainable(reg, "video").scalar_count == 1696
-        assert count_trainable(reg, "audio").scalar_count == 1024 + 128 + 24 * 32 + 32
-        assert count_trainable(reg, "depth").scalar_count == 1024 + 128 + 48 * 32 + 32
+        assert count_trainable(reg, "video") == 1696
+        assert count_trainable(reg, "audio") == 1024 + 128 + 24 * 32 + 32
+        assert count_trainable(reg, "depth") == 1024 + 128 + 48 * 32 + 32
 
     def test_adding_modality_is_additive(self):
         reg = self.build_registry()
-        before_total = count_trainable(reg).scalar_count
-        before_video = count_trainable(reg, "video").scalar_count
+        before_total = count_trainable(reg)
+        before_video = count_trainable(reg, "video")
         extra = make_adapter(name="flow", f=16)
         for n, t in named_tensors(extra, extra.name):
             reg.register(n, t, "flow")
-        assert count_trainable(reg).scalar_count == before_total + 1696
-        assert count_trainable(reg, "video").scalar_count == before_video
+        assert count_trainable(reg) == before_total + 1696
+        assert count_trainable(reg, "video") == before_video
 
     def test_unknown_tag_rejected(self):
         reg = self.build_registry()
@@ -259,7 +251,7 @@ class TestRegistryCensus:
                          "video")
 
     def test_modality_isolation(self):
-        bb = init_backbone(1, 32, 2, 4, 4, dtype=np.float64)
+        bb = init_backbone(1, 32, 2, 4, dtype=np.float64)
         video = make_adapter(name="video", seed=1)
         audio = make_adapter(name="audio", f=24, seed=1)
         rng = np.random.default_rng(1)

@@ -359,6 +359,16 @@ class TestSpecValidation:
                            match=f"modality 'audio': {field} must be positive"):
             toy_spec(modalities=(BenchModality("video", 16, 5), audio))
 
+    @pytest.mark.parametrize("widths", [(16, 8), (16, 16)])
+    def test_duplicate_modality_rejected(self, widths):
+        # unequal widths would fail in gen_dataset with a bare numpy
+        # broadcast error; equal ones would let the second entry overwrite
+        # the first one's features
+        mods = tuple(BenchModality("video", w, 4) for w in widths)
+        with pytest.raises(ValueError,
+                           match="^duplicate modality name 'video'$"):
+            toy_spec(modalities=(BenchModality("audio", 24, 4), *mods))
+
     def test_spec_is_frozen(self):
         spec = toy_spec()
         with pytest.raises(dataclasses.FrozenInstanceError):

@@ -1,5 +1,6 @@
 """Config parsing, validation diagnostics, canonical text, digests."""
 
+import dataclasses
 import re
 from pathlib import Path
 
@@ -280,6 +281,18 @@ class TestFullParse:
                                       "bench.alphabet = 1"))
 
 
+class TestFrozen:
+    @pytest.mark.parametrize("block,field", [
+        (None, "strategy"), ("dims", "rank"), ("train", "epochs")])
+    def test_fields_cannot_be_assigned(self, block, field):
+        # a config checks itself once, when built; a later assignment
+        # would bypass that check
+        cfg = parse_config(BASE)
+        holder = cfg if block is None else getattr(cfg, block)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(holder, field, getattr(holder, field))
+
+
 class TestCanonicalText:
     def test_round_trip(self):
         cfg = parse_config(BASE)
@@ -370,10 +383,9 @@ class TestModelModalitySubset:
 
     def test_direct_config_duplicates_rejected(self):
         cfg = parse_config(BASE)
-        cfg.model_modalities = ("video", "video")
         with pytest.raises(ConfigError,
                            match="^model.modalities has duplicate names"):
-            cfg.validate()
+            dataclasses.replace(cfg, model_modalities=("video", "video"))
 
     def test_subset_round_trips(self):
         cfg = parse_config(BASE + "model.modalities = video\n")

@@ -153,10 +153,6 @@ class TestVariants:
             out = fuse_variant(fusion, q, [])
             assert np.array_equal(out.data, q.data)
 
-    def test_unknown_strategy_rejected(self):
-        with pytest.raises(ValueError, match="unknown"):
-            create_fusion("Mixer", 3, 4, 32, 4, 0)
-
 
 class TestPrefixes:
     def test_schedule_per_strategy(self):

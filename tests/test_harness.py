@@ -205,6 +205,16 @@ class TestRunner:
         trainables = [r["trainable"] for r in rows]
         assert trainables[0] < trainables[1] < trainables[2]
 
+    def test_ablate_checks_whole_grid_before_training(self, tmp_path):
+        # rank 8 is not below model.d = 8, so no variant may train: rank2
+        # and rank4 would write their metrics before rank8 failed
+        cfg = parse_config(SMALL.replace("train.epochs = 2",
+                                         "train.epochs = 1")
+                           + "model.d = 8\n")
+        with pytest.raises(ValueError, match="model.rank"):
+            run_ablate(cfg, "rank", str(tmp_path))
+        assert not list(tmp_path.glob("*.metrics.jsonl"))
+
     def test_ablate_unknown_axis(self, tmp_path):
         cfg = parse_config(SMALL)
         with pytest.raises(ValueError, match="unknown ablation axis"):

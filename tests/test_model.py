@@ -1,5 +1,7 @@
 """Tests for full-model assembly and the parameter registry wiring."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -33,7 +35,35 @@ def toy_batch(batch=2, seed=0):
     return feats, questions, answers
 
 
+class TestModelDims:
+    # a negative head_width would be read as 2 * d, a negative head_layers
+    # as a head with no layers
+    @pytest.mark.parametrize("field,value", [
+        ("d", 0), ("rank", 0), ("rank", 32), ("head_width", -8),
+        ("head_layers", -8)])
+    def test_out_of_range_rejected_when_built(self, field, value):
+        with pytest.raises(ValueError, match=rf"^model\.{field} must be at "
+                                             rf"least .*, got {value}$"):
+            ModelDims(**{field: value})
+
+    def test_indivisible_heads_rejected(self):
+        with pytest.raises(ValueError,
+                           match="model.d must be divisible by model.heads"):
+            ModelDims(d=33)
+        with pytest.raises(ValueError, match="head width must be divisible"):
+            ModelDims(head_width=30)
+
+    def test_frozen(self):
+        dims = ModelDims()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            dims.rank = 0
+
+
 class TestAssembly:
+    def test_unknown_strategy_rejected(self):
+        with pytest.raises(ValueError, match="unknown fusion strategy 'Mixer'"):
+            build_model("Mixer")
+
     def test_major_must_be_a_modality(self):
         with pytest.raises(ValueError, match="major modality 'flow'"):
             FusionModel(ModelDims(), toy_modalities(), "flow", "SelfGated",
@@ -51,15 +81,15 @@ class TestAssembly:
 
     def test_trainable_fraction_below_ten_percent(self):
         model = build_model()
-        trainable = count_trainable(model.registry).scalar_count
+        trainable = count_trainable(model.registry)
         assert trainable / total_scalars(model.registry) < 0.10
 
     def test_trainable_census_breakdown(self):
         model = build_model()
         reg = model.registry
-        assert count_trainable(reg, "video").scalar_count == 1696
+        assert count_trainable(reg, "video") == 1696
         # merge.w, merge.b and the two scheduled prefixes (video, fused)
-        assert count_trainable(reg, "fusion").scalar_count == \
+        assert count_trainable(reg, "fusion") == \
             2 * 32 * 32 + 32 + 2 * 32
 
     def test_registry_prefixes_follow_schedule(self):
@@ -80,12 +110,12 @@ class TestAssembly:
                     {"fusion"}
 
     def test_trainable_classifier_adds_to_fusion_tag(self):
-        base = count_trainable(build_model().registry, "fusion").scalar_count
+        base = count_trainable(build_model().registry, "fusion")
         model = build_model(train_classifier=True)
-        with_cls = count_trainable(model.registry, "fusion").scalar_count
+        with_cls = count_trainable(model.registry, "fusion")
         assert with_cls == base + 64 * 11 + 11
         # still parameter-efficient with the escape hatch on
-        assert count_trainable(model.registry).scalar_count / \
+        assert count_trainable(model.registry) / \
             total_scalars(model.registry) < 0.10
 
 
@@ -223,7 +253,7 @@ class TestForward:
         out = model.forward(feats, rng.integers(0, 12, size=(2, 3)))
         assert out.shape == (2, 11)
         # no fusion module, only the major's prefix
-        assert count_trainable(model.registry, "fusion").scalar_count == 32
+        assert count_trainable(model.registry, "fusion") == 32
 
     def test_all_strategies_forward(self):
         feats, questions, _ = toy_batch()

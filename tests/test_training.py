@@ -1,5 +1,6 @@
 """Trainer behavior: masked updates, gradient tracking, early exit."""
 
+import dataclasses
 import gc
 
 import numpy as np
@@ -471,18 +472,23 @@ class TestEveryTrainableTrains:
 class TestConfigValidation:
     def test_bad_mode(self):
         with pytest.raises(ValueError, match="mode"):
-            TrainConfig(mode="cyclic").validate()
+            TrainConfig(mode="cyclic")
 
     def test_bad_tau(self):
         with pytest.raises(ValueError, match="tau"):
-            TrainConfig(tau=0.0).validate()
+            TrainConfig(tau=0.0)
 
     def test_early_exit_needs_epochs(self):
         with pytest.raises(ValueError, match="2 epochs"):
-            TrainConfig(epochs=1, early_exit=True).validate()
+            TrainConfig(epochs=1, early_exit=True)
 
     def test_ok(self):
-        TrainConfig().validate()
+        TrainConfig()
+
+    def test_frozen(self):
+        config = TrainConfig()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            config.epochs = 0
 
 
 def record_qformer_calls(monkeypatch) -> list[tuple[str, bool]]:
