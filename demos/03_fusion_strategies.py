@@ -1,4 +1,4 @@
-"""Six ways to merge modality tokens, and what each costs downstream.
+"""Five ways to merge modality tokens, and what each costs downstream.
 
 After the backbone summarizes every modality into a fixed set of tokens,
 a fusion module decides what the answer head actually reads. The default

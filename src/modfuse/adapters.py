@@ -163,16 +163,15 @@ class ParamRegistry:
 STRUCTURAL_TAGS = ("fusion", "frozen")
 
 
-def count_trainable(registry: ParamRegistry, tag_filter: str = "all") -> int:
-    """Trainable scalars, for one tag or the whole model.
+def count_trainable(registry: ParamRegistry, tag: str | None = None) -> int:
+    """Trainable scalars, for one tag or (``None``) the whole model.
 
     The structural tags are always queryable (a registry may hold none of
     them); anything else must be a registered tag.
     """
-    known = registry.tags() | set(STRUCTURAL_TAGS)
-    if tag_filter != "all" and tag_filter not in known:
-        raise ValueError(f"unknown registry tag '{tag_filter}'")
-    tags = None if tag_filter == "all" else {tag_filter}
+    if tag is not None and tag not in registry.tags() | set(STRUCTURAL_TAGS):
+        raise ValueError(f"unknown registry tag '{tag}'")
+    tags = None if tag is None else {tag}
     return sum(t.size for _, t in registry.named(tags, trainable_only=True))
 
 

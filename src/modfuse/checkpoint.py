@@ -13,19 +13,25 @@ Layout (little-endian throughout):
         raw element bytes
     end     4 bytes b"END!"
 
-Every registry entry is stored, frozen ones included, so a restore
-reproduces the model bit for bit. Saves stage to a uniquely named
-temporary file beside the target, commit with an atomic rename and sync
-the directory. Loads verify the stored digest against the embedded
-config text and fail on truncation with the byte offset; restores fail
-on a tensor holding NaN or Inf, naming it. The config text is the only
-description of the run, so the modality order and the fusion strategy
-are read from it alone. A file of any other version fails to load, with
-or without ``force``; it is retrained, not converted. A config error in
-a loaded file names its path and line. ``force`` skips the digest check
-and downgrades tensor mismatches to warnings, skipping tensors whose name
-or shape no longer fits, which is how a checkpoint from a smaller
-modality set is carried into an extended model.
+``checkpoint_bytes`` packs this layout with ``struct`` and
+``parse_checkpoint`` unpacks it in the same order, checking the bounds of
+every read; the dtype code is an index into one table of the two dtypes.
+Tensor names are the registry's, which the model's walk over its
+component dataclasses gives. Every registry entry is stored, frozen ones
+included, so a restore reproduces the model bit for bit.
+
+Saves stage to a uniquely named temporary file beside the target, commit
+with an atomic rename and sync the directory. Loads verify the stored
+digest against the embedded config text and fail on truncation with the
+byte offset; restores fail on a tensor holding NaN or Inf, naming it.
+The config text is the only description of the run, so the modality
+order and the fusion strategy are read from it alone. A file of any
+other version fails to load, with or without ``force``; it is retrained,
+not converted. A config error in a loaded file names its path and line.
+``force`` skips the digest check and downgrades tensor mismatches to
+warnings, skipping tensors whose name or shape no longer fits, which is
+how a checkpoint from a smaller modality set is carried into an extended
+model.
 """
 
 from __future__ import annotations
@@ -40,13 +46,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from modfuse.adapters import ParamRegistry
-from modfuse.config import RunConfig
+from modfuse.config import RunConfig, build_model, parse_config
 
 MAGIC = b"CRMA"
 END = b"END!"
 VERSION = 2
-_DTYPE_CODES = {np.dtype(np.float32): 0, np.dtype(np.float64): 1}
-_CODE_DTYPES = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
+_DTYPES = (np.dtype("<f4"), np.dtype("<f8"))    # index = dtype code
 
 
 class CheckpointError(ValueError):
@@ -63,88 +68,25 @@ class Checkpoint:
     source: str = "<checkpoint>"
 
 
-class _Writer:
-    def __init__(self):
-        self.parts: list[bytes] = []
-
-    def raw(self, b: bytes):
-        self.parts.append(b)
-
-    def u8(self, v: int):
-        self.parts.append(struct.pack("<B", v))
-
-    def u16(self, v: int):
-        self.parts.append(struct.pack("<H", v))
-
-    def u32(self, v: int):
-        self.parts.append(struct.pack("<I", v))
-
-    def str16(self, s: str):
-        b = s.encode("utf-8")
-        if len(b) > 0xFFFF:
-            raise CheckpointError(f"name too long ({len(b)} bytes)")
-        self.u16(len(b))
-        self.raw(b)
-
-    def str32(self, s: str):
-        b = s.encode("utf-8")
-        self.u32(len(b))
-        self.raw(b)
-
-    def getvalue(self) -> bytes:
-        return b"".join(self.parts)
-
-
-class _Reader:
-    def __init__(self, data: bytes):
-        self.data = data
-        self.off = 0
-
-    def raw(self, n: int, what: str) -> bytes:
-        if self.off + n > len(self.data):
-            raise CheckpointError(
-                f"truncated at byte {self.off}: needed {n} bytes for {what}")
-        out = self.data[self.off:self.off + n]
-        self.off += n
-        return out
-
-    def u8(self, what: str) -> int:
-        return struct.unpack("<B", self.raw(1, what))[0]
-
-    def u16(self, what: str) -> int:
-        return struct.unpack("<H", self.raw(2, what))[0]
-
-    def u32(self, what: str) -> int:
-        return struct.unpack("<I", self.raw(4, what))[0]
-
-    def str16(self, what: str) -> str:
-        return self.raw(self.u16(what), what).decode("utf-8")
-
-    def str32(self, what: str) -> str:
-        return self.raw(self.u32(what), what).decode("utf-8")
-
-
 def checkpoint_bytes(registry: ParamRegistry, config: RunConfig) -> bytes:
-    w = _Writer()
-    w.raw(MAGIC)
-    w.u32(VERSION)
-    w.raw(bytes.fromhex(config.digest()))
-    w.str32(config.to_text())
+    text = config.to_text().encode("utf-8")
     entries = registry.named()
-    w.u32(len(entries))
+    parts = [MAGIC, struct.pack("<I", VERSION), bytes.fromhex(config.digest()),
+             struct.pack("<I", len(text)), text,
+             struct.pack("<I", len(entries))]
     for name, t in entries:
-        code = _DTYPE_CODES.get(t.data.dtype)
-        if code is None:
+        if t.data.dtype not in _DTYPES:
             raise CheckpointError(f"tensor '{name}' has unsupported dtype "
                                   f"{t.data.dtype}")
-        w.str16(name)
-        w.u8(code)
-        w.u8(t.data.ndim)
-        for dim in t.data.shape:
-            w.u32(dim)
-        w.raw(np.ascontiguousarray(t.data).tobytes())
-    w.raw(END)
-    return w.getvalue()
+        b = name.encode("utf-8")
+        if len(b) > 0xFFFF:
+            raise CheckpointError(f"name too long ({len(b)} bytes)")
+        parts += [struct.pack(f"<H{len(b)}sBB{t.data.ndim}I", len(b), b,
+                              _DTYPES.index(t.data.dtype), t.data.ndim,
+                              *t.data.shape),
+                  t.data.tobytes()]
+    parts.append(END)
+    return b"".join(parts)
 
 
 def save_checkpoint(path: str, registry: ParamRegistry,
@@ -177,35 +119,51 @@ def save_checkpoint(path: str, registry: ParamRegistry,
 
 
 def parse_checkpoint(data: bytes, force: bool = False) -> Checkpoint:
-    r = _Reader(data)
-    if r.raw(4, "magic") != MAGIC:
+    off = 0
+
+    def raw(n: int, what: str) -> bytes:
+        nonlocal off
+        if off + n > len(data):
+            raise CheckpointError(
+                f"truncated at byte {off}: needed {n} bytes for {what}")
+        off += n
+        return data[off - n:off]
+
+    def unpack(fmt: str, what: str) -> tuple:
+        return struct.unpack(fmt, raw(struct.calcsize(fmt), what))
+
+    def string(fmt: str, what: str) -> str:
+        return raw(unpack(fmt, what)[0], what).decode("utf-8")
+
+    if raw(4, "magic") != MAGIC:
         raise CheckpointError("not a checkpoint file (bad magic)")
-    version = r.u32("version")
+    version, = unpack("<I", "version")
     if version != VERSION:
         raise CheckpointError(f"unsupported checkpoint version {version}")
-    digest = r.raw(32, "config digest").hex()
-    config_text = r.str32("config text")
+    digest = raw(32, "config digest").hex()
+    config_text = string("<I", "config text")
     actual = hashlib.sha256(config_text.encode()).hexdigest()
     if actual != digest and not force:
         raise CheckpointError("config text does not match the stored digest; "
                               "the file is corrupt (or pass force)")
     tensors: dict[str, np.ndarray] = {}
-    for _ in range(r.u32("tensor count")):
-        name = r.str16("tensor name")
-        dtype = _CODE_DTYPES.get(r.u8(f"dtype of '{name}'"))
-        if dtype is None:
+    for _ in range(unpack("<I", "tensor count")[0]):
+        name = string("<H", "tensor name")
+        code, = unpack("<B", f"dtype of '{name}'")
+        if code >= len(_DTYPES):
             raise CheckpointError(f"tensor '{name}' has unknown dtype code")
-        rank = r.u8(f"rank of '{name}'")
-        dims = tuple(r.u32(f"dim of '{name}'") for _ in range(rank))
+        dtype = _DTYPES[code]
+        rank, = unpack("<B", f"rank of '{name}'")
+        dims = tuple(unpack("<I", f"dim of '{name}'")[0] for _ in range(rank))
         count = int(np.prod(dims, dtype=np.int64)) if dims else 1
-        buf = r.raw(count * dtype.itemsize, f"data of '{name}'")
+        buf = raw(count * dtype.itemsize, f"data of '{name}'")
         if name in tensors:
             raise CheckpointError(f"duplicate tensor '{name}'")
         tensors[name] = np.frombuffer(buf, dtype=dtype).reshape(dims).copy()
-    if r.raw(4, "end marker") != END:
+    if raw(4, "end marker") != END:
         raise CheckpointError("bad end marker")
-    if r.off != len(data):
-        raise CheckpointError(f"{len(data) - r.off} trailing bytes after "
+    if off != len(data):
+        raise CheckpointError(f"{len(data) - off} trailing bytes after "
                               f"the end marker")
     return Checkpoint(version=version, digest=digest,
                       config_text=config_text, tensors=tensors)
@@ -262,7 +220,6 @@ def restore_into(registry: ParamRegistry, ckpt: Checkpoint,
 
 def model_from_checkpoint(ckpt: Checkpoint, force: bool = False):
     """Rebuild the saved model: parse the embedded config, restore tensors."""
-    from modfuse.config import build_model, parse_config
     config = parse_config(ckpt.config_text, source=ckpt.source)
     model = build_model(config)
     warnings = restore_into(model.registry, ckpt, force=force)

@@ -7,6 +7,11 @@ the major modality's tokens. The output token count is therefore 2T no
 matter how many modalities are attached. Four alternative strategies
 (plain concatenation, a learned token-axis map, a top-1 mixture of
 experts, and prompt cross-attention) cover the ablation axis.
+
+A strategy's parameters are the component dataclasses the backbone also
+uses (``Affine``, ``AttentionWeights``), held in ``FusionModule.params``
+under their field names, so the model's walk names them
+(``fusion.merge.w``, ``fusion.experts.2.b``, ``fusion.attn.wq``).
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from modfuse import tensor as T
-from modfuse.backbone import INIT_STD, AttentionWeights, attention
+from modfuse.backbone import INIT_STD, Affine, AttentionWeights, attention
 from modfuse.rng import component_rng
 
 STRATEGIES = ("SelfGated", "Concat", "Linear", "MoE", "CrossAttention")
@@ -25,11 +30,17 @@ FUSED_TAG = "fused"
 
 
 @dataclass
+class TokenMix:
+    w: T.Tensor     # [n*T, T], a learned map along the token axis
+
+
+@dataclass
 class FusionModule:
     strategy: str
     tokens: int     # T, per-modality query token count
     heads: int
-    params: dict[str, T.Tensor] = field(default_factory=dict)
+    # field name -> tensor, component or list of components
+    params: dict[str, object] = field(default_factory=dict)
 
 
 def block_count(strategy: str, n: int) -> int:
@@ -59,27 +70,23 @@ def create_fusion(strategy: str, n: int, tokens: int, d: int, heads: int,
         return T.Tensor(rng.normal(0.0, INIT_STD, size=shape),
                         requires_grad=True, dtype=dtype)
 
-    def zeros(shape):
-        return T.Tensor(np.zeros(shape), requires_grad=True, dtype=dtype)
+    def affine(rows, cols):
+        return Affine(w=normal((rows, cols)),
+                      b=T.Tensor(np.zeros(cols), requires_grad=True,
+                                 dtype=dtype))
 
     p = module.params
     if strategy == "SelfGated":
-        p["merge.w"] = normal((wide, d))
-        p["merge.b"] = zeros(d)
+        p["merge"] = affine(wide, d)
     elif strategy == "Linear":
-        p["mix.w"] = normal((n * tokens, tokens))
+        p["mix"] = TokenMix(w=normal((n * tokens, tokens)))
     elif strategy == "MoE":
-        p["gate.w"] = normal((wide, MOE_EXPERTS))
-        p["gate.b"] = zeros(MOE_EXPERTS)
-        for e in range(MOE_EXPERTS):
-            p[f"experts.{e}.w"] = normal((wide, d))
-            p[f"experts.{e}.b"] = zeros(d)
+        p["gate"] = affine(wide, MOE_EXPERTS)
+        p["experts"] = [affine(wide, d) for _ in range(MOE_EXPERTS)]
     elif strategy == "CrossAttention":
         p["prompts"] = normal((tokens, d))
-        p["attn.wq"] = normal((d, d))
-        p["attn.wk"] = normal((d, d))
-        p["attn.wv"] = normal((d, d))
-        p["attn.wo"] = normal((d, d))
+        p["attn"] = AttentionWeights(wq=normal((d, d)), wk=normal((d, d)),
+                                     wv=normal((d, d)), wo=normal((d, d)))
     return module
 
 
@@ -98,22 +105,22 @@ def fuse_self_gated(fusion: FusionModule, q_major: T.Tensor,
         raise ValueError("self-gated fusion needs at least one supportive "
                          "modality; with none, fuse_variant passes the major "
                          "tokens through")
-    merged = _channel_concat(supportive)
-    g = T.matmul(merged, fusion.params["merge.w"]) + fusion.params["merge.b"]
+    merge = fusion.params["merge"]
+    g = T.matmul(_channel_concat(supportive), merge.w) + merge.b
     return T.concat([q_major, T.silu(g)], axis=1)
 
 
 def _fuse_linear(fusion, q_major, supportive):
     stacked = T.concat([q_major] + supportive, axis=1)     # [B, nT, d]
     flipped = T.transpose(stacked, (0, 2, 1))              # [B, d, nT]
-    mixed = T.matmul(flipped, fusion.params["mix.w"])      # [B, d, T]
+    mixed = T.matmul(flipped, fusion.params["mix"].w)      # [B, d, T]
     return T.transpose(mixed, (0, 2, 1))
 
 
 def _fuse_moe(fusion, q_major, supportive):
     x = _channel_concat(supportive)                        # [B, T, (n-1)d]
-    p = fusion.params
-    logits = T.matmul(x, p["gate.w"]) + p["gate.b"]        # [B, T, E]
+    gate = fusion.params["gate"]
+    logits = T.matmul(x, gate.w) + gate.b                  # [B, T, E]
     probs = T.softmax(logits, axis=-1)
     # hard top-1 routing; the selected probability scales the expert output
     # so the gate still receives gradient
@@ -121,11 +128,11 @@ def _fuse_moe(fusion, q_major, supportive):
     onehot = np.eye(MOE_EXPERTS, dtype=probs.data.dtype)[choice]
     scaled = probs * T.Tensor(onehot)
     out = None
-    for e in range(MOE_EXPERTS):
+    for e, expert in enumerate(fusion.params["experts"]):
         column = np.zeros(MOE_EXPERTS, dtype=probs.data.dtype)
         column[e] = 1.0
         weight = T.tsum(scaled * T.Tensor(column), axis=-1, keepdims=True)
-        y = T.matmul(x, p[f"experts.{e}.w"]) + p[f"experts.{e}.b"]
+        y = T.matmul(x, expert.w) + expert.b
         term = y * weight
         out = term if out is None else out + term
     return T.concat([q_major, out], axis=1)
@@ -138,9 +145,7 @@ def _fuse_cross_attention(fusion, q_major, supportive):
     tcount, d = p["prompts"].shape
     prompts = T.broadcast_to(T.reshape(p["prompts"], (1, tcount, d)),
                              (b, tcount, d))
-    weights = AttentionWeights(wq=p["attn.wq"], wk=p["attn.wk"],
-                               wv=p["attn.wv"], wo=p["attn.wo"])
-    attended = attention(prompts, everything, weights, fusion.heads)
+    attended = attention(prompts, everything, p["attn"], fusion.heads)
     return T.concat([q_major, attended], axis=1)
 
 
@@ -149,8 +154,10 @@ def fuse_variant(fusion: FusionModule, q_major: T.Tensor,
     """Dispatch on the configured strategy: the fused tokens [B, budget, d].
 
     With no supportive modalities every strategy degenerates to passing
-    the major tokens through untouched (token budget T).
+    the major tokens through untouched (token budget T). The budget is
+    computed first, so an unknown strategy fails there, by name.
     """
+    expected = token_budget(fusion.strategy, len(supportive) + 1, fusion.tokens)
     if not supportive:
         return q_major
     if fusion.strategy == "SelfGated":
@@ -163,7 +170,6 @@ def fuse_variant(fusion: FusionModule, q_major: T.Tensor,
         out = _fuse_moe(fusion, q_major, supportive)
     else:
         out = _fuse_cross_attention(fusion, q_major, supportive)
-    expected = token_budget(fusion.strategy, len(supportive) + 1, fusion.tokens)
     if out.shape[1] != expected:
         raise AssertionError(f"fused token count {out.shape[1]} "
                              f"violates the budget {expected}")

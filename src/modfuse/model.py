@@ -1,7 +1,8 @@
 """Full model assembly: backbone, adapters, fusion, prefixes, answer head.
 
 Builds a parameter registry over every component from uniquely named
-modalities, one of them named the major; every other is supportive.
+modalities, one of them named the major; every other is supportive. No
+modality may take one of ``RESERVED_NAMES``.
 The forward pass is a pure function of registered parameters and the
 input batch.
 
@@ -18,12 +19,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from modfuse import tensor as T
-from modfuse.adapters import (FeatureBatch, MMQAdapter, ParamRegistry,
-                              mmqa_create, named_tensors)
+from modfuse.adapters import (STRUCTURAL_TAGS, FeatureBatch, MMQAdapter,
+                              ParamRegistry, mmqa_create, named_tensors)
 from modfuse.backbone import Backbone, init_backbone, qformer_forward
 from modfuse.bench import BenchModality
-from modfuse.fusion import (FusionModule, create_fusion, create_prefixes,
-                            fuse_variant, prefix_schedule)
+from modfuse.fusion import (FUSED_TAG, FusionModule, create_fusion,
+                            create_prefixes, fuse_variant, prefix_schedule)
 from modfuse.reasoner import (AnswerHead, assemble_input, create_head,
                               input_length, predict)
 
@@ -32,6 +33,11 @@ from modfuse.reasoner import (AnswerHead, assemble_input, create_head,
 # per-core L2 (1-2 MiB), every elementwise pass over it stays in cache;
 # the whole eval batch at once streams each pass from L3.
 HEAD_TILE_BYTES = 3 << 18
+
+# Names no modality may take: a modality's name is its adapter's registry
+# tag, its prefix's key and its census key, so it must not be a structural
+# tag, the fused block's prefix or another census key.
+RESERVED_NAMES = (*STRUCTURAL_TAGS, FUSED_TAG, "trainable", "total")
 
 
 @dataclass(frozen=True)
@@ -74,6 +80,11 @@ class FusionModel:
         names = [m.name for m in modalities]
         if len(set(names)) != len(names):
             raise ValueError("duplicate modality names")
+        for name in names:
+            if name in RESERVED_NAMES:
+                raise ValueError(f"modality name '{name}' is reserved; "
+                                 f"{', '.join(RESERVED_NAMES)} name other "
+                                 f"parts of the model")
         if major not in names:
             raise ValueError(f"major modality '{major}' is not one of {names}")
         self.dims = dims

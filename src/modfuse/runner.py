@@ -19,6 +19,7 @@ from modfuse.bench import (TEST_STREAM, TRAIN_STREAM, BenchModality,
 from modfuse.checkpoint import (load_checkpoint, model_from_checkpoint,
                                 save_checkpoint)
 from modfuse.config import RunConfig, build_model
+from modfuse.fusion import STRATEGIES
 from modfuse.metrics import run_records, summarize, write_jsonl
 from modfuse.model import FusionModel, ModelDims
 from modfuse.training import fit, predict_dataset
@@ -28,7 +29,6 @@ CHECKPOINT_NAME = "model.ckpt"
 METRICS_NAME = "metrics.jsonl"
 
 ABLATE_AXES = ("fusion", "rank", "tokens", "mode")
-_FUSION_GRID = ("Concat", "Linear", "MoE", "CrossAttention", "SelfGated")
 _RANK_GRID = (2, 4, 8)
 _TOKEN_GRID = (2, 4, 8)
 _MODE_GRID = ("sequential", "joint")
@@ -120,7 +120,7 @@ def run_eval(ckpt_path: str, modalities: list[str] | None = None,
 def _variant_configs(config: RunConfig, axis: str):
     """The ablation grid along one axis, as (label, config) pairs."""
     if axis == "fusion":
-        for strategy in _FUSION_GRID:
+        for strategy in STRATEGIES:
             yield strategy, dataclasses.replace(config, strategy=strategy)
     elif axis == "rank":
         for rank in _RANK_GRID:

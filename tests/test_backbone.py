@@ -244,6 +244,14 @@ class TestRegistryCensus:
         with pytest.raises(ValueError, match="unknown"):
             count_trainable(reg, "thermal")
 
+    def test_whole_model_is_none_not_a_tag(self):
+        # "all" is an ordinary tag name, so a modality may take it
+        reg = self.build_registry()
+        assert count_trainable(reg, None) == count_trainable(reg) == \
+            sum(count_trainable(reg, tag) for tag in reg.tags())
+        with pytest.raises(ValueError, match="unknown registry tag 'all'"):
+            count_trainable(reg, "all")
+
     def test_duplicate_name_rejected(self):
         reg = self.build_registry()
         with pytest.raises(ValueError, match="duplicate"):

@@ -7,11 +7,14 @@ import threading
 import numpy as np
 import pytest
 
+from modfuse import tensor as T
+from modfuse.adapters import ParamRegistry
 from modfuse.checkpoint import (MAGIC, CheckpointError, checkpoint_bytes,
                                 load_checkpoint, model_from_checkpoint,
                                 parse_checkpoint, restore_into,
                                 save_checkpoint)
 from modfuse.config import build_model, parse_config
+from modfuse.model import FusionModel
 
 TWO = """
 modalities = video,audio
@@ -260,3 +263,85 @@ class TestForceRestore:
         assert warnings == ["skipped: 'prefix.audio' from the checkpoint "
                             "is not in the model"]
         assert other.registry.checksum() == model.registry.checksum()
+
+
+def small_registry(*names, dtype=np.float32):
+    """A registry of one [2, 3] tensor per name, values 0..5 plus its index."""
+    reg = ParamRegistry()
+    for i, name in enumerate(names):
+        reg.register(name, T.Tensor(np.arange(6.0).reshape(2, 3) + i,
+                                    requires_grad=True, dtype=dtype), "fusion")
+    return reg
+
+
+class TestCodec:
+    """Paths of the byte layout that whole-model round trips never reach."""
+
+    def test_every_proper_prefix_is_truncated(self):
+        raw = checkpoint_bytes(small_registry("a.x", "a.y"),
+                               parse_config(TWO))
+        for n in range(len(raw)):
+            with pytest.raises(CheckpointError,
+                               match=r"^truncated at byte \d+: needed \d+ "
+                                     r"bytes for "):
+                parse_checkpoint(raw[:n])
+
+    def test_float64_model_round_trips_bitwise(self):
+        cfg = parse_config(TWO)
+
+        def build():
+            return FusionModel(cfg.dims, cfg.spec.modalities, cfg.major,
+                               cfg.strategy, cfg.spec.vocab,
+                               cfg.spec.classes, cfg.model_seed,
+                               dtype=np.float64)
+
+        model = build()
+        raw = checkpoint_bytes(model.registry, cfg)
+        ckpt = parse_checkpoint(raw)
+        assert {a.dtype for a in ckpt.tensors.values()} == \
+            {np.dtype("<f8")}
+        other = build()
+        for _, t in other.registry.named():
+            t.data += 1.0
+        assert restore_into(other.registry, ckpt) == []
+        assert other.registry.checksum() == model.registry.checksum()
+        assert checkpoint_bytes(other.registry, cfg) == raw
+
+    def test_float16_tensor_refused_on_write(self):
+        reg = small_registry("a.x")
+        reg["a.x"].tensor.data = reg["a.x"].tensor.data.astype(np.float16)
+        with pytest.raises(CheckpointError,
+                           match="^tensor 'a.x' has unsupported dtype "
+                                 "float16$"):
+            checkpoint_bytes(reg, parse_config(TWO))
+
+    def test_unknown_dtype_code_refused(self):
+        cfg = parse_config(TWO)
+        raw = bytearray(checkpoint_bytes(small_registry("a.x"), cfg))
+        # magic, version, digest, config length and text, tensor count,
+        # name length and name, then the dtype code
+        code_at = 4 + 4 + 32 + 4 + len(cfg.to_text().encode()) + 4 + 2 + 3
+        assert raw[code_at] == 0
+        raw[code_at] = 2
+        with pytest.raises(CheckpointError,
+                           match="^tensor 'a.x' has unknown dtype code$"):
+            parse_checkpoint(bytes(raw))
+
+    def test_duplicate_tensor_name_refused(self):
+        raw = checkpoint_bytes(small_registry("a.x", "a.y"),
+                               parse_config(TWO))
+        assert raw.count(b"a.y") == 1
+        with pytest.raises(CheckpointError,
+                           match="^duplicate tensor 'a.x'$"):
+            parse_checkpoint(raw.replace(b"a.y", b"a.x"))
+
+    def test_bad_end_marker_refused(self):
+        raw = checkpoint_bytes(small_registry("a.x"), parse_config(TWO))
+        with pytest.raises(CheckpointError, match="^bad end marker$"):
+            parse_checkpoint(raw[:-4] + b"END?")
+
+    def test_overlong_name_refused(self):
+        with pytest.raises(CheckpointError,
+                           match=r"^name too long \(65536 bytes\)$"):
+            checkpoint_bytes(small_registry("x" * 0x10000),
+                             parse_config(TWO))

@@ -54,7 +54,7 @@ class TestTokenBudget:
 class TestSelfGated:
     def test_zero_projection_passes_major_with_zero_block(self):
         fusion = build("SelfGated", 3)
-        fusion.params["merge.w"].data[...] = 0.0
+        fusion.params["merge"].w.data[...] = 0.0
         sets = token_sets(3)
         out = fuse_self_gated(fusion, sets[0], sets[1:])
         tcount = sets[0].shape[1]
@@ -63,8 +63,8 @@ class TestSelfGated:
 
     def test_constant_two_gates_to_known_value(self):
         fusion = build("SelfGated", 2)
-        fusion.params["merge.w"].data[...] = 0.0
-        fusion.params["merge.b"].data[...] = 2.0
+        fusion.params["merge"].w.data[...] = 0.0
+        fusion.params["merge"].b.data[...] = 2.0
         sets = token_sets(2)
         out = fuse_self_gated(fusion, sets[0], sets[1:])
         gated = out.data[:, 4:, :]
@@ -74,7 +74,8 @@ class TestSelfGated:
         fusion = build("SelfGated", 4)
         sets = token_sets(4, seed=3)
         merged = np.concatenate([s.data for s in sets[1:]], axis=-1)
-        g = merged @ fusion.params["merge.w"].data + fusion.params["merge.b"].data
+        merge = fusion.params["merge"]
+        g = merged @ merge.w.data + merge.b.data
         out = fuse_self_gated(fusion, sets[0], sets[1:])
         gated = out.data[:, 4:, :]
         assert np.all(np.abs(gated) <= np.abs(g) + 1e-12)
@@ -99,7 +100,7 @@ class TestSelfGated:
             out = fuse_self_gated(fusion, sets[0], sets[1:])
             return T.tmean(out * out)
 
-        params = {f"fusion.{k}": v for k, v in fusion.params.items()}
+        params = dict(named_tensors(fusion.params, "fusion"))
         report = T.grad_check(f, params)
         assert report.passed, report.summary()
 
@@ -120,8 +121,8 @@ class TestVariants:
         sets = token_sets(3, seed=11)
         out = fuse_variant(fusion, sets[0], sets[1:])
         x = np.concatenate([s.data for s in sets[1:]], axis=-1)
-        p = {k: v.data for k, v in fusion.params.items()}
-        logits = x @ p["gate.w"] + p["gate.b"]
+        gate, experts = fusion.params["gate"], fusion.params["experts"]
+        logits = x @ gate.w.data + gate.b.data
         e = np.exp(logits - logits.max(axis=-1, keepdims=True))
         probs = e / e.sum(axis=-1, keepdims=True)
         choice = probs.argmax(axis=-1)
@@ -129,15 +130,17 @@ class TestVariants:
         for b in range(x.shape[0]):
             for t in range(x.shape[1]):
                 sel = choice[b, t]
-                y = x[b, t] @ p[f"experts.{sel}.w"] + p[f"experts.{sel}.b"]
+                y = x[b, t] @ experts[sel].w.data + experts[sel].b.data
                 expected[b, t] = probs[b, t, sel] * y
         np.testing.assert_allclose(out.data[:, 4:, :], expected,
                                    atol=1e-10)
 
     def test_moe_expert_count(self):
         fusion = build("MoE", 3)
-        experts = [k for k in fusion.params if k.startswith("experts.")]
-        assert len(experts) == 2 * MOE_EXPERTS  # weight and bias each
+        experts = fusion.params["experts"]
+        assert len(experts) == MOE_EXPERTS
+        assert all(e.w.shape == (64, 32) and e.b.shape == (32,)
+                   for e in experts)
 
     def test_cross_attention_output_contract(self):
         fusion = build("CrossAttention", 4)
@@ -145,6 +148,15 @@ class TestVariants:
         out = fuse_variant(fusion, sets[0], sets[1:])
         assert out.shape == (2, 8, 32)
         assert np.array_equal(out.data[:, :4, :], sets[0].data)
+
+    def test_unknown_strategy_fails_on_fuse(self):
+        # a hand-built module skips the model's check; fusing it must name
+        # the strategy, not fail on a missing parameter
+        fusion = build("Mixer", 3)
+        sets = token_sets(3)
+        with pytest.raises(ValueError,
+                           match="^unknown fusion strategy 'Mixer'$"):
+            fuse_variant(fusion, sets[0], sets[1:])
 
     def test_single_modality_passthrough(self):
         for strategy in STRATEGIES:

@@ -60,6 +60,17 @@ class TestModelDims:
 
 
 class TestAssembly:
+    # registry tags, the fused prefix and census keys: a modality of one
+    # of these names would share its tensors' tag or overwrite its key
+    @pytest.mark.parametrize("name", ["fusion", "frozen", "fused",
+                                      "trainable", "total"])
+    def test_reserved_modality_name_rejected(self, name):
+        mods = [BenchModality("video", 16, 5), BenchModality(name, 24, 4)]
+        for major in ("video", name):
+            with pytest.raises(ValueError, match=f"^modality name '{name}' "
+                                                 f"is reserved"):
+                FusionModel(ModelDims(), mods, major, "SelfGated", 12, 11, 0)
+
     def test_unknown_strategy_rejected(self):
         with pytest.raises(ValueError, match="unknown fusion strategy 'Mixer'"):
             build_model("Mixer")

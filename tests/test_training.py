@@ -455,17 +455,17 @@ class TestEveryTrainableTrains:
         with T.no_grad():
             tokens = model.modality_tokens(batch.features, taped=set())
             x = T.concat([tokens[m] for m in model.supportive], axis=-1)
-            probs = T.softmax(T.matmul(x, p["gate.w"]) + p["gate.b"],
+            probs = T.softmax(T.matmul(x, p["gate"].w) + p["gate"].b,
                               axis=-1)
         routed = {int(e) for e in np.unique(np.argmax(probs.data, axis=-1))}
         assert 0 < len(routed) < MOE_EXPERTS   # both sides of the rule
-        experts = [[f"experts.{e}.w", f"experts.{e}.b"]
-                   for e in range(MOE_EXPERTS)]
-        before = [[p[k].data.copy() for k in keys] for keys in experts]
+        experts = [[e.w, e.b] for e in p["experts"]]
+        assert len(experts) == MOE_EXPERTS
+        before = [[t.data.copy() for t in ts] for ts in experts]
         train_step(model, T.Adam(lr=1e-2), batch, {"fusion"})
-        moved = {e for e, keys in enumerate(experts)
-                 if any(not np.array_equal(p[k].data, old)
-                        for k, old in zip(keys, before[e]))}
+        moved = {e for e, ts in enumerate(experts)
+                 if any(not np.array_equal(t.data, old)
+                        for t, old in zip(ts, before[e]))}
         assert moved == routed
 
 
