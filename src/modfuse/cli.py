@@ -87,7 +87,7 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    report = run_gradcheck(sample=args.sample, seed=args.seed)
+    report = run_gradcheck(sample=args.sample)
     print(report.summary())
     return 0 if report.passed else 1
 
@@ -151,7 +151,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sample", type=int, default=None,
                    help="check a random subset of this many elements per "
                         "tensor instead of every element")
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_gradcheck)
 
     p = sub.add_parser("report", help="summarize metrics files")

@@ -30,7 +30,7 @@ from typing import get_type_hints
 
 from modfuse.bench import BenchModality, BenchSpec
 from modfuse.fusion import STRATEGIES
-from modfuse.model import FusionModel, ModelDims
+from modfuse.model import RESERVED_NAMES, FusionModel, ModelDims
 from modfuse.training import TrainConfig
 
 
@@ -73,6 +73,12 @@ def _convert(key: str, value: str, kind: type, where: str):
                               f"one name")
         if len(set(names)) != len(names):
             raise ConfigError(f"{where}: field '{key}' has duplicate names")
+        for name in names:
+            if name in RESERVED_NAMES:
+                raise ConfigError(f"{where}: field '{key}' names '{name}', "
+                                  f"which is reserved; "
+                                  f"{', '.join(RESERVED_NAMES)} name other "
+                                  f"parts of the model")
         return names
     try:
         if kind is bool:

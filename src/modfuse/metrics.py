@@ -8,8 +8,6 @@ from __future__ import annotations
 
 import json
 
-import numpy as np
-
 from modfuse.bench import QUESTION_LEN
 from modfuse.fusion import token_budget
 from modfuse.model import FusionModel
@@ -19,23 +17,10 @@ from modfuse.training import TrainReport, census_summary
 SCHEMA_VERSION = 1
 
 
-def _plain(value):
-    """Recursively convert numpy scalars and containers to JSON types."""
-    if isinstance(value, dict):
-        return {str(k): _plain(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_plain(v) for v in value]
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    return value
-
-
 def model_flops(model: FusionModel) -> int:
     """Analytic per-example cost of the frozen reasoning stage."""
     return reasoner_flops(len(model.order), model.dims.tokens,
-                          QUESTION_LEN, model.strategy, model.dims.d,
-                          model.dims.resolved_head_width(),
-                          model.dims.head_layers)
+                          QUESTION_LEN, model.strategy, model.dims.d)
 
 
 def run_records(model: FusionModel, report: TrainReport) -> list[dict]:
@@ -63,7 +48,7 @@ def run_records(model: FusionModel, report: TrainReport) -> list[dict]:
 
 
 def dumps_record(record: dict) -> str:
-    return json.dumps(_plain(record), sort_keys=True,
+    return json.dumps(record, sort_keys=True,
                       separators=(",", ":"))
 
 

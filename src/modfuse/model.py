@@ -7,7 +7,8 @@ The forward pass is a pure function of registered parameters and the
 input batch.
 
 ``ModelDims`` is frozen and checks its ranges when built; the component
-constructors take its sizes as given. ``FusionModel`` rejects an unknown
+constructors take its sizes as given, and the answer head's size follows
+from ``d`` (``reasoner.head_width``). ``FusionModel`` rejects an unknown
 strategy through ``prefix_schedule``.
 """
 
@@ -26,13 +27,17 @@ from modfuse.bench import BenchModality
 from modfuse.fusion import (FUSED_TAG, FusionModule, create_fusion,
                             create_prefixes, fuse_variant, prefix_schedule)
 from modfuse.reasoner import (AnswerHead, assemble_input, create_head,
-                              input_length, predict)
+                              head_width, input_length, predict)
 
 # Byte budget for the answer head's widest activation in forward-only
 # prediction, its feed-forward hidden [rows, seq, 4*width]. Kept within a
 # per-core L2 (1-2 MiB), every elementwise pass over it stays in cache;
 # the whole eval batch at once streams each pass from L3.
 HEAD_TILE_BYTES = 3 << 18
+
+# Rows per query-transformer pass in forward-only prediction (evaluation,
+# and an exited modality's tokens): enough to keep per-op overhead low.
+EVAL_BATCH = 256
 
 # Names no modality may take: a modality's name is its adapter's registry
 # tag, its prefix's key and its census key, so it must not be a structural
@@ -47,27 +52,19 @@ class ModelDims:
     heads: int = 4
     tokens: int = 4
     rank: int = 4
-    head_width: int = 0      # 0 means 2*d
-    head_layers: int = 2
 
     def __post_init__(self):
-        for name, low in (("d", 1), ("layers", 1), ("heads", 1),
-                          ("tokens", 1), ("head_width", 0),
-                          ("head_layers", 0)):
+        for name in ("d", "layers", "heads", "tokens"):
             value = getattr(self, name)
-            if value < low:
-                raise ValueError(f"model.{name} must be at least {low}, "
+            if value < 1:
+                raise ValueError(f"model.{name} must be at least 1, "
                                  f"got {value}")
         if not 1 <= self.rank < self.d:
             raise ValueError(f"model.rank must be at least 1 and below "
                              f"model.d ({self.d}), got {self.rank}")
+        # the answer head, twice as wide, is then divisible too
         if self.d % self.heads:
             raise ValueError("model.d must be divisible by model.heads")
-        if self.resolved_head_width() % self.heads:
-            raise ValueError("head width must be divisible by model.heads")
-
-    def resolved_head_width(self) -> int:
-        return self.head_width if self.head_width > 0 else 2 * self.d
 
 
 class FusionModel:
@@ -109,8 +106,7 @@ class FusionModel:
         self.prefixes = create_prefixes(names, self.schedule, dims.d, seed,
                                         dtype=dtype)
         self.head: AnswerHead = create_head(
-            seed, dims.d, dims.resolved_head_width(), dims.heads,
-            dims.head_layers, vocab, classes,
+            seed, dims.d, dims.heads, vocab, classes,
             train_classifier=train_classifier, dtype=dtype)
         self.registry = self._build_registry()
 
@@ -213,14 +209,14 @@ class FusionModel:
         the most whose head feed-forward hidden fits HEAD_TILE_BYTES, for
         questions of ``q_len`` tokens; at least one."""
         seq = input_length(len(self.schedule), self.dims.tokens, q_len)
-        row_bytes = (seq * 4 * self.dims.resolved_head_width()
+        row_bytes = (seq * 4 * head_width(self.dims.d)
                      * np.dtype(self.dtype).itemsize)
         return max(1, HEAD_TILE_BYTES // row_bytes)
 
     def predict_classes(self, features: dict[str, np.ndarray],
                         question_ids: np.ndarray,
                         tokens: dict[str, np.ndarray] | None = None,
-                        batch_size: int = 256) -> np.ndarray:
+                        batch_size: int = EVAL_BATCH) -> np.ndarray:
         """Argmax classes, forward-only, in two passes. Each modality's
         tokens come from ``tokens`` when it holds them, or else from
         :meth:`forward_only_tokens` in ``batch_size`` chunks. Fusion and

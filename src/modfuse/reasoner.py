@@ -1,9 +1,11 @@
 """Frozen answer head: a stand-in for the downstream language model.
 
 Consumes [prefix tokens; fused modality tokens; question tokens],
-projects them into its own (wider) hidden size, runs a small frozen
-transformer encoder with full attention, mean-pools, and classifies
-over the closed answer vocabulary. Frozen after random init, so all
+projects them into its own hidden size (:func:`head_width`, twice the
+token width d), runs a frozen transformer encoder of ``HEAD_LAYERS``
+layers with full attention, mean-pools, and classifies over the closed
+answer vocabulary. Like the frozen language model it stands in for, its
+shape is fixed rather than configured. Frozen after random init, so all
 task-solving capacity must come from the adapters and the fusion
 module. A config flag may make the final classifier trainable; that
 escape hatch is reported in metrics whenever it is on.
@@ -39,6 +41,13 @@ from modfuse.rng import component_rng
 HEAD_GAIN = 6.0
 ATTN_GAIN = 12.0
 
+HEAD_LAYERS = 2
+
+
+def head_width(d: int) -> int:
+    """The answer head's hidden width for fused tokens of width ``d``."""
+    return 2 * d
+
 
 @dataclass
 class HeadLayer:
@@ -57,10 +66,11 @@ class AnswerHead:
     classifier: Affine        # [width, classes]
 
 
-def create_head(seed: int, d: int, width: int, heads: int, layers: int,
-                vocab: int, classes: int, train_classifier: bool = False,
+def create_head(seed: int, d: int, heads: int, vocab: int, classes: int,
+                train_classifier: bool = False,
                 dtype=np.float32) -> AnswerHead:
     rng = component_rng(seed, "head")
+    width = head_width(d)
 
     def normal(shape, gain=1.0, trainable=False):
         return T.Tensor(rng.normal(0.0, gain * INIT_STD, size=shape),
@@ -89,7 +99,7 @@ def create_head(seed: int, d: int, width: int, heads: int, layers: int,
             ln2=ln(),
             ffn=FeedForward(w1=normal((width, 4 * width), gain=HEAD_GAIN),
                             w2=normal((4 * width, width), gain=HEAD_GAIN)),
-        ) for _ in range(layers)], classifier=classifier)
+        ) for _ in range(HEAD_LAYERS)], classifier=classifier)
 
 
 def input_length(blocks: int, tokens: int, q_len: int) -> int:
@@ -131,20 +141,19 @@ def predict(head: AnswerHead, assembled: T.Tensor) -> T.Tensor:
     return T.matmul(pooled, head.classifier.w) + head.classifier.b
 
 
-def reasoner_flops(n: int, tokens: int, q_len: int, strategy: str, d: int,
-                   width: int | None = None, layers: int = 2) -> int:
+def reasoner_flops(n: int, tokens: int, q_len: int, strategy: str,
+                   d: int) -> int:
     """Analytic multiply-accumulate estimate for one example.
 
     The sequence length is :func:`input_length`; the count is dominated
     by attention (seq^2 * width) and feed-forward (seq * width^2) terms.
     """
-    if width is None:
-        width = 2 * d
+    width = head_width(d)
     seq = input_length(block_count(strategy, n), tokens, q_len)
     per_layer = 4 * seq * width * width      # q, k, v, o projections
     per_layer += 2 * seq * seq * width       # scores and weighted sum
     per_layer += 8 * seq * width * width     # feed-forward, expansion 4x
-    total = layers * per_layer
+    total = HEAD_LAYERS * per_layer
     total += seq * d * width                 # input projection
     total += width                           # pooling
     return int(total)

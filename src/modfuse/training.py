@@ -15,10 +15,11 @@ its adapter and the example, so they are computed once per adapter
 state. Within a minibatch, the steps share one cache of them, and a
 step drops the entries of the modalities it updated. When a modality
 exits, its tokens for every train and test example are computed once,
-in ``eval_batch`` chunks, and feed every later step and evaluation, so
-an exited modality's query transformer never runs again: early exit
-saves compute, not just optimizer steps. This relies on the tokens of
-an example not depending on the rest of its batch, which a test pins.
+in ``model.EVAL_BATCH`` chunks, and feed every later step and
+evaluation, so an exited modality's query transformer never runs again:
+early exit saves compute, not just optimizer steps. This relies on the
+tokens of an example not depending on the rest of its batch, which a
+test pins.
 Joint mode is the conventional alternative: one step per minibatch, all
 trainable tensors of active modalities and fusion updated together.
 
@@ -36,7 +37,7 @@ import numpy as np
 from modfuse import tensor as T
 from modfuse.adapters import ParamRegistry, count_trainable, total_scalars
 from modfuse.bench import Dataset, accuracy_by_template
-from modfuse.model import FusionModel
+from modfuse.model import EVAL_BATCH, FusionModel
 
 MODES = ("sequential", "joint")
 
@@ -44,8 +45,6 @@ MODES = ("sequential", "joint")
 @dataclass(frozen=True)
 class TrainConfig:
     lr: float = 3e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
     epochs: int = 8
     batch_size: int = 32
     seed: int = 0
@@ -53,17 +52,11 @@ class TrainConfig:
     mode: str = "sequential"
     early_exit: bool = False
     exit_on_rise: bool = False     # alternative inequality direction
-    eval_batch: int = 256
 
     def __post_init__(self):
-        # with lr <= 0 no step descends, and a NaN lr or a beta of 1 (a
-        # zero bias correction) fails only inside fit
+        # with lr <= 0 no step descends, and a NaN lr fails only inside fit
         if not (math.isfinite(self.lr) and self.lr > 0):
             raise ValueError(f"lr must be finite and positive, got {self.lr}")
-        for name in ("beta1", "beta2"):
-            beta = getattr(self, name)
-            if not 0 <= beta < 1:
-                raise ValueError(f"{name} must be in [0, 1), got {beta}")
         if self.mode not in MODES:
             raise ValueError(f"unknown training mode '{self.mode}'")
         # a NaN tau makes every exit indicator NaN, an infinite one makes
@@ -78,15 +71,16 @@ class TrainConfig:
             raise ValueError("early exit needs at least 2 epochs of history")
         if self.batch_size < 1 or self.epochs < 1:
             raise ValueError("batch size and epochs must be positive")
-        if self.eval_batch < 1:
-            raise ValueError("eval batch must be positive")
 
 
 @dataclass
 class GradHistory:
     values: list[float] = field(default_factory=list)
-    active: bool = True
     exit_epoch: int | None = None
+
+    @property
+    def active(self) -> bool:
+        return self.exit_epoch is None
 
 
 @dataclass
@@ -204,10 +198,10 @@ def train_step(model: FusionModel, opt: T.Adam, batch: Dataset,
     return float(loss.data), gmags
 
 
-def evaluate(model: FusionModel, data: Dataset, batch_size: int = 256,
+def evaluate(model: FusionModel, data: Dataset,
              tokens: dict[str, np.ndarray] | None = None) -> dict[str, float]:
     """Exact-match accuracy, overall and per template."""
-    preds = predict_dataset(model, data, batch_size, tokens=tokens)
+    preds = predict_dataset(model, data, tokens=tokens)
     return accuracy_by_template(preds, data)
 
 
@@ -218,7 +212,8 @@ def masked_features(features: dict[str, np.ndarray],
             for m, f in features.items()}
 
 
-def predict_dataset(model: FusionModel, data: Dataset, batch_size: int = 256,
+def predict_dataset(model: FusionModel, data: Dataset,
+                    batch_size: int = EVAL_BATCH,
                     visible: set[str] | None = None,
                     tokens: dict[str, np.ndarray] | None = None) -> np.ndarray:
     """Predicted classes (see ``FusionModel.predict_classes``; query
@@ -285,7 +280,7 @@ def train_epoch(model: FusionModel, opt: T.Adam, train: Dataset,
 def fit(model: FusionModel, train: Dataset, test: Dataset,
         config: TrainConfig) -> TrainReport:
     """Full training run; early-exit checks fire at each epoch end."""
-    opt = T.Adam(lr=config.lr, beta1=config.beta1, beta2=config.beta2)
+    opt = T.Adam(lr=config.lr)
     history = {m: GradHistory() for m in model.order}
     report = TrainReport(mode=config.mode)
     report.history = history
@@ -304,14 +299,13 @@ def fit(model: FusionModel, train: Dataset, test: Dataset,
                 indicators[m] = early_exit_indicator(h.values, config.tau)
                 if config.early_exit and should_exit(
                         h.values, config.tau, config.exit_on_rise):
-                    h.active = False
                     h.exit_epoch = epoch
                     if epoch < config.epochs:
                         train_tokens[m] = model.forward_only_tokens(
-                            m, train.features[m], config.eval_batch)
+                            m, train.features[m], EVAL_BATCH)
                     test_tokens[m] = model.forward_only_tokens(
-                        m, test.features[m], config.eval_batch)
-        accuracy = evaluate(model, test, config.eval_batch, test_tokens)
+                        m, test.features[m], EVAL_BATCH)
+        accuracy = evaluate(model, test, test_tokens)
         report.epochs.append(EpochRecord(
             epoch=epoch, loss=loss, accuracy=accuracy,
             grad_mag=dict(averages), indicator=indicators,

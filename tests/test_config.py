@@ -8,6 +8,7 @@ import pytest
 
 from modfuse.config import (KEYS, ConfigError, RunConfig, build_model,
                             load_config, parse_config, parse_kv_text)
+from modfuse.model import RESERVED_NAMES
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -30,6 +31,10 @@ train.lr = 0.003
 """
 # the line number of a key appended to BASE
 APPENDED = len(BASE.splitlines()) + 1
+# keys that parse_config once accepted; checkpoints of that time name them
+REMOVED_KEYS = ["train.shuffle_modalities", "train.warm_start",
+                "train.beta1", "train.beta2", "train.eval_batch",
+                "model.head_width", "model.head_layers"]
 
 
 class TestRawParser:
@@ -92,37 +97,51 @@ class TestFullParse:
             parse_config(BASE.replace("seq_len = 8", "seq_len = long"),
                          source="my.cfg")
 
-    @pytest.mark.parametrize("name", ["shuffle_modalities", "warm_start"])
-    def test_removed_train_keys_rejected(self, name):
+    @pytest.mark.parametrize("key", REMOVED_KEYS)
+    def test_removed_keys_rejected(self, key):
         # checkpoints written while these existed name them; reject, retrain
         with pytest.raises(ConfigError,
                            match=f"^old.cfg:{APPENDED}: unknown key "
-                                 f"'train.{name}'"):
-            parse_config(BASE + f"train.{name} = false\n", source="old.cfg")
+                                 f"'{key}'"):
+            parse_config(BASE + f"{key} = 1\n", source="old.cfg")
 
     def test_keys_are_pinned(self):
         # a new dataclass field is a new key, and a new line in the config
         # text of every checkpoint; that must be a deliberate change
         assert sorted(KEYS) == [
             "bench.alphabet", "bench.noise", "bench.seed", "bench.test_size",
-            "bench.train_size", "model.d", "model.head_layers",
-            "model.head_width", "model.heads", "model.layers",
+            "bench.train_size", "model.d", "model.heads", "model.layers",
             "model.modalities", "model.rank", "model.seed", "model.strategy",
             "model.tokens", "model.train_classifier", "run.name",
-            "run.outdir", "train.batch_size", "train.beta1", "train.beta2",
-            "train.early_exit", "train.epochs", "train.eval_batch",
-            "train.exit_on_rise", "train.lr", "train.mode", "train.seed",
-            "train.tau"]
+            "run.outdir", "train.batch_size", "train.early_exit",
+            "train.epochs", "train.exit_on_rise", "train.lr", "train.mode",
+            "train.seed", "train.tau"]
 
     @pytest.mark.parametrize("value,message", [
         ("video,audio,video", "has duplicate names"),
         (" , ", "must list at least one name"),
+        ("video,total", "names 'total', which is reserved"),
     ])
     def test_modalities_value_errors_name_the_line(self, value, message):
         text = BASE.replace("modalities = video,audio,depth",
                             f"modalities = {value}")
         with pytest.raises(ConfigError,
                            match=f"^my.cfg:3: field 'modalities' {message}"):
+            parse_config(text, source="my.cfg")
+
+    @pytest.mark.parametrize("name", RESERVED_NAMES)
+    @pytest.mark.parametrize("key", ["modalities", "model.modalities"])
+    def test_every_reserved_name_rejected_at_its_line(self, key, name):
+        # both keys read the one list FusionModel checks, so every reserved
+        # name fails at parse time with source:line, not later in build_model
+        if key == "modalities":
+            text, line = BASE.replace("modalities = video,audio,depth",
+                                      f"modalities = video,{name}"), 3
+        else:
+            text, line = BASE + f"model.modalities = video,{name}\n", APPENDED
+        with pytest.raises(ConfigError,
+                           match=f"^my.cfg:{line}: field '{key}' names "
+                                 f"'{name}', which is reserved"):
             parse_config(text, source="my.cfg")
 
     def test_readme_config_block_matches_parser(self):
@@ -133,7 +152,7 @@ class TestFullParse:
         # and its comments name every field of every block, and no other
         words = set(re.findall(r"[a-z_0-9]+", block))
         assert {key.split(".")[1] for key in KEYS} <= words
-        assert {"shuffle_modalities", "warm_start"}.isdisjoint(words)
+        assert {key.split(".")[1] for key in REMOVED_KEYS}.isdisjoint(words)
 
     def test_missing_required(self):
         with pytest.raises(ConfigError, match="'modalities' is required"):
@@ -157,15 +176,6 @@ class TestFullParse:
     def test_unknown_mode_rejected(self):
         with pytest.raises(ConfigError, match="unknown training mode"):
             parse_config(BASE + "train.mode = parallel\n")
-
-    def test_negative_eval_batch_rejected(self):
-        # would leave predict_dataset's output uninitialized: accuracy 0.0
-        with pytest.raises(ConfigError, match="eval batch"):
-            parse_config(BASE + "train.eval_batch = -1\n")
-
-    def test_zero_eval_batch_rejected(self):
-        with pytest.raises(ConfigError, match="eval batch"):
-            parse_config(BASE + "train.eval_batch = 0\n")
 
     def test_empty_train_split_rejected(self):
         # would record a NaN epoch loss
@@ -192,16 +202,6 @@ class TestFullParse:
             parse_config(BASE.replace("train.lr = 0.003",
                                       f"train.lr = {value}"))
 
-    @pytest.mark.parametrize("value", ["-0.5", "1.0", "1.5", "nan"])
-    @pytest.mark.parametrize("field", ["beta1", "beta2"])
-    def test_bad_beta_rejected(self, field, value):
-        with pytest.raises(ConfigError, match=rf"{field} must be in \[0, 1\)"):
-            parse_config(BASE + f"train.{field} = {value}\n")
-
-    def test_beta_zero_accepted(self):
-        cfg = parse_config(BASE + "train.beta1 = 0\ntrain.beta2 = 0\n")
-        assert cfg.train.beta1 == 0 and cfg.train.beta2 == 0
-
     @pytest.mark.parametrize("field", ["d", "layers", "heads", "tokens"])
     def test_empty_model_dim_rejected(self, field):
         # heads = 0 raised ZeroDivisionError, the others a plain
@@ -209,14 +209,6 @@ class TestFullParse:
         with pytest.raises(ConfigError,
                            match=f"model.{field} must be at least 1, got 0"):
             parse_config(BASE + f"model.{field} = 0\n")
-
-    @pytest.mark.parametrize("field", ["head_width", "head_layers"])
-    def test_negative_head_dim_rejected(self, field):
-        # a negative head width was read as 2 * d, a negative layer count
-        # as no layers
-        with pytest.raises(ConfigError,
-                           match=f"model.{field} must be at least 0, got -8"):
-            parse_config(BASE + f"model.{field} = -8\n")
 
     @pytest.mark.parametrize("rank", [0, -1, 32, 33])
     def test_rank_outside_hidden_size_rejected(self, rank):
@@ -229,9 +221,9 @@ class TestFullParse:
     def test_smallest_valid_dims_accepted(self):
         cfg = parse_config(BASE + "model.d = 2\nmodel.heads = 1\n"
                            "model.layers = 1\nmodel.tokens = 1\n"
-                           "model.rank = 1\nmodel.head_layers = 0\n")
-        assert cfg.dims.rank == 1 and cfg.dims.resolved_head_width() == 4
-        build_model(cfg)
+                           "model.rank = 1\n")
+        assert cfg.dims.rank == 1
+        assert build_model(cfg).head.input.w.shape == (2, 4)
 
     def test_head_divisibility(self):
         with pytest.raises(ConfigError, match="divisible"):
@@ -372,6 +364,7 @@ class TestModelModalitySubset:
         ("video,video", "has duplicate names"),
         (",", "must list at least one name"),
         ("", "must list at least one name"),
+        ("video,fused", "names 'fused', which is reserved"),
     ])
     def test_value_errors_name_the_line(self, value, message):
         # an explicit empty list is an error; only an absent key means

@@ -8,7 +8,8 @@ from modfuse.adapters import named_tensors
 from modfuse.fusion import (create_fusion, create_prefixes,
                             fuse_self_gated, fuse_variant, prefix_schedule,
                             token_budget, MOE_EXPERTS, STRATEGIES)
-from modfuse.reasoner import assemble_input, create_head, predict, reasoner_flops
+from modfuse.reasoner import (HEAD_LAYERS, assemble_input, create_head,
+                              predict, reasoner_flops)
 
 
 def token_sets(n, tokens=4, d=32, batch=2, seed=0, dtype=np.float64):
@@ -216,8 +217,8 @@ class TestPrefixes:
 
 class TestAnswerHead:
     def setup_method(self):
-        self.head = create_head(seed=0, d=32, width=64, heads=4, layers=2,
-                                vocab=12, classes=11, dtype=np.float64)
+        self.head = create_head(seed=0, d=32, heads=4, vocab=12, classes=11,
+                                dtype=np.float64)
         order = ["video", "audio", "depth"]
         self.prefixes = create_prefixes(order, order + ["fused"], 32, 0,
                                         dtype=np.float64)
@@ -271,9 +272,19 @@ class TestAnswerHead:
         for _, t in named_tensors(self.head, "head"):
             assert t.grad is None
 
+    @pytest.mark.parametrize("d,heads", [(8, 2), (32, 4)])
+    def test_head_is_two_layers_of_width_2d(self, d, heads):
+        head = create_head(seed=0, d=d, heads=heads, vocab=12, classes=11)
+        assert HEAD_LAYERS == 2 and len(head.layers) == HEAD_LAYERS
+        assert head.input.w.shape == (d, 2 * d)
+        for layer in head.layers:
+            assert layer.attn.wq.shape == (2 * d, 2 * d)
+            assert layer.ffn.w1.shape == (2 * d, 8 * d)
+        assert head.classifier.w.shape == (2 * d, 11)
+
     def test_trainable_classifier_flag(self):
-        head = create_head(seed=0, d=32, width=64, heads=4, layers=2,
-                           vocab=12, classes=11, train_classifier=True)
+        head = create_head(seed=0, d=32, heads=4, vocab=12, classes=11,
+                           train_classifier=True)
         trainable = [name for name, t in named_tensors(head, "head")
                      if t.requires_grad]
         assert trainable == ["head.classifier.w", "head.classifier.b"]

@@ -6,7 +6,6 @@ import os
 import numpy as np
 import pytest
 
-from modfuse import model as model_module
 from modfuse.bench import gen_dataset
 from modfuse.checkpoint import save_checkpoint
 from modfuse.cli import main
@@ -128,24 +127,6 @@ class TestRunner:
         assert 0.0 <= masked["accuracy"]["overall"] <= 1.0
         # every modality zeroed: the empty set was reported as all of them
         assert run_eval(result["checkpoint"], modalities=[])["visible"] == []
-
-    def test_eval_honours_eval_batch(self, tmp_path, monkeypatch):
-        # run_eval predicted at the default batch of 256, whatever
-        # train.eval_batch said, for the checkpoint and for the reference
-        cfg = parse_config(SMALL + "train.eval_batch = 7\n")
-        ckpt = run_train(cfg, str(tmp_path))["checkpoint"]
-        rows = []
-        qformer = model_module.qformer_forward
-
-        def counted(backbone, adapter, feats):
-            rows.append(len(feats.features))
-            return qformer(backbone, adapter, feats)
-
-        monkeypatch.setattr(model_module, "qformer_forward", counted)
-        out = run_eval(ckpt, easy_hard=True, reference=ckpt)
-        assert out["examples"] == 32
-        # 2 models x 2 modalities x 5 chunks of 7, 7, 7, 7 and 4 rows
-        assert sorted(rows) == sorted([7, 7, 7, 7, 4] * 4)
 
     def test_eval_rejects_unknown_modality(self, tmp_path):
         cfg = parse_config(SMALL)
@@ -294,13 +275,15 @@ class TestCli:
 
     def test_checkpoint_naming_removed_key_exits_2(self, tmp_path, capsys,
                                                    monkeypatch):
-        # every checkpoint written while train.shuffle_modalities and
-        # train.warm_start existed names them in its config text
+        # every checkpoint written while model.head_layers,
+        # train.shuffle_modalities and train.warm_start existed names them
+        # in its config text; the first in the file is reported
         cfg = parse_config(SMALL)
         lines = sorted(cfg.to_text().splitlines()
-                       + ["train.shuffle_modalities = false",
+                       + ["model.head_layers = 2",
+                          "train.shuffle_modalities = false",
                           "train.warm_start = false"])
-        line = lines.index("train.shuffle_modalities = false") + 1
+        line = lines.index("model.head_layers = 2") + 1
         monkeypatch.setattr(RunConfig, "to_text",
                             lambda self: "\n".join(lines) + "\n")
         bad = str(tmp_path / "old.ckpt")
@@ -312,7 +295,7 @@ class TestCli:
                      [good, "--easy-hard", "--reference", bad]):
             assert main(["eval", *args]) == 2
             assert (f"error: {bad}:{line}: unknown key "
-                    f"'train.shuffle_modalities'") in capsys.readouterr().err
+                    f"'model.head_layers'") in capsys.readouterr().err
 
     def test_removed_ablate_axis_rejected(self, tmp_path, capsys):
         cfg_path = self.write_config(tmp_path)
@@ -336,6 +319,13 @@ class TestCli:
     def test_gradcheck_command(self, capsys):
         assert main(["gradcheck", "--sample", "2"]) == 0
         assert "gradcheck PASS" in capsys.readouterr().out
+
+    def test_gradcheck_seed_flag_rejected(self, capsys):
+        # the check's seed is fixed in run_gradcheck; the flag is gone
+        with pytest.raises(SystemExit) as exc:
+            main(["gradcheck", "--seed", "3"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
 
     def test_report_command(self, tmp_path, capsys):
         cfg = parse_config(SMALL)

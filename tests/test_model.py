@@ -36,11 +36,8 @@ def toy_batch(batch=2, seed=0):
 
 
 class TestModelDims:
-    # a negative head_width would be read as 2 * d, a negative head_layers
-    # as a head with no layers
     @pytest.mark.parametrize("field,value", [
-        ("d", 0), ("rank", 0), ("rank", 32), ("head_width", -8),
-        ("head_layers", -8)])
+        ("d", 0), ("rank", 0), ("rank", 32)])
     def test_out_of_range_rejected_when_built(self, field, value):
         with pytest.raises(ValueError, match=rf"^model\.{field} must be at "
                                              rf"least .*, got {value}$"):
@@ -50,8 +47,6 @@ class TestModelDims:
         with pytest.raises(ValueError,
                            match="model.d must be divisible by model.heads"):
             ModelDims(d=33)
-        with pytest.raises(ValueError, match="head width must be divisible"):
-            ModelDims(head_width=30)
 
     def test_frozen(self):
         dims = ModelDims()
@@ -130,8 +125,9 @@ class TestAssembly:
             total_scalars(model.registry) < 0.10
 
 
-# The checkpoint namespace of a one-layer model: every registry name with
-# its tag, in registry (and so checkpoint) order.
+# The checkpoint namespace of a model with a one-layer backbone (the
+# answer head has its fixed two layers): every registry name with its tag,
+# in registry (and so checkpoint) order.
 NAMESPACE = """\
 backbone.layers.0.ln1.gain frozen
 backbone.layers.0.ln1.bias frozen
@@ -178,6 +174,16 @@ head.layers.0.ln2.gain frozen
 head.layers.0.ln2.bias frozen
 head.layers.0.ffn.w1 frozen
 head.layers.0.ffn.w2 frozen
+head.layers.1.ln1.gain frozen
+head.layers.1.ln1.bias frozen
+head.layers.1.attn.wq frozen
+head.layers.1.attn.wk frozen
+head.layers.1.attn.wv frozen
+head.layers.1.attn.wo frozen
+head.layers.1.ln2.gain frozen
+head.layers.1.ln2.bias frozen
+head.layers.1.ffn.w1 frozen
+head.layers.1.ffn.w2 frozen
 head.classifier.w fusion
 head.classifier.b fusion
 """
@@ -200,8 +206,7 @@ class TestNamespace:
     def build(self, strategy="SelfGated", train_classifier=False):
         # video matches d (no alignment map); audio does not
         mods = [BenchModality("video", 8, 3), BenchModality("audio", 6, 2)]
-        dims = ModelDims(d=8, layers=1, heads=2, tokens=2, rank=2,
-                         head_layers=1)
+        dims = ModelDims(d=8, layers=1, heads=2, tokens=2, rank=2)
         return FusionModel(dims, mods, "video", strategy, 5, 3, 0,
                            train_classifier=train_classifier)
 
@@ -354,9 +359,8 @@ class TestTiledPrediction:
         row_bytes = seq * 4 * 64 * 4
         assert rows * row_bytes <= model_module.HEAD_TILE_BYTES
         assert (rows + 1) * row_bytes > model_module.HEAD_TILE_BYTES
-        wide = FusionModel(ModelDims(head_width=4096), toy_modalities(),
-                           "video", "SelfGated", 12, 11, 0)
-        assert wide.head_tile_rows(3) == 1
+        # one row of a long enough question outgrows the budget alone
+        assert model.head_tile_rows(100_000) == 1
 
     def test_predict_classes_equals_whole_batch_argmax(self):
         model = build_model()

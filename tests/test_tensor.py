@@ -58,6 +58,25 @@ class TestFrozenValues:
         T.adam_step(p, np.array([1.0]), m, v, t=1, lr=0.01)
         assert abs(p[0] - (0.5 - 0.01)) < 1e-6
 
+    def test_adam_steps_match_textbook_update(self):
+        # betas 0.9 and 0.999, eps 1e-8: the paper's fixed optimizer
+        grads = [np.array([1.0, -2.0]), np.array([0.5, 3.0]),
+                 np.array([-4.0, 0.25])]
+        p = np.array([0.5, -1.0])
+        m = np.zeros(2)
+        v = np.zeros(2)
+        want = p.copy()
+        m_ref = np.zeros(2)
+        v_ref = np.zeros(2)
+        for t, g in enumerate(grads, start=1):
+            T.adam_step(p, g, m, v, t=t, lr=0.01)
+            m_ref = 0.9 * m_ref + 0.1 * g
+            v_ref = 0.999 * v_ref + 0.001 * g * g
+            mhat = m_ref / (1 - 0.9 ** t)
+            vhat = v_ref / (1 - 0.999 ** t)
+            want -= 0.01 * mhat / (np.sqrt(vhat) + 1e-8)
+            np.testing.assert_allclose(p, want, rtol=1e-12, atol=0)
+
 
 class TestOpProperties:
     def test_softmax_rows_sum_to_one(self):

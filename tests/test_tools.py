@@ -23,7 +23,7 @@ def test_byte_digests_repeat(tmp_path):
     assert [line["run"] for line in lines[:-1]] == [
         f"{s}-{m}-exit-seed7" for s in STRATEGIES
         for m in ("sequential", "joint")] + [
-        "SelfGated-sequential-exit-eval13-seed7"]
+        "SelfGated-sequential-exit-split269-seed7"]
     for line in lines[:-1]:
         assert len(line["data_sha256"]) == len(line["metrics_sha256"]) == len(
             line["records_sha256"]) == len(line["checkpoint_sha256"]) == len(

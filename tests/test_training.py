@@ -511,9 +511,27 @@ def forward_only(model, m, features):
             model.backbone, model.adapters[m], FeatureBatch(m, features)).data
 
 
+class TestPrediction:
+    @pytest.mark.parametrize("chunk", [1, 5, 13])
+    def test_predictions_do_not_depend_on_chunk_size(self, chunk):
+        # 32 test rows in ragged chunks give the predictions of one chunk
+        spec = small_spec(n=2)
+        model = build_model(spec)
+        _, test = gen_dataset(spec)
+        whole = predict_dataset(model, test, len(test))
+        assert np.array_equal(predict_dataset(model, test, chunk), whole)
+        assert np.array_equal(predict_dataset(model, test), whole)
+
+    def test_grad_history_active_until_exit(self):
+        h = GradHistory(values=[1.0, 0.5])
+        assert h.active
+        h.exit_epoch = 2
+        assert not h.active
+
+
 class TestTokenReuse:
     def test_tokens_do_not_depend_on_batch_composition(self):
-        # frozen-token arrays are computed in eval_batch chunks and read back
+        # frozen-token arrays are computed in EVAL_BATCH chunks and read back
         # by minibatch rows, so an example's tokens must not depend on which
         # other examples share its batch
         spec = small_spec(n=3, train_size=96, test_size=64)

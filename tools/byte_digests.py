@@ -12,10 +12,11 @@ leave every line as it was. Each checkout imports ``modfuse`` from its own
 The grid is every fusion strategy, in sequential and in joint mode, with
 early exit (tau 0.9), at seed 7, on the perfbench model (video 16x8 major,
 audio 24x6, depth 48x4, d=32, 2 layers, 4 heads, 4 tokens, rank 8,
-trainable classifier), plus SelfGated in sequential mode once more with
-``train.eval_batch = 13``: 13 divides no split size used here or in the
-tests, so exit-time token passes, per-epoch evaluation and ``run_eval``
-all run a ragged last chunk. ``--perfbench`` adds the perfbench configs of
+trainable classifier), plus SelfGated in sequential mode once more on
+train and test splits of 269 examples: forward-only prediction runs
+query transformers ``model.EVAL_BATCH`` (256) rows at a time, so
+exit-time token passes, per-epoch evaluation and ``run_eval`` all run a
+ragged last chunk of 13 rows. ``--perfbench`` adds the perfbench configs of
 every workload at model seeds 0-3. Each line holds the SHA-256 of the run's
 generated data (``data_sha256``: the dtype and bytes of every array of
 ``bench.gen_dataset``, train split then test split, features in modality
@@ -51,11 +52,11 @@ import tempfile
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SEED = 7
 PERFBENCH_SEEDS = range(4)
-RAGGED_EVAL_BATCH = 13
+RAGGED_SIZE = 269
 
 
 def grid_config(strategy: str, mode: str, train_size: int, test_size: int,
-                epochs: int, eval_batch: int = 256) -> str:
+                epochs: int) -> str:
     return f"""\
 modalities = video, audio, depth
 major = video
@@ -83,7 +84,6 @@ train.epochs = {epochs}
 train.batch_size = 32
 train.lr = 0.003
 train.seed = {SEED}
-train.eval_batch = {eval_batch}
 """
 
 
@@ -152,9 +152,9 @@ def runs(args):
             yield (f"{strategy}-{mode}-exit-seed{SEED}",
                    grid_config(strategy, mode, args.train_size,
                                args.test_size, args.epochs))
-    yield (f"SelfGated-sequential-exit-eval{RAGGED_EVAL_BATCH}-seed{SEED}",
-           grid_config("SelfGated", "sequential", args.train_size,
-                       args.test_size, args.epochs, RAGGED_EVAL_BATCH))
+    yield (f"SelfGated-sequential-exit-split{RAGGED_SIZE}-seed{SEED}",
+           grid_config("SelfGated", "sequential", RAGGED_SIZE, RAGGED_SIZE,
+                       args.epochs))
     if args.perfbench:
         sys.path.insert(0, os.path.join(ROOT, "perfbench"))
         import workloads
