@@ -23,6 +23,16 @@ hands to ``probes``. They keep numpy's own reductions and the association
 of every product and sum (the last-axis softmax sweeps its columns for the
 row maximum, which is exact; layer norm makes the calls ``np.mean``
 makes), so their bytes equal those of the plain formulas.
+
+Two rules keep backward lean. A weight shared across the batch (a 2-D
+``b`` in :func:`matmul`) gets both gradients from one GEMM over the
+flattened leading rows, never from one small BLAS call per batch row. And
+an op passes ``owned`` to :meth:`Tensor.accumulate` only for an array it
+allocated in that call for that parent alone, which the parent then keeps
+as its first gradient without a copy; an op that hands on the upstream
+gradient, a view of it or an array that two parents receive (``add``,
+``reshape``, ``transpose``, ``concat``, ``broadcast_to``, ``tsum``, a
+``layer_norm`` bias) lets accumulate copy it.
 """
 
 from __future__ import annotations
@@ -107,11 +117,17 @@ class Tensor:
     def zero_grad(self) -> None:
         self.grad = np.zeros_like(self.data)
 
-    def accumulate(self, g: np.ndarray) -> None:
-        if self.grad is None:
-            self.grad = np.array(g, dtype=self.data.dtype)
-        else:
+    def accumulate(self, g: np.ndarray, owned: bool = False) -> None:
+        """Add ``g`` into ``grad``. A first gradient is copied, unless the
+        op passes ``owned``: ``g`` is then an array of this tensor's dtype
+        that the op allocated in that call for this tensor alone, and
+        ``grad`` keeps it as it is."""
+        if self.grad is not None:
             self.grad += g
+        elif owned:
+            self.grad = g
+        else:
+            self.grad = np.array(g, dtype=self.data.dtype)
 
     def __repr__(self) -> str:
         return (f"Tensor(shape={self.shape}, dtype={self.data.dtype.name}, "
@@ -173,7 +189,8 @@ def unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
         return grad
     extra = grad.ndim - len(shape)
     if extra > 0:
-        grad = grad.sum(axis=tuple(range(extra)))
+        # an array even when the sum is 0-d, where numpy returns a scalar
+        grad = np.asarray(grad.sum(axis=tuple(range(extra))))
     axes = tuple(i for i, (g, s) in enumerate(zip(grad.shape, shape)) if s == 1 and g != 1)
     if axes:
         grad = grad.sum(axis=axes, keepdims=True)
@@ -200,7 +217,7 @@ def mul(a: Tensor, b) -> Tensor:
 
         def backward_scalar(g):
             if a.requires_grad:
-                a.accumulate(g * scalar)
+                a.accumulate(g * scalar, owned=True)
 
         return _make(a.data * np.asarray(scalar, dtype=a.dtype), (a,), "scale",
                      backward_scalar)
@@ -209,9 +226,9 @@ def mul(a: Tensor, b) -> Tensor:
 
     def backward_fn(g):
         if a.requires_grad:
-            a.accumulate(unbroadcast(g * b.data, a.shape))
+            a.accumulate(unbroadcast(g * b.data, a.shape), owned=True)
         if b.requires_grad:
-            b.accumulate(unbroadcast(g * a.data, b.shape))
+            b.accumulate(unbroadcast(g * a.data, b.shape), owned=True)
 
     return _make(a.data * b.data, (a, b), "mul", backward_fn)
 
@@ -223,18 +240,23 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ValueError("matmul requires operands of rank >= 2")
 
     def backward_fn(g):
+        # a weight shared across the batch (b 2-D): flatten the leading
+        # dims, so each gradient is one GEMM rather than one small BLAS
+        # call per batch row or a per-batch gradient stack
+        shared = b.data.ndim == 2
         if a.requires_grad:
-            ga = g @ np.swapaxes(b.data, -1, -2)
-            a.accumulate(unbroadcast(ga, a.shape))
+            if shared:
+                ga = (g.reshape(-1, g.shape[-1]) @ b.data.T).reshape(a.shape)
+            else:
+                ga = unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape)
+            a.accumulate(ga, owned=True)
         if b.requires_grad:
-            if b.data.ndim == 2 and g.ndim > 2:
-                # weight shared across batch: flatten instead of
-                # materializing a per-batch gradient stack
+            if shared:
                 cols = a.data.shape[-1]
                 gb = a.data.reshape(-1, cols).T @ g.reshape(-1, g.shape[-1])
             else:
                 gb = unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape)
-            b.accumulate(gb)
+            b.accumulate(gb, owned=True)
 
     return _make(a.data @ b.data, (a, b), "matmul", backward_fn)
 
@@ -314,7 +336,7 @@ def tmean(a: Tensor, axis=None) -> Tensor:
         if a.requires_grad:
             if axis is not None:
                 g = np.expand_dims(g, axis)
-            a.accumulate(np.broadcast_to(g, a.shape) / count)
+            a.accumulate(np.broadcast_to(g, a.shape) / count, owned=True)
 
     return _make(a.data.mean(axis=axis), (a,), "mean", backward_fn)
 
@@ -338,17 +360,20 @@ def _sigmoid_data(x: np.ndarray) -> np.ndarray:
 def silu(a: Tensor) -> Tensor:
     """x * sigmoid(x), the smooth self-gating nonlinearity."""
     s = _sigmoid_data(a.data)
+    xs = a.data * s
 
     def backward_fn(g):
         if a.requires_grad:
-            # ((x * s) * (1 - s) + s) * g: reassociating changes the bytes
-            gx = a.data * s
-            gx *= 1.0 - s
+            # ((x * s) * (1 - s) + s) * g, reusing the forward's x * s (the
+            # array, not the output Tensor, so the tape stays acyclic);
+            # reassociating changes the bytes
+            gx = 1.0 - s
+            gx *= xs
             gx += s
             gx *= g
-            a.accumulate(gx)
+            a.accumulate(gx, owned=True)
 
-    return _make(a.data * s, (a,), "silu", backward_fn)
+    return _make(xs, (a,), "silu", backward_fn)
 
 
 def _softmax_data(x: np.ndarray, axis: int) -> np.ndarray:
@@ -381,7 +406,7 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
 
     def backward_fn(g):
         if a.requires_grad:
-            a.accumulate(_softmax_grad(g, y, axis))
+            a.accumulate(_softmax_grad(g, y, axis), owned=True)
 
     return _make(y, (a,), "softmax", backward_fn)
 
@@ -421,7 +446,8 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
         # g is copied once into a dense array, as Tensor.accumulate copied
         # it in the composition, so the matmuls see the same layout; the
         # transposed views keep it (a copy of a dense array keeps its
-        # strides), and accumulate copies what it keeps
+        # strides); each input's gradient is a fresh product, or a view of
+        # one, that only that input holds, so accumulate keeps it
         g_pv = np.transpose(np.array(g.reshape(b, sq, heads, dh)),
                             (0, 2, 1, 3))
         if q.requires_grad or k.requires_grad:
@@ -431,14 +457,15 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
             if q.requires_grad:
                 g_qh = g_scores @ np.swapaxes(kt, -1, -2)
                 q.accumulate(np.transpose(g_qh, (0, 2, 1, 3))
-                             .reshape(q.shape))
+                             .reshape(q.shape), owned=True)
             if k.requires_grad:
                 g_kt = np.swapaxes(qh, -1, -2) @ g_scores
                 k.accumulate(np.transpose(g_kt, (0, 3, 1, 2))
-                             .reshape(k.shape))
+                             .reshape(k.shape), owned=True)
         if v.requires_grad:
             g_vh = np.swapaxes(probs, -1, -2) @ g_pv
-            v.accumulate(np.transpose(g_vh, (0, 2, 1, 3)).reshape(v.shape))
+            v.accumulate(np.transpose(g_vh, (0, 2, 1, 3)).reshape(v.shape),
+                         owned=True)
 
     return _make(heads_out.reshape(b, sq, d), (q, k, v), "attention",
                  backward_fn)
@@ -471,7 +498,7 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
         if bias.requires_grad:
             bias.accumulate(unbroadcast(g, bias.shape))
         if gain.requires_grad:
-            gain.accumulate(unbroadcast(g * xhat, gain.shape))
+            gain.accumulate(unbroadcast(g * xhat, gain.shape), owned=True)
         if a.requires_grad:
             gx = g * gain.data
             gxh = gx * xhat
@@ -482,7 +509,7 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
             np.multiply(xhat, term2, out=gxh)
             gx -= gxh
             gx *= inv_std
-            a.accumulate(gx)
+            a.accumulate(gx, owned=True)
 
     return _make(out, (a, gain, bias), "layer_norm", backward_fn)
 
@@ -509,7 +536,7 @@ def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
         if logits.requires_grad:
             probs = np.exp(z - lse)
             probs[np.arange(n), targets] -= 1.0
-            logits.accumulate(g * probs / n)
+            logits.accumulate(g * probs / n, owned=True)
 
     return _make(np.asarray(nll.mean(), dtype=logits.dtype), (logits,),
                  "cross_entropy", backward_fn)
@@ -525,7 +552,7 @@ def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
         if table.requires_grad:
             grad = np.zeros_like(table.data)
             np.add.at(grad, ids, g)
-            table.accumulate(grad)
+            table.accumulate(grad, owned=True)
 
     return _make(table.data[ids], (table,), "embedding", backward_fn)
 
@@ -546,7 +573,8 @@ def _topo_order(root: Tensor) -> list[Tensor]:
         visited.add(id(node))
         stack.append((node, True))
         for p in node._parents:
-            if id(p) not in visited:
+            # a frozen parent has nothing to visit: no gradient, no parents
+            if p.requires_grad and id(p) not in visited:
                 stack.append((p, False))
     return order
 
@@ -571,7 +599,8 @@ def backward(loss: Tensor, leaves: Iterable[Tensor] | None = None) -> None:
         if node._backward_fn is not None:
             node._backward_fn(node.grad)
     for node in order:
-        if node.requires_grad and not node._parents and node.grad is not None:
+        # every node in order requires grad: _topo_order skips frozen ones
+        if not node._parents and node.grad is not None:
             _check_finite(node.grad, "backward")
 
 
@@ -668,8 +697,10 @@ def grad_check(f: Callable[[], Tensor], params: dict[str, Tensor],
     mismatch. Run with float64 params for the ``GRAD_CHECK_TOL`` of 1e-4.
 
     ``sample``, if given, checks a seeded random subset of that many
-    elements per parameter instead of every element.
+    elements per parameter instead of every element; it must be at least 1.
     """
+    if sample is not None and sample < 1:
+        raise ValueError(f"sample must be at least 1, got {sample}")
     y1 = f()
     y2 = f()
     if y1.size != 1:

@@ -320,6 +320,14 @@ class TestCli:
         assert main(["gradcheck", "--sample", "2"]) == 0
         assert "gradcheck PASS" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("sample", ["0", "-3"])
+    def test_gradcheck_sample_below_one_rejected(self, sample, capsys):
+        # a sample of no scalar would check nothing and still print PASS
+        assert main(["gradcheck", "--sample", sample]) == 2
+        captured = capsys.readouterr()
+        assert "PASS" not in captured.out
+        assert f"error: sample must be at least 1, got {sample}" in captured.err
+
     def test_gradcheck_seed_flag_rejected(self, capsys):
         # the check's seed is fixed in run_gradcheck; the flag is gone
         with pytest.raises(SystemExit) as exc:

@@ -9,6 +9,9 @@ import numpy as np
 import pytest
 
 from modfuse import tensor as T
+from modfuse.bench import BenchModality, BenchSpec, gen_dataset
+from modfuse.model import FusionModel, ModelDims
+from modfuse.training import train_step
 
 
 class TestFrozenValues:
@@ -412,6 +415,27 @@ class TestLeanKernels:
         assert out.data.tobytes() == want[0].tobytes()
         assert a.grad.dtype == dtype and a.grad.tobytes() == want[1].tobytes()
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("layout", ["dense", "transposed"])
+    @pytest.mark.parametrize("lead", [(6, 13), (2, 3, 5)])
+    def test_matmul_input_grad_through_2d_weight(self, lead, layout, dtype):
+        # one GEMM over the flattened rows, not one BLAS call per batch row
+        rng = np.random.default_rng(len(lead))
+        k, n = 24, 16
+        x = rng.normal(size=(*lead, k)).astype(dtype)
+        w = rng.normal(size=(k, n)).astype(dtype)
+        if layout == "dense":
+            g = rng.normal(size=(*lead, n)).astype(dtype)
+        else:
+            g = np.moveaxis(rng.normal(size=(n, *lead)).astype(dtype), 0, -1)
+        a, b = T.Tensor(x, requires_grad=True), T.Tensor(w, requires_grad=True)
+        out = T.matmul(a, b)
+        out._backward_fn(g)
+        want_a = (g.reshape(-1, n) @ w.T).reshape(x.shape)
+        want_b = x.reshape(-1, k).T @ g.reshape(-1, n)
+        assert a.grad.dtype == dtype and a.grad.tobytes() == want_a.tobytes()
+        assert b.grad.dtype == dtype and b.grad.tobytes() == want_b.tobytes()
+
 
 def _op_cases():
     """name -> (input shapes, call); the name is the op's function."""
@@ -480,6 +504,64 @@ class TestNoAliasing:
             assert t.grad is not None and t.grad.shape == t.shape
             assert not any(np.shares_memory(t.grad, a) for a in arrays + [g])
 
+    @staticmethod
+    def _tape(root):
+        """Every tensor on the tape under ``root``, frozen ones included,
+        and every array the tape holds: tensor data and the arrays each
+        backward closure saved."""
+        nodes, arrays, stack = {}, [], [root]
+        while stack:
+            node = stack.pop()
+            if id(node) in nodes:
+                continue
+            nodes[id(node)] = node
+            arrays.append(node.data)
+            cells = getattr(node._backward_fn, "__closure__", None) or ()
+            arrays += [c.cell_contents for c in cells
+                       if isinstance(c.cell_contents, np.ndarray)]
+            stack.extend(node._parents)
+        return list(nodes.values()), arrays
+
+    @pytest.mark.parametrize("mode", ["sequential", "joint"])
+    def test_model_step_grads_own_their_memory(self, mode, monkeypatch):
+        spec = BenchSpec(modalities=(BenchModality("video", 16, 5),
+                                     BenchModality("audio", 24, 5),
+                                     BenchModality("depth", 48, 5)),
+                         train_size=16, test_size=8, seed=3)
+        model = FusionModel(ModelDims(), spec.modalities, "video",
+                            "SelfGated", spec.vocab, spec.classes, 11,
+                            train_classifier=True)
+        tags = ({"video", "fusion"} if mode == "sequential"
+                else set(model.order) | {"fusion"})
+        taped = []
+        backward = T.backward
+
+        def recording(loss, leaves=None):
+            backward(loss, leaves)
+            taped.append(self._tape(loss))
+
+        monkeypatch.setattr(T, "backward", recording)
+        train, _ = gen_dataset(spec)
+        train_step(model, T.Adam(), train.slice(np.arange(8)), tags)
+        (nodes, arrays), = taped
+
+        def root(arr):
+            while isinstance(arr.base, np.ndarray):
+                arr = arr.base
+            return id(arr)
+
+        graded = [t for t in nodes if t.grad is not None]
+        assert len(graded) > 100
+        by_root = {}                  # only arrays of one buffer can overlap
+        for key, arr in [*enumerate(t.grad for t in graded),
+                         *((None, a) for a in arrays)]:
+            by_root.setdefault(root(arr), []).append((key, arr))
+        for i, t in enumerate(graded):
+            near = [a for key, a in by_root[root(t.grad)] if key != i]
+            assert not any(np.shares_memory(t.grad, a) for a in near), t
+        for name, t in model.registry.named(tags={"frozen"}):
+            assert t.grad is None, name
+
 
 class TestBackward:
     def test_add_mul_chain(self):
@@ -508,6 +590,13 @@ class TestBackward:
         T.backward(loss)
         assert a.grad.shape == a.shape
         assert b.grad.shape == b.shape
+
+    def test_zero_d_parameter_gets_an_array_gradient(self):
+        w = T.Tensor(2.0, requires_grad=True, dtype=np.float64)
+        x = T.Tensor(np.arange(3.0), requires_grad=True, dtype=np.float64)
+        T.backward(T.tsum(w * x))
+        assert type(w.grad) is np.ndarray and w.grad.shape == ()
+        assert w.grad == 3.0
 
     def test_bias_broadcast_grad_sums(self):
         x = T.Tensor(np.ones((4, 3, 2)), requires_grad=True, dtype=np.float64)
@@ -623,6 +712,12 @@ class TestGradCheck:
         report = T.grad_check(f, params, sample=5)
         assert report.passed
         assert report.n_checked == 5 * len(params)
+
+    @pytest.mark.parametrize("sample", [0, -3])
+    def test_sample_below_one_rejected(self, sample):
+        f, params = self._mlp(np.random.default_rng(14))
+        with pytest.raises(ValueError, match="sample must be at least 1"):
+            T.grad_check(f, params, sample=sample)
 
 
 class TestAdamMasking:

@@ -1,5 +1,7 @@
-"""tools/byte_digests.py prints the same bytes on every run of a checkout."""
+"""The tools: byte_digests.py prints the same bytes on every run of a
+checkout, and bench_record.py applies the claim rule and the bounds."""
 
+import importlib.util
 import json
 import subprocess
 import sys
@@ -39,3 +41,39 @@ def test_byte_digests_repeat(tmp_path):
         assert 0.0 <= line["major_only_accuracy"]["overall"] <= 1.0
         assert line["major_only_accuracy"].keys() == line["accuracy"].keys()
     assert lines[-1]["gradcheck"].startswith("gradcheck PASS")
+
+
+def _bench_record():
+    spec = importlib.util.spec_from_file_location(
+        "bench_record", ROOT / "tools" / "bench_record.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bench_record_summary_applies_claim_rule_and_bounds():
+    summarize = _bench_record().summarize
+    metrics = [{"name": "eps", "better": "higher", "bound": 0.2},
+               {"name": "rss", "better": "lower", "bound": 0.1}]
+    runs = []
+    for pair in range(10):
+        # the change wins 9 of 10 pairs on eps, by 10%; rss grows by 15%
+        parent = {"eps": 100.0 + pair, "rss": 50.0}
+        change = {"eps": parent["eps"] * (1.1 if pair else 0.99),
+                  "rss": 57.5}
+        for side, values in (("parent", parent), ("change", change)):
+            runs.append({"workload": "w", "pair": pair, "side": side,
+                         "failed": int(side == "change" and pair == 3),
+                         "attempted": 7, "metrics": values})
+    row = summarize(runs, metrics)["w"]
+    eps, rss = row["eps"], row["rss"]
+    assert eps["pairs"] == rss["pairs"] == 10
+    assert eps["parent_quartiles"] == [102.25, 104.5, 106.75]
+    assert eps["change_wins"] == 9
+    # the median gain, about 10.4, is beyond the parent's IQR of 4.5
+    assert eps["gain_claimable"] and eps["within_bound"]
+    assert rss["change_wins"] == 0 and not rss["gain_claimable"]
+    assert not rss["within_bound"]
+    assert rss["change_over_parent"] == 1.15
+    assert row["failed_of_attempted"] == {"parent": [0, 70],
+                                          "change": [1, 70]}
