@@ -145,9 +145,6 @@ class ParamRegistry:
             out.append((name, e.tensor))
         return out
 
-    def trainable_tensors(self) -> list[T.Tensor]:
-        return [t for _, t in self.named(trainable_only=True)]
-
     def checksum(self, tags=None) -> str:
         """Hex digest over raw data bytes of the selected entries."""
         import hashlib

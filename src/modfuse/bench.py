@@ -112,12 +112,6 @@ class BenchSpec:
                 [f"cnt{c}" for c in range(self.n + 1)])
 
 
-@dataclass(frozen=True)
-class Question:
-    template: str
-    args: tuple[int, ...]  # modality indices, or a symbol for "count"
-
-
 def oracle_answers(spec: BenchSpec, latents: np.ndarray,
                    template_ids: np.ndarray, args: np.ndarray) -> np.ndarray:
     """Gold answer index of every row: the oracle rule over arrays.
@@ -125,7 +119,8 @@ def oracle_answers(spec: BenchSpec, latents: np.ndarray,
     ``latents`` is [N, n]; ``template_ids`` [N] indexes TEMPLATES; ``args``
     [N, 2] holds each question's arguments, zero-padded: a modality index
     (unimodal), a modality pair (equal) or a symbol (count). Questions are
-    taken as well formed; ``oracle`` validates a single one.
+    taken as well formed: ``gen_split`` and ``unimodal_bayes_accuracy``
+    build only such rows.
     """
     out = np.empty(len(template_ids), dtype=np.int64)
     first, second = args[:, 0], args[:, 1]
@@ -137,32 +132,6 @@ def oracle_answers(spec: BenchSpec, latents: np.ndarray,
     r = np.flatnonzero(template_ids == TEMPLATES.index("count"))
     out[r] = spec.answer_count(0) + (latents[r] == first[r, None]).sum(axis=1)
     return out
-
-
-def oracle(spec: BenchSpec, latents, question: Question) -> int:
-    """Gold answer index for a question given the latent symbols."""
-    latents = tuple(int(s) for s in latents)
-    if len(latents) != spec.n:
-        raise ValueError("latent count does not match the modality count")
-    if question.template == "unimodal":
-        (m,) = question.args
-        if not 0 <= m < spec.n:
-            raise ValueError(f"modality index {m} out of range")
-    elif question.template == "equal":
-        m1, m2 = question.args
-        if m1 == m2 or not (0 <= m1 < spec.n and 0 <= m2 < spec.n):
-            raise ValueError(f"bad modality pair {question.args}")
-    elif question.template == "count":
-        (x,) = question.args
-        if not 0 <= x < spec.alphabet:
-            raise ValueError(f"symbol {x} out of range")
-    else:
-        raise ValueError(f"unknown template '{question.template}'")
-    args = (tuple(question.args) + (0,))[:2]
-    return int(oracle_answers(
-        spec, np.array([latents], dtype=np.int64),
-        np.array([TEMPLATES.index(question.template)]),
-        np.array([args], dtype=np.int64))[0])
 
 
 def codebook(spec: BenchSpec, modality: BenchModality) -> np.ndarray:
@@ -268,14 +237,6 @@ def gen_dataset(spec: BenchSpec):
             gen_split(spec, spec.test_size, TEST_STREAM))
 
 
-def _enumerate_questions(spec: BenchSpec, template: str):
-    if template == "unimodal":
-        return [Question(template, (m,)) for m in range(spec.n)]
-    if template == "equal":
-        return [Question(template, p) for p in combinations(range(spec.n), 2)]
-    return [Question(template, (x,)) for x in range(spec.alphabet)]
-
-
 # upper end of the noise range where unimodal_bayes_accuracy is exact
 MAX_BAYES_NOISE = 0.1
 
@@ -300,16 +261,19 @@ def unimodal_bayes_accuracy(spec: BenchSpec, visible) -> dict[str, float]:
     # one integer per grid for what the predictor observes
     observed = grids[:, visible_idx] @ (
         spec.alphabet ** np.arange(len(visible_idx), dtype=np.int64))
+    # every question of each template, as its zero-padded arguments
+    questions = {"unimodal": [(m, 0) for m in range(spec.n)],
+                 "equal": list(combinations(range(spec.n), 2)),
+                 "count": [(x, 0) for x in range(spec.alphabet)]}
     out = {}
     for template in TEMPLATES:
-        qs = _enumerate_questions(spec, template)
         if spec.n < 2 and template != "unimodal":
             continue
         t = np.full(len(grids), TEMPLATES.index(template))
+        qs = questions[template]
         total = 0.0
         for q in qs:
-            args = np.zeros((len(grids), 2), dtype=np.int64)
-            args[:, :len(q.args)] = q.args
+            args = np.full((len(grids), 2), q, dtype=np.int64)
             answers = oracle_answers(spec, grids, t, args)
             # majority answer count inside each observation group
             keys, counts = np.unique(observed * spec.classes + answers,

@@ -1,7 +1,7 @@
 """Command line interface.
 
     modfuse train <config> [--out DIR]
-    modfuse eval <checkpoint> [--modalities a,b] [--easy-hard --reference C]
+    modfuse eval <checkpoint> [--modalities a,b] [--reference C] [--force]
     modfuse ablate <config> --axis fusion|rank|tokens|mode [--out DIR]
     modfuse gradcheck [--sample N]
     modfuse report <metrics.jsonl> [...]
@@ -49,8 +49,7 @@ def cmd_eval(args) -> int:
             raise ValueError(f"--modalities names no modality: "
                              f"{args.modalities!r}")
     result = run_eval(args.checkpoint, modalities=modalities,
-                      easy_hard=args.easy_hard, reference=args.reference,
-                      force=args.force, log=print)
+                      reference=args.reference, force=args.force, log=print)
     print(f"visible modalities: {', '.join(result['visible'])} "
           f"({result['examples']} examples)")
     print(_accuracy_line(result["accuracy"]))
@@ -131,11 +130,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--modalities", default=None,
                    help="comma-separated visible modalities; others are "
                         "zeroed out")
-    p.add_argument("--easy-hard", action="store_true",
-                   help="also report accuracy split by whether a reference "
-                        "model answers correctly")
     p.add_argument("--reference", default=None,
-                   help="reference checkpoint for the easy/hard split")
+                   help="also report accuracy split by whether this "
+                        "checkpoint answers correctly (easy) or not (hard)")
     p.add_argument("--force", action="store_true",
                    help="load despite digest or shape mismatches")
     p.set_defaults(fn=cmd_eval)

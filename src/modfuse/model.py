@@ -181,7 +181,7 @@ class FusionModel:
                 for lo in range(0, len(features), batch_size)])
 
     def forward(self, features: dict[str, np.ndarray],
-                question_ids: np.ndarray | None,
+                question_ids: np.ndarray,
                 taped: set[str] | None = None,
                 cache: dict[str, np.ndarray] | None = None) -> T.Tensor:
         """Answer logits. ``taped`` names the modalities whose query
@@ -192,9 +192,7 @@ class FusionModel:
         tokens = self.modality_tokens(features, taped, cache)
         fused = fuse_variant(self.fusion, tokens[self.major],
                              [tokens[m] for m in self.supportive])
-        lang = None
-        if question_ids is not None:
-            lang = T.embedding(self.head.embed, question_ids)
+        lang = T.embedding(self.head.embed, question_ids)
         x = assemble_input(fused, self.prefixes, self.schedule, lang)
         return predict(self.head, x)
 

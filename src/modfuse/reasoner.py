@@ -109,24 +109,21 @@ def input_length(blocks: int, tokens: int, q_len: int) -> int:
 
 
 def assemble_input(fused: T.Tensor, prefixes: dict[str, T.Tensor],
-                   schedule: list[str], lang: T.Tensor | None) -> T.Tensor:
+                   schedule: list[str], lang: T.Tensor) -> T.Tensor:
     """[prefix block; fused tokens; question tokens], all width d.
 
     ``schedule`` lists which prefix vectors to use, in order; ``lang``
-    may be None for question-free probes.
+    holds the embedded question tokens.
     """
     b, _, d = fused.shape
+    if lang.shape[-1] != d:
+        raise ValueError(f"question tokens width {lang.shape[-1]} != {d}")
     parts = []
     if schedule:
         rows = [T.reshape(prefixes[name], (1, 1, d)) for name in schedule]
         block = T.concat(rows, axis=1) if len(rows) > 1 else rows[0]
         parts.append(T.broadcast_to(block, (b, len(schedule), d)))
-    parts.append(fused)
-    if lang is not None:
-        if lang.shape[-1] != d:
-            raise ValueError(f"question tokens width {lang.shape[-1]} != {d}")
-        parts.append(lang)
-    return T.concat(parts, axis=1) if len(parts) > 1 else parts[0]
+    return T.concat([*parts, fused, lang], axis=1)
 
 
 def predict(head: AnswerHead, assembled: T.Tensor) -> T.Tensor:

@@ -73,9 +73,11 @@ def run_train(config: RunConfig, outdir: str, log=None) -> dict:
 
 
 def run_eval(ckpt_path: str, modalities: list[str] | None = None,
-             easy_hard: bool = False, reference: str | None = None,
-             force: bool = False, log=None) -> dict:
-    """Evaluate a checkpoint on its own benchmark's test split."""
+             reference: str | None = None, force: bool = False,
+             log=None) -> dict:
+    """Evaluate a checkpoint on its own benchmark's test split. With a
+    ``reference`` checkpoint, also split the accuracy into the examples
+    that the reference answers correctly (easy) and the rest (hard)."""
     ckpt = load_checkpoint(ckpt_path, force=force)
     model, config, warnings = model_from_checkpoint(ckpt, force=force)
     if log:
@@ -94,10 +96,7 @@ def run_eval(ckpt_path: str, modalities: list[str] | None = None,
            "visible": (list(model.order) if visible is None
                        else sorted(visible)),
            "examples": len(test)}
-    if easy_hard:
-        if not reference:
-            raise ValueError("easy/hard split needs --reference, a "
-                             "checkpoint whose predictions define the split")
+    if reference is not None:
         ref_model, ref_config, _ = model_from_checkpoint(
             load_checkpoint(reference, force=force), force=force)
         if ref_config.spec != config.spec:

@@ -39,12 +39,10 @@ from __future__ import annotations
 
 import contextlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
-
-FLOAT_DTYPES = (np.float32, np.float64)
 
 _grad_enabled = True
 
@@ -137,25 +135,8 @@ class Tensor:
     def __add__(self, other):
         return add(self, other)
 
-    def __radd__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return add(self, mul(other, -1.0) if isinstance(other, Tensor) else -other)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
     def __mul__(self, other):
         return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(self, other)
-
-    def __truediv__(self, scalar):
-        if isinstance(scalar, Tensor):
-            raise TypeError("division by a Tensor is not supported; use mul")
-        return mul(self, 1.0 / float(scalar))
 
     def __matmul__(self, other):
         return matmul(self, other)
@@ -212,16 +193,6 @@ def add(a: Tensor, b) -> Tensor:
 
 
 def mul(a: Tensor, b) -> Tensor:
-    if not isinstance(b, Tensor):
-        scalar = float(b)
-
-        def backward_scalar(g):
-            if a.requires_grad:
-                a.accumulate(g * scalar, owned=True)
-
-        return _make(a.data * np.asarray(scalar, dtype=a.dtype), (a,), "scale",
-                     backward_scalar)
-
     b = _coerce(b, a)
 
     def backward_fn(g):
@@ -673,7 +644,6 @@ class GradCheckReport:
     max_rel_err: float
     worst_param: str
     n_checked: int
-    per_param: dict[str, float] = field(default_factory=dict)
 
     @property
     def passed(self) -> bool:
@@ -715,7 +685,6 @@ def grad_check(f: Callable[[], Tensor], params: dict[str, Tensor],
     max_err = 0.0
     worst = ""
     n_checked = 0
-    per_param: dict[str, float] = {}
     for name, p in params.items():
         flat = p.data.reshape(-1)
         idx = np.arange(flat.size)
@@ -737,9 +706,8 @@ def grad_check(f: Callable[[], Tensor], params: dict[str, Tensor],
             if err > p_err:
                 p_err = err
             n_checked += 1
-        per_param[name] = p_err
         if p_err > max_err:
             max_err = p_err
             worst = name
     return GradCheckReport(max_rel_err=max_err, worst_param=worst,
-                           n_checked=n_checked, per_param=per_param)
+                           n_checked=n_checked)

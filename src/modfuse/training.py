@@ -160,10 +160,6 @@ def _batches(n: int, batch_size: int, rng: np.random.Generator):
         yield idx[lo:lo + batch_size]
 
 
-def masked_params(model: FusionModel, tags: set[str]):
-    return model.registry.named(tags, trainable_only=True)
-
-
 def train_step(model: FusionModel, opt: T.Adam, batch: Dataset,
                tags: set[str], cache: dict[str, np.ndarray] | None = None
                ) -> tuple[float, dict[str, float]]:
@@ -183,7 +179,7 @@ def train_step(model: FusionModel, opt: T.Adam, batch: Dataset,
     unknown = set(tags) - set(model.order) - {"fusion"}
     if unknown:
         raise ValueError(f"tags {sorted(unknown)} not in this model")
-    params = masked_params(model, tags)
+    params = model.registry.named(tags, trainable_only=True)
     if not params:
         raise ValueError(f"tags {sorted(tags)} select no trainable tensor")
     loss = model.loss(batch.features, batch.questions, batch.answers,
@@ -200,8 +196,10 @@ def train_step(model: FusionModel, opt: T.Adam, batch: Dataset,
 
 def evaluate(model: FusionModel, data: Dataset,
              tokens: dict[str, np.ndarray] | None = None) -> dict[str, float]:
-    """Exact-match accuracy, overall and per template."""
-    preds = predict_dataset(model, data, tokens=tokens)
+    """Exact-match accuracy, overall and per template. ``tokens`` maps a
+    modality to its forward-only tokens for every example of ``data``, so
+    its query transformer does not run again."""
+    preds = model.predict_classes(data.features, data.questions, tokens)
     return accuracy_by_template(preds, data)
 
 
@@ -214,24 +212,15 @@ def masked_features(features: dict[str, np.ndarray],
 
 def predict_dataset(model: FusionModel, data: Dataset,
                     batch_size: int = EVAL_BATCH,
-                    visible: set[str] | None = None,
-                    tokens: dict[str, np.ndarray] | None = None) -> np.ndarray:
+                    visible: set[str] | None = None) -> np.ndarray:
     """Predicted classes (see ``FusionModel.predict_classes``; query
     transformers run ``batch_size`` rows at a time); with ``visible``, the
-    features of every other modality are zeroed first. ``tokens`` maps a
-    modality to its forward-only tokens for every example of ``data``
-    (unmasked), so its query transformer does not run again; a modality
-    hidden by ``visible`` must not have them, since they would stand in
-    for its zeroed features."""
+    features of every other modality are zeroed first."""
     features = data.features
     if visible is not None:
-        hidden = [m for m in model.order if m in (tokens or {})
-                  and m not in visible]
-        if hidden:
-            raise ValueError(f"tokens given for {hidden}, which visible "
-                             f"{sorted(visible)} hides")
         features = masked_features(features, visible)
-    return model.predict_classes(features, data.questions, tokens, batch_size)
+    return model.predict_classes(features, data.questions,
+                                 batch_size=batch_size)
 
 
 def train_epoch(model: FusionModel, opt: T.Adam, train: Dataset,

@@ -5,6 +5,7 @@ import pytest
 
 from modfuse import tensor as T
 from modfuse.adapters import named_tensors
+from modfuse.bench import QUESTION_LEN
 from modfuse.fusion import (create_fusion, create_prefixes,
                             fuse_self_gated, fuse_variant, prefix_schedule,
                             token_budget, MOE_EXPERTS, STRATEGIES)
@@ -223,15 +224,13 @@ class TestAnswerHead:
         self.prefixes = create_prefixes(order, order + ["fused"], 32, 0,
                                         dtype=np.float64)
 
-    def assembled(self, strategy="SelfGated", n=3, q_len=3, batch=2):
+    def assembled(self, strategy="SelfGated", n=3, batch=2):
         order = ["video", "audio", "depth"][:n]
         fusion = build(strategy, n)
         sets = token_sets(n, batch=batch, seed=17)
         fused = fuse_variant(fusion, sets[0], sets[1:])
-        lang = None
-        if q_len:
-            ids = np.zeros((batch, q_len), dtype=np.int64)
-            lang = T.embedding(self.head.embed, ids)
+        ids = np.zeros((batch, QUESTION_LEN), dtype=np.int64)
+        lang = T.embedding(self.head.embed, ids)
         schedule = prefix_schedule(strategy, order, "video")
         return assemble_input(fused, self.prefixes, schedule, lang)
 
@@ -240,9 +239,6 @@ class TestAnswerHead:
 
     def test_concat_sequence_length(self):
         assert self.assembled("Concat").shape == (2, 18, 32)
-
-    def test_empty_question_allowed(self):
-        assert self.assembled("SelfGated", q_len=0).shape == (2, 10, 32)
 
     def test_width_mismatch_rejected(self):
         fused = T.Tensor(np.zeros((2, 4, 32)))

@@ -137,10 +137,11 @@ class TestRunner:
     def test_easy_hard_needs_reference(self, tmp_path):
         cfg = parse_config(SMALL)
         result = run_train(cfg, str(tmp_path))
-        with pytest.raises(ValueError, match="reference"):
-            run_eval(result["checkpoint"], easy_hard=True)
-        split = run_eval(result["checkpoint"], easy_hard=True,
+        plain = run_eval(result["checkpoint"])
+        assert not {"easy", "hard", "easy_count", "hard_count"} & set(plain)
+        split = run_eval(result["checkpoint"],
                          reference=result["checkpoint"])
+        assert split["accuracy"] == plain["accuracy"]
         assert split["easy_count"] + split["hard_count"] == split["examples"]
         # the reference is the model itself: it is right on every easy
         # example and wrong on every hard one by construction
@@ -155,8 +156,7 @@ class TestRunner:
                                              "run.name = ref")
                                + "model.modalities = video\n")
         ref = run_train(ref_cfg, str(tmp_path / "ref"))
-        split = run_eval(full["checkpoint"], easy_hard=True,
-                         reference=ref["checkpoint"])
+        split = run_eval(full["checkpoint"], reference=ref["checkpoint"])
         assert split["easy_count"] + split["hard_count"] == split["examples"]
         assert {"easy", "hard"} <= set(split)
 
@@ -166,8 +166,7 @@ class TestRunner:
                                            "bench.seed = 4"))
         ref = run_train(other, str(tmp_path / "ref"))
         with pytest.raises(ValueError, match="different benchmark"):
-            run_eval(full["checkpoint"], easy_hard=True,
-                     reference=ref["checkpoint"])
+            run_eval(full["checkpoint"], reference=ref["checkpoint"])
 
     def test_ablate_mode_axis(self, tmp_path):
         cfg = parse_config(SMALL.replace("train.epochs = 2",
@@ -230,9 +229,22 @@ class TestCli:
         out = str(tmp_path / "out")
         main(["train", cfg_path, "--out", out])
         ckpt = os.path.join(out, "model.ckpt")
-        assert main(["eval", ckpt, "--easy-hard", "--reference", ckpt]) == 0
+        assert main(["eval", ckpt]) == 0
+        stdout = capsys.readouterr().out
+        assert "easy (" not in stdout and "hard (" not in stdout
+        assert main(["eval", ckpt, "--reference", ckpt]) == 0
         stdout = capsys.readouterr().out
         assert "easy (" in stdout and "hard (" in stdout
+
+    def test_easy_hard_flag_rejected(self, tmp_path, capsys):
+        # --reference alone asks for the split; the flag that also had to
+        # be given, or else the reference was silently ignored, is gone
+        ckpt = str(tmp_path / "model.ckpt")
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", ckpt, "--easy-hard", "--reference", ckpt])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --easy-hard" in \
+            capsys.readouterr().err
 
     def test_bad_config_exits_nonzero(self, tmp_path, capsys):
         p = tmp_path / "bad.cfg"
@@ -292,7 +304,7 @@ class TestCli:
         good = str(tmp_path / "new.ckpt")
         save_checkpoint(good, build_model(cfg).registry, cfg)
         for args in ([bad], [bad, "--force"],
-                     [good, "--easy-hard", "--reference", bad]):
+                     [good, "--reference", bad]):
             assert main(["eval", *args]) == 2
             assert (f"error: {bad}:{line}: unknown key "
                     f"'model.head_layers'") in capsys.readouterr().err

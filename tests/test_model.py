@@ -282,7 +282,8 @@ class TestForward:
         model = build_model(dtype=np.float64)
         feats, questions, answers = toy_batch()
         loss = model.loss(feats, questions, answers)
-        T.backward(loss, leaves=model.registry.trainable_tensors())
+        T.backward(loss, leaves=[t for _, t in model.registry.named(
+            trainable_only=True)])
         for name, e in model.registry.entries.items():
             if e.tensor.requires_grad:
                 assert e.tensor.grad is not None, name

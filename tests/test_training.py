@@ -2,6 +2,7 @@
 
 import dataclasses
 import gc
+import itertools
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from modfuse.fusion import MOE_EXPERTS, STRATEGIES
 from modfuse.model import FusionModel, ModelDims
 from modfuse.training import (MODES, GradHistory, TrainConfig,
                               early_exit_indicator, evaluate, fit,
-                              grad_magnitude, masked_params, predict_dataset,
+                              grad_magnitude, predict_dataset,
                               replay_exits, should_exit, train_epoch,
                               train_step)
 from modfuse import model as model_module
@@ -181,8 +182,9 @@ class TestTrainStep:
         train, _ = gen_dataset(spec)
         batch = train.slice(np.arange(8))
         loss = model.loss(batch.features, batch.questions, batch.answers)
-        T.backward(loss, leaves=model.registry.trainable_tensors())
-        updated = masked_params(model, tags)
+        T.backward(loss, leaves=[t for _, t in model.registry.named(
+            trainable_only=True)])
+        updated = model.registry.named(tags, trainable_only=True)
         full = {name: t.grad.copy() for name, t in updated}
         step_loss, _ = train_step(model, T.Adam(lr=1e-2), batch, tags)
         assert step_loss == float(loss.data)
@@ -214,7 +216,8 @@ class TestTrainStep:
         model = build_model(spec, train_classifier=True)
         train, _ = gen_dataset(spec)
         train_step(model, T.Adam(), train.slice(np.arange(4)), tags)
-        updated = {name for name, _ in masked_params(model, tags)}
+        updated = {name for name, _ in model.registry.named(
+            tags, trainable_only=True)}
         for name, t in model.registry.named(trainable_only=True):
             assert (t.grad is not None) == (name in updated), name
 
@@ -597,21 +600,19 @@ class TestTokenReuse:
         assert sum(taped for _, taped in calls) == 3
         assert sum(not taped for _, taped in calls) == 4
 
-    def test_tokens_of_hidden_modalities_rejected(self):
-        # cached tokens stood in for the zeroed features, so the hidden
-        # modalities still counted and the mask changed nothing
+    def test_given_tokens_equal_computed_ones(self):
+        # fit hands evaluate the tokens of its exited modalities: any
+        # subset of the model's own tokens gives the accuracy of none
         spec = small_spec(n=3)
         model = build_model(spec)
         _, test = gen_dataset(spec)
         tokens = {m: model.forward_only_tokens(m, test.features[m], 256)
                   for m in model.order}
-        with pytest.raises(ValueError, match=r"\['audio', 'depth'\]"):
-            predict_dataset(model, test, visible={"video"}, tokens=tokens)
-        # a visible modality's unmasked tokens are its masked ones
-        assert np.array_equal(
-            predict_dataset(model, test, visible={"video"},
-                            tokens={"video": tokens["video"]}),
-            predict_dataset(model, test, visible={"video"}))
+        plain = evaluate(model, test)
+        for k in range(len(model.order) + 1):
+            for subset in itertools.combinations(model.order, k):
+                given = {m: tokens[m] for m in subset}
+                assert evaluate(model, test, given) == plain, subset
 
     def test_exited_modalities_run_no_qformer(self, monkeypatch):
         spec = small_spec(n=3)
