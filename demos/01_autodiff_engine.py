@@ -54,7 +54,6 @@ for step in range(400):
     loss = T.tmean(err * err)
     T.backward(loss, leaves=[weight])
     opt.step([("weight", weight)])
-    T.zero_grads([weight])
     if step % 100 == 0:
         print(f"step {step:>3}  mse {float(loss.data):.5f}")
 print("recovered weights:", np.round(weight.data.ravel(), 3))

@@ -58,7 +58,6 @@ for step in range(20):
     loss = T.tmean(tokens * tokens)  # shrink the summary tokens
     T.backward(loss, leaves=[t for _, t in params])
     opt.step(params)
-    T.zero_grads([t for _, t in params])
 print(f"loss after 20 steps: {float(loss.data):.5f}")
 print("backbone digest unchanged:",
       digest(named_tensors(backbone, "backbone")) == backbone_before)

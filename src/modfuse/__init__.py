@@ -31,7 +31,6 @@ from modfuse.tensor import (
     tmean,
     transpose,
     tsum,
-    zero_grads,
 )
 from modfuse.training import TrainConfig, evaluate, fit, predict_dataset
 

@@ -21,7 +21,7 @@ from functools import cache
 import numpy as np
 
 from modfuse import tensor as T
-from modfuse.backbone import INIT_STD, Affine
+from modfuse.backbone import Affine, affine, normal, zeros
 from modfuse.rng import component_rng
 
 
@@ -50,24 +50,12 @@ def mmqa_create(name: str, d: int, r: int, tokens: int, layers: int,
                 feat_dim: int, seed: int, dtype=np.float32) -> MMQAdapter:
     """Deterministic adapter init: down-projections zero, the rest scaled-normal."""
     rng = component_rng(seed, f"adapter.{name}")
-    queries = T.Tensor(rng.normal(0.0, INIT_STD, size=(tokens, d)),
-                       requires_grad=True, dtype=dtype)
-    lora = []
-    for _ in range(layers):
-        site = {}
-        for key in ("q", "v"):
-            site[key] = LoraPair(
-                down=T.Tensor(np.zeros((d, r)), requires_grad=True, dtype=dtype),
-                up=T.Tensor(rng.normal(0.0, INIT_STD, size=(r, d)),
-                            requires_grad=True, dtype=dtype),
-            )
-        lora.append(site)
-    align = None
-    if feat_dim != d:
-        align = Affine(
-            w=T.Tensor(rng.normal(0.0, INIT_STD, size=(feat_dim, d)),
-                       requires_grad=True, dtype=dtype),
-            b=T.Tensor(np.zeros(d), requires_grad=True, dtype=dtype))
+    queries = normal(rng, (tokens, d), dtype, trainable=True)
+    lora = [{key: LoraPair(down=zeros((d, r), dtype, trainable=True),
+                           up=normal(rng, (r, d), dtype, trainable=True))
+             for key in ("q", "v")} for _ in range(layers)]
+    align = (affine(rng, feat_dim, d, dtype, trainable=True)
+             if feat_dim != d else None)
     return MMQAdapter(name=name, queries=queries, lora=lora, align=align,
                       feat_dim=feat_dim)
 

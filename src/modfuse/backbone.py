@@ -8,9 +8,16 @@ is initialized once and never trained; all task capacity lives in the
 per-modality adapters.
 
 Every tensor is a dataclass field, registered under its field path
-(``backbone.layers.<i>.selfattn.wq``). ``align_features`` maps a
-modality's features onto the hidden size with its adapter's ``align``
-map before the first cross-attention.
+(``backbone.layers.<i>.selfattn.wq``). The constructors here (``normal``,
+``zeros``, ``affine``, ``layer_norm_weights``, ``attention_weights``,
+``feed_forward``) build every weight of the model, the adapters', the
+fusion module's, the prefixes' and the answer head's as well. ``normal``
+alone reads ``INIT_STD``, scaled by a ``gain``; ``trainable`` sets
+``requires_grad``, which is what the registry reads each non-adapter
+tag off, so a constructor call is the one statement of what trains.
+
+``align_features`` maps a modality's features onto the hidden size with
+its adapter's ``align`` map before the first cross-attention.
 
 Modality features carry no positional encoding, so the cross-attention
 treats them as an unordered set and the output is invariant to permuting
@@ -27,10 +34,6 @@ from modfuse import tensor as T
 from modfuse.rng import component_rng
 
 INIT_STD = 0.02
-
-
-def _init(rng: np.random.Generator, shape, dtype) -> T.Tensor:
-    return T.Tensor(rng.normal(0.0, INIT_STD, size=shape), dtype=dtype)
 
 
 @dataclass
@@ -75,16 +78,44 @@ class Backbone:
     layers: list[BackboneLayer]
 
 
-def _init_ln(d: int, dtype) -> LayerNormWeights:
+def normal(rng: np.random.Generator, shape, dtype, gain: float = 1.0,
+           trainable: bool = False) -> T.Tensor:
+    """A scaled-normal draw: zero mean, standard deviation gain * INIT_STD."""
+    return T.Tensor(rng.normal(0.0, gain * INIT_STD, size=shape),
+                    requires_grad=trainable, dtype=dtype)
+
+
+def zeros(shape, dtype, trainable: bool = False) -> T.Tensor:
+    return T.Tensor(np.zeros(shape), requires_grad=trainable, dtype=dtype)
+
+
+def affine(rng: np.random.Generator, rows: int, cols: int, dtype,
+           gain: float = 1.0, trainable: bool = False) -> Affine:
+    """A scaled-normal [rows, cols] map with a zero bias."""
+    return Affine(w=normal(rng, (rows, cols), dtype, gain, trainable),
+                  b=zeros(cols, dtype, trainable))
+
+
+def layer_norm_weights(d: int, dtype) -> LayerNormWeights:
     return LayerNormWeights(gain=T.Tensor(np.ones(d), dtype=dtype),
-                            bias=T.Tensor(np.zeros(d), dtype=dtype))
+                            bias=zeros(d, dtype))
 
 
-def _init_attn(rng, d: int, dtype) -> AttentionWeights:
-    return AttentionWeights(wq=_init(rng, (d, d), dtype),
-                            wk=_init(rng, (d, d), dtype),
-                            wv=_init(rng, (d, d), dtype),
-                            wo=_init(rng, (d, d), dtype))
+def attention_weights(rng: np.random.Generator, d: int, dtype,
+                      qk_gain: float = 1.0, vo_gain: float = 1.0,
+                      trainable: bool = False) -> AttentionWeights:
+    """Four [d, d] projections, drawn in the order q, k, v, o."""
+    return AttentionWeights(wq=normal(rng, (d, d), dtype, qk_gain, trainable),
+                            wk=normal(rng, (d, d), dtype, qk_gain, trainable),
+                            wv=normal(rng, (d, d), dtype, vo_gain, trainable),
+                            wo=normal(rng, (d, d), dtype, vo_gain, trainable))
+
+
+def feed_forward(rng: np.random.Generator, d: int, dtype,
+                 gain: float = 1.0) -> FeedForward:
+    """A frozen d -> 4d -> d feed-forward pair."""
+    return FeedForward(w1=normal(rng, (d, 4 * d), dtype, gain),
+                       w2=normal(rng, (4 * d, d), dtype, gain))
 
 
 def init_backbone(seed: int, d: int, layers: int, heads: int,
@@ -93,13 +124,12 @@ def init_backbone(seed: int, d: int, layers: int, heads: int,
     dims are taken as ``ModelDims`` checked them."""
     rng = component_rng(seed, "backbone")
     return Backbone(heads=heads, layers=[BackboneLayer(
-        ln1=_init_ln(d, dtype),
-        selfattn=_init_attn(rng, d, dtype),
-        ln2=_init_ln(d, dtype),
-        crossattn=_init_attn(rng, d, dtype),
-        ln3=_init_ln(d, dtype),
-        ffn=FeedForward(w1=_init(rng, (d, 4 * d), dtype),
-                        w2=_init(rng, (4 * d, d), dtype)),
+        ln1=layer_norm_weights(d, dtype),
+        selfattn=attention_weights(rng, d, dtype),
+        ln2=layer_norm_weights(d, dtype),
+        crossattn=attention_weights(rng, d, dtype),
+        ln3=layer_norm_weights(d, dtype),
+        ffn=feed_forward(rng, d, dtype),
     ) for _ in range(layers)])
 
 

@@ -22,12 +22,13 @@ included, so a restore reproduces the model bit for bit.
 
 Saves stage to a uniquely named temporary file beside the target, commit
 with an atomic rename and sync the directory. Loads verify the stored
-digest against the embedded config text and fail on truncation with the
-byte offset; restores fail on a tensor holding NaN or Inf, naming it.
-The config text is the only description of the run, so the modality
-order and the fusion strategy are read from it alone. A file of any
-other version fails to load, with or without ``force``; it is retrained,
-not converted. A config error in a loaded file names its path and line.
+digest against the config text's raw bytes, before decoding them, and
+fail on truncation or on text that is not utf-8 with the byte offset;
+restores fail on a tensor holding NaN or Inf, naming it. The config
+text is the only description of the run, so the modality order and the
+fusion strategy are read from it alone. A file of any other version
+fails to load, with or without ``force``; it is retrained, not
+converted. A config error in a loaded file names its path and line.
 ``force`` skips the digest check and downgrades tensor mismatches to
 warnings, skipping tensors whose name or shape no longer fits, which is
 how a checkpoint from a smaller modality set is carried into an extended
@@ -132,8 +133,17 @@ def parse_checkpoint(data: bytes, force: bool = False) -> Checkpoint:
     def unpack(fmt: str, what: str) -> tuple:
         return struct.unpack(fmt, raw(struct.calcsize(fmt), what))
 
+    def utf8(b: bytes, what: str) -> str:
+        # b is the last read, so it starts at off - len(b)
+        try:
+            return b.decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise CheckpointError(
+                f"{what} is not utf-8: bad byte at {off - len(b) + e.start}"
+            ) from None
+
     def string(fmt: str, what: str) -> str:
-        return raw(unpack(fmt, what)[0], what).decode("utf-8")
+        return utf8(raw(unpack(fmt, what)[0], what), what)
 
     if raw(4, "magic") != MAGIC:
         raise CheckpointError("not a checkpoint file (bad magic)")
@@ -141,11 +151,12 @@ def parse_checkpoint(data: bytes, force: bool = False) -> Checkpoint:
     if version != VERSION:
         raise CheckpointError(f"unsupported checkpoint version {version}")
     digest = raw(32, "config digest").hex()
-    config_text = string("<I", "config text")
-    actual = hashlib.sha256(config_text.encode()).hexdigest()
-    if actual != digest and not force:
+    # the digest covers the raw bytes, so corrupt text fails it first
+    config = raw(unpack("<I", "config text")[0], "config text")
+    if hashlib.sha256(config).hexdigest() != digest and not force:
         raise CheckpointError("config text does not match the stored digest; "
                               "the file is corrupt (or pass force)")
+    config_text = utf8(config, "config text")
     tensors: dict[str, np.ndarray] = {}
     for _ in range(unpack("<I", "tensor count")[0]):
         name = string("<H", "tensor name")

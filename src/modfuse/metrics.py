@@ -17,17 +17,13 @@ from modfuse.training import TrainReport, census_summary
 SCHEMA_VERSION = 1
 
 
-def model_flops(model: FusionModel) -> int:
-    """Analytic per-example cost of the frozen reasoning stage."""
-    return reasoner_flops(len(model.order), model.dims.tokens,
-                          QUESTION_LEN, model.strategy, model.dims.d)
-
-
 def run_records(model: FusionModel, report: TrainReport) -> list[dict]:
     """One metrics record per trained epoch."""
     census = census_summary(model)
     budget = token_budget(model.strategy, len(model.order), model.dims.tokens)
-    flops = model_flops(model)
+    # analytic per-example cost of the frozen reasoning stage
+    flops = reasoner_flops(len(model.order), model.dims.tokens,
+                           QUESTION_LEN, model.strategy, model.dims.d)
     records = []
     for e in report.epochs:
         records.append({

@@ -112,10 +112,9 @@ class FusionModel:
 
     def _build_registry(self) -> ParamRegistry:
         """Every tensor under its path through the components. An
-        adapter's tensors take its modality's tag. Backbone tensors are
-        "frozen", and so are head tensors that do not train; the head's
-        trainable classifier, the fusion parameters and the prefixes are
-        "fusion"."""
+        adapter's tensors take its modality's tag; any other tensor is
+        "fusion" if it trains and "frozen" if not, as its constructor's
+        ``trainable`` flag set it."""
         reg = ParamRegistry()
         for part, node in [("backbone", self.backbone),
                            *self.adapters.items(),
@@ -124,11 +123,8 @@ class FusionModel:
             for name, t in named_tensors(node, part):
                 if isinstance(node, MMQAdapter):
                     tag = part
-                elif part == "backbone" or (part == "head"
-                                            and not t.requires_grad):
-                    tag = "frozen"
                 else:
-                    tag = "fusion"
+                    tag = "fusion" if t.requires_grad else "frozen"
                 reg.register(name, t, tag)
         return reg
 

@@ -13,6 +13,8 @@ escape hatch is reported in metrics whenever it is on.
 ``AnswerHead`` declares its tensors in checkpoint order (``embed``,
 ``input``, ``layers``, ``classifier``); the registry names them by field
 path (``head.input.w``, ``head.layers.<i>.ffn.w1``, ``head.classifier.b``).
+The backbone's constructors build them, at the gains below; only the
+classifier can be built trainable.
 """
 
 from __future__ import annotations
@@ -23,21 +25,23 @@ import numpy as np
 
 from modfuse import tensor as T
 from modfuse.backbone import (Affine, AttentionWeights, FeedForward,
-                              LayerNormWeights, attention, ffn, INIT_STD)
+                              LayerNormWeights, affine, attention,
+                              attention_weights, feed_forward, ffn,
+                              layer_norm_weights, normal)
 from modfuse.fusion import block_count
 from modfuse.rng import component_rng
 
-# Init gains for the frozen reservoir, as multiples of the backbone's
-# conservative INIT_STD. At that small scale a frozen random transformer
-# is nearly inert: pre-softmax attention scores sit within a fraction of
-# a unit of each other (attention collapses to uniform pooling) and the
-# gated feed-forward units stay in their linear region, so products of
-# question and content tokens never reach the classifier. Scaling the
-# frozen matrices up gives sharp, input-dependent attention patterns and
-# active nonlinearities, turning the head into a usable random-feature
-# reservoir — the same spectral-scale tuning that echo-state networks
-# need. Query/key matrices get an extra factor because scores are
-# bilinear in them.
+# Init gains for the frozen reservoir: the ``gain`` of backbone.normal, a
+# multiple of the backbone's conservative init scale. At that small scale
+# a frozen random transformer is nearly inert: pre-softmax attention
+# scores sit within a fraction of a unit of each other (attention
+# collapses to uniform pooling) and the gated feed-forward units stay in
+# their linear region, so products of question and content tokens never
+# reach the classifier. Scaling the frozen matrices up gives sharp,
+# input-dependent attention patterns and active nonlinearities, turning
+# the head into a usable random-feature reservoir — the same
+# spectral-scale tuning that echo-state networks need. Query/key matrices
+# get an extra factor because scores are bilinear in them.
 HEAD_GAIN = 6.0
 ATTN_GAIN = 12.0
 
@@ -71,34 +75,19 @@ def create_head(seed: int, d: int, heads: int, vocab: int, classes: int,
                 dtype=np.float32) -> AnswerHead:
     rng = component_rng(seed, "head")
     width = head_width(d)
-
-    def normal(shape, gain=1.0, trainable=False):
-        return T.Tensor(rng.normal(0.0, gain * INIT_STD, size=shape),
-                        requires_grad=trainable, dtype=dtype)
-
-    def ln():
-        return LayerNormWeights(gain=T.Tensor(np.ones(width), dtype=dtype),
-                                bias=T.Tensor(np.zeros(width), dtype=dtype))
-
     # drawn in the order embed, input, classifier, layers: the classifier
     # comes before the layers it follows in the checkpoint
-    embed = normal((vocab, d))
-    input_map = Affine(w=normal((d, width), gain=HEAD_GAIN),
-                       b=T.Tensor(np.zeros(width), dtype=dtype))
-    classifier = Affine(
-        w=normal((width, classes), gain=HEAD_GAIN, trainable=train_classifier),
-        b=T.Tensor(np.zeros(classes), requires_grad=train_classifier,
-                   dtype=dtype))
+    embed = normal(rng, (vocab, d), dtype)
+    input_map = affine(rng, d, width, dtype, gain=HEAD_GAIN)
+    classifier = affine(rng, width, classes, dtype, gain=HEAD_GAIN,
+                        trainable=train_classifier)
     return AnswerHead(heads=heads, embed=embed, input=input_map, layers=[
         HeadLayer(
-            ln1=ln(),
-            attn=AttentionWeights(wq=normal((width, width), gain=ATTN_GAIN),
-                                  wk=normal((width, width), gain=ATTN_GAIN),
-                                  wv=normal((width, width), gain=HEAD_GAIN),
-                                  wo=normal((width, width), gain=HEAD_GAIN)),
-            ln2=ln(),
-            ffn=FeedForward(w1=normal((width, 4 * width), gain=HEAD_GAIN),
-                            w2=normal((4 * width, width), gain=HEAD_GAIN)),
+            ln1=layer_norm_weights(width, dtype),
+            attn=attention_weights(rng, width, dtype, qk_gain=ATTN_GAIN,
+                                   vo_gain=HEAD_GAIN),
+            ln2=layer_norm_weights(width, dtype),
+            ffn=feed_forward(rng, width, dtype, gain=HEAD_GAIN),
         ) for _ in range(HEAD_LAYERS)], classifier=classifier)
 
 
@@ -112,18 +101,18 @@ def assemble_input(fused: T.Tensor, prefixes: dict[str, T.Tensor],
                    schedule: list[str], lang: T.Tensor) -> T.Tensor:
     """[prefix block; fused tokens; question tokens], all width d.
 
-    ``schedule`` lists which prefix vectors to use, in order; ``lang``
-    holds the embedded question tokens.
+    The prefix block holds one vector per entry of ``schedule``, in its
+    order, all ahead of the fused tokens; ``lang`` holds the embedded
+    question tokens. The head mean-pools and has no positional encoding,
+    so this order moves only the order of its float sums.
     """
     b, _, d = fused.shape
     if lang.shape[-1] != d:
         raise ValueError(f"question tokens width {lang.shape[-1]} != {d}")
-    parts = []
-    if schedule:
-        rows = [T.reshape(prefixes[name], (1, 1, d)) for name in schedule]
-        block = T.concat(rows, axis=1) if len(rows) > 1 else rows[0]
-        parts.append(T.broadcast_to(block, (b, len(schedule), d)))
-    return T.concat([*parts, fused, lang], axis=1)
+    rows = [T.reshape(prefixes[name], (1, 1, d)) for name in schedule]
+    block = T.concat(rows, axis=1) if len(rows) > 1 else rows[0]
+    return T.concat([T.broadcast_to(block, (b, len(schedule), d)), fused,
+                     lang], axis=1)
 
 
 def predict(head: AnswerHead, assembled: T.Tensor) -> T.Tensor:

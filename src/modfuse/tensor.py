@@ -109,9 +109,6 @@ class Tensor:
     def size(self) -> int:
         return self.data.size
 
-    def item(self) -> float:
-        return float(self.data)
-
     def zero_grad(self) -> None:
         self.grad = np.zeros_like(self.data)
 
@@ -347,37 +344,34 @@ def silu(a: Tensor) -> Tensor:
     return _make(xs, (a,), "silu", backward_fn)
 
 
-def _softmax_data(x: np.ndarray, axis: int) -> np.ndarray:
-    if axis % x.ndim == x.ndim - 1:
-        # x.max runs its inner loop once per row, which costs far more
-        # than the few keys in a row; a sweep over the columns runs it once
-        # per key and gives the same maxima (the maximum is exact)
-        m = x[..., 0].copy()
-        for j in range(1, x.shape[-1]):
-            np.maximum(m, x[..., j], out=m)
-        m = m[..., None]
-    else:
-        m = x.max(axis=axis, keepdims=True)
-    e = x - m
+def _softmax_data(x: np.ndarray) -> np.ndarray:
+    # x.max runs its inner loop once per row, which costs far more than
+    # the few keys in a row; a sweep over the columns runs it once per key
+    # and gives the same maxima (the maximum is exact)
+    m = x[..., 0].copy()
+    for j in range(1, x.shape[-1]):
+        np.maximum(m, x[..., j], out=m)
+    e = x - m[..., None]
     np.exp(e, out=e)
-    e /= e.sum(axis=axis, keepdims=True)
+    e /= e.sum(axis=-1, keepdims=True)
     return e
 
 
-def _softmax_grad(g: np.ndarray, y: np.ndarray, axis: int) -> np.ndarray:
-    # (g - sum(g * y)) * y, in the buffer of g * y
+def _softmax_grad(g: np.ndarray, y: np.ndarray) -> np.ndarray:
+    # (g - sum(g * y)) * y over the last axis, in the buffer of g * y
     gy = g * y
-    np.subtract(g, gy.sum(axis=axis, keepdims=True), out=gy)
+    np.subtract(g, gy.sum(axis=-1, keepdims=True), out=gy)
     gy *= y
     return gy
 
 
-def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    y = _softmax_data(a.data, axis)
+def softmax(a: Tensor) -> Tensor:
+    """Softmax over the last axis."""
+    y = _softmax_data(a.data)
 
     def backward_fn(g):
         if a.requires_grad:
-            a.accumulate(_softmax_grad(g, y, axis), owned=True)
+            a.accumulate(_softmax_grad(g, y), owned=True)
 
     return _make(y, (a,), "softmax", backward_fn)
 
@@ -408,7 +402,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
     scores = qh @ kt
     _check_finite(scores, "attention")
     scores *= np.asarray(scale, dtype=q.dtype)
-    probs = _softmax_data(scores, -1)
+    probs = _softmax_data(scores)
     if probes is not None:
         probes.append(probs)
     heads_out = np.transpose(probs @ vh, (0, 2, 1, 3))
@@ -422,8 +416,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
         g_pv = np.transpose(np.array(g.reshape(b, sq, heads, dh)),
                             (0, 2, 1, 3))
         if q.requires_grad or k.requires_grad:
-            g_scores = _softmax_grad(g_pv @ np.swapaxes(vh, -1, -2), probs,
-                                     -1)
+            g_scores = _softmax_grad(g_pv @ np.swapaxes(vh, -1, -2), probs)
             g_scores *= scale
             if q.requires_grad:
                 g_qh = g_scores @ np.swapaxes(kt, -1, -2)
@@ -573,11 +566,6 @@ def backward(loss: Tensor, leaves: Iterable[Tensor] | None = None) -> None:
         # every node in order requires grad: _topo_order skips frozen ones
         if not node._parents and node.grad is not None:
             _check_finite(node.grad, "backward")
-
-
-def zero_grads(tensors: Iterable[Tensor]) -> None:
-    for t in tensors:
-        t.zero_grad()
 
 
 # optimization

@@ -168,6 +168,32 @@ class TestCorruption:
         ckpt = parse_checkpoint(bytes(raw), force=True)
         assert ckpt.config_text == cfg.to_text()
 
+    # magic, version, digest and the text's length come first
+    CONFIG_AT = 4 + 4 + 32 + 4
+
+    def test_non_utf8_config_text_fails_the_digest(self):
+        model, cfg = make()
+        raw = bytearray(checkpoint_bytes(model.registry, cfg))
+        raw[self.CONFIG_AT] = 0xFF
+        with pytest.raises(CheckpointError, match="^config text does not "
+                           "match the stored digest"):
+            parse_checkpoint(bytes(raw))
+        with pytest.raises(CheckpointError, match=r"^config text is not "
+                           rf"utf-8: bad byte at {self.CONFIG_AT}$"):
+            parse_checkpoint(bytes(raw), force=True)
+
+    @pytest.mark.parametrize("force", [False, True])
+    def test_non_utf8_tensor_name_names_the_offset(self, force):
+        model, cfg = make()
+        raw = bytearray(checkpoint_bytes(model.registry, cfg))
+        # then the tensor count and the first name's length
+        name_at = self.CONFIG_AT + len(cfg.to_text().encode()) + 4 + 2
+        assert raw[name_at:name_at + 5] == b"backb"
+        raw[name_at] = 0xFF
+        with pytest.raises(CheckpointError, match=r"^tensor name is not "
+                           rf"utf-8: bad byte at {name_at}$"):
+            parse_checkpoint(bytes(raw), force=force)
+
     @pytest.mark.parametrize("force", [False, True])
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_tensor_fails_restore_by_name(self, force, value):

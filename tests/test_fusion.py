@@ -45,12 +45,15 @@ class TestTokenBudget:
             token_budget("Gated", 2, 4)
 
     def test_measured_counts_match_budget(self):
+        # fuse_variant does not count its output; this is the guard
         for strategy in STRATEGIES:
             for n in range(2, 7):
-                fusion = build(strategy, n)
-                sets = token_sets(n, seed=n)
-                out = fuse_variant(fusion, sets[0], sets[1:])
-                assert out.shape[1] == token_budget(strategy, n, 4)
+                for tokens in (1, 3, 4):
+                    fusion = build(strategy, n, tokens=tokens)
+                    sets = token_sets(n, tokens=tokens, seed=n)
+                    out = fuse_variant(fusion, sets[0], sets[1:])
+                    assert out.shape[1] == \
+                        token_budget(strategy, n, tokens), (strategy, n)
 
 
 class TestSelfGated:
@@ -182,7 +185,7 @@ class TestPrefixes:
         assert prefix_schedule("SelfGated", ["video"], "video") == ["video"]
 
     def test_one_prefix_per_budget_block(self):
-        # every block of T fused tokens is fronted by one prefix
+        # one prefix vector per block of T fused tokens
         for strategy in STRATEGIES:
             for n in range(1, 7):
                 order = [f"m{i}" for i in range(n)]

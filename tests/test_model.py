@@ -224,6 +224,23 @@ class TestNamespace:
         assert got == [f"fusion.{n}" for n in FUSION_NAMES[strategy]]
         assert {model.registry[n].tag for n in got} <= {"fusion"}
 
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_float64_model_is_the_float32_model_widened(self, strategy):
+        # run_gradcheck checks a float64 model in place of the float32 one
+        # that trains: the same layout, the same draws
+        wide, narrow = (build_model(strategy, seed=3, dtype=dtype,
+                                    train_classifier=True)
+                        for dtype in (np.float64, np.float32))
+        assert [(name, e.tag, e.tensor.requires_grad)
+                for name, e in wide.registry.entries.items()] == \
+            [(name, e.tag, e.tensor.requires_grad)
+             for name, e in narrow.registry.entries.items()]
+        for name, e in narrow.registry.entries.items():
+            twin = wide.registry[name].tensor.data
+            assert twin.dtype == np.float64 and e.tensor.dtype == np.float32
+            assert e.tensor.data.tobytes() == \
+                twin.astype(np.float32).tobytes(), name
+
 
 class TestForward:
     def test_logits_shape(self):
@@ -252,7 +269,7 @@ class TestForward:
         feats, questions, answers = toy_batch()
         loss = model.loss(feats, questions, answers)
         assert loss.size == 1
-        assert np.isfinite(loss.item())
+        assert np.isfinite(float(loss.data))
 
     def test_predictions_in_answer_range(self):
         model = build_model()

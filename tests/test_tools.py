@@ -22,6 +22,20 @@ def test_byte_digests_repeat(tmp_path):
         assert proc.returncode == 0, proc.stderr[-2000:]
     assert outs[0].stdout == outs[1].stdout
     lines = [json.loads(line) for line in outs[0].stdout.splitlines()]
+    inits = [line for line in lines if "init" in line]
+    assert [line["init"] for line in inits] == [
+        f"{s}-{dtype}" for s in STRATEGIES for dtype in ("float32", "float64")]
+    for line in inits:
+        assert set(line["checksum"]) == {"video", "audio", "depth", "fusion",
+                                         "frozen"}
+        assert all(len(h) == 64 for h in line["checksum"].values())
+    for dtype in ("float32", "float64"):
+        # only the fusion tag's draws depend on the strategy
+        shared = {json.dumps({tag: h for tag, h in line["checksum"].items()
+                              if tag != "fusion"}, sort_keys=True)
+                  for line in inits if line["init"].endswith(dtype)}
+        assert len(shared) == 1
+    lines = lines[len(inits):]
     assert [line["run"] for line in lines[:-1]] == [
         f"{s}-{m}-exit-seed7" for s in STRATEGIES
         for m in ("sequential", "joint")] + [

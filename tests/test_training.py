@@ -458,8 +458,7 @@ class TestEveryTrainableTrains:
         with T.no_grad():
             tokens = model.modality_tokens(batch.features, taped=set())
             x = T.concat([tokens[m] for m in model.supportive], axis=-1)
-            probs = T.softmax(T.matmul(x, p["gate"].w) + p["gate"].b,
-                              axis=-1)
+            probs = T.softmax(T.matmul(x, p["gate"].w) + p["gate"].b)
         routed = {int(e) for e in np.unique(np.argmax(probs.data, axis=-1))}
         assert 0 < len(routed) < MOE_EXPERTS   # both sides of the rule
         experts = [[e.w, e.b] for e in p["experts"]]

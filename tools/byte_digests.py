@@ -9,6 +9,11 @@ and ``diff`` the two outputs: a change that only reorganises work must
 leave every line as it was. Each checkout imports ``modfuse`` from its own
 ``src/``, with BLAS pinned to one thread.
 
+The first lines hold, for every fusion strategy in float32 and in float64,
+the grid model (below) as built, untrained: ``registry.checksum`` of each
+registry tag (``init``, ``checksum``), so a change to how weights are
+drawn shows which component moved.
+
 The grid is every fusion strategy, in sequential and in joint mode, with
 early exit (tau 0.9), at seed 7, on the perfbench model (video 16x8 major,
 audio 24x6, depth 48x4, d=32, 2 layers, 4 heads, 4 tokens, rank 8,
@@ -143,6 +148,24 @@ def digest_line(label: str, text: str, outdir: str) -> dict:
                 ckpt, modalities=[cfg.major])["accuracy"]}
 
 
+def init_line(strategy: str, dtype: str, args) -> dict:
+    """The untrained grid model's ``registry.checksum`` per tag."""
+    from modfuse import config
+    from modfuse.model import FusionModel
+
+    cfg = config.parse_config(
+        grid_config(strategy, "sequential", args.train_size, args.test_size,
+                    args.epochs), source=strategy)
+    # the grid attaches every modality, so this is build_model at dtype
+    reg = FusionModel(cfg.dims, cfg.spec.modalities, cfg.major, cfg.strategy,
+                      cfg.spec.vocab, cfg.spec.classes, cfg.model_seed,
+                      train_classifier=cfg.train_classifier,
+                      dtype=dtype).registry
+    return {"init": f"{strategy}-{dtype}",
+            "checksum": {tag: reg.checksum({tag})
+                         for tag in sorted(reg.tags())}}
+
+
 def runs(args):
     """(label, config text) of every run, in output order."""
     from modfuse.fusion import STRATEGIES
@@ -181,7 +204,12 @@ def main(argv=None) -> int:
         os.environ[var] = "1"
     sys.path.insert(0, os.path.join(ROOT, "src"))
     from modfuse import runner
+    from modfuse.fusion import STRATEGIES
 
+    for strategy in STRATEGIES:
+        for dtype in ("float32", "float64"):
+            print(json.dumps(init_line(strategy, dtype, args), sort_keys=True),
+                  flush=True)
     with tempfile.TemporaryDirectory() as outdir:
         for label, text in runs(args):
             print(json.dumps(digest_line(label, text, outdir),
