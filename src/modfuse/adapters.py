@@ -113,12 +113,6 @@ class ParamRegistry:
                              f"requires_grad={tensor.requires_grad}")
         self.entries[name] = RegistryEntry(tensor, tag)
 
-    def __contains__(self, name: str) -> bool:
-        return name in self.entries
-
-    def __getitem__(self, name: str) -> RegistryEntry:
-        return self.entries[name]
-
     def tags(self) -> set[str]:
         return {e.tag for e in self.entries.values()}
 

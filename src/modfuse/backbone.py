@@ -34,6 +34,8 @@ from modfuse import tensor as T
 from modfuse.rng import component_rng
 
 INIT_STD = 0.02
+# hidden width of every feed-forward sublayer, as a multiple of its input
+FF_EXPANSION = 4
 
 
 @dataclass
@@ -113,9 +115,9 @@ def attention_weights(rng: np.random.Generator, d: int, dtype,
 
 def feed_forward(rng: np.random.Generator, d: int, dtype,
                  gain: float = 1.0) -> FeedForward:
-    """A frozen d -> 4d -> d feed-forward pair."""
-    return FeedForward(w1=normal(rng, (d, 4 * d), dtype, gain),
-                       w2=normal(rng, (4 * d, d), dtype, gain))
+    """A frozen d -> FF_EXPANSION * d -> d feed-forward pair."""
+    return FeedForward(w1=normal(rng, (d, FF_EXPANSION * d), dtype, gain),
+                       w2=normal(rng, (FF_EXPANSION * d, d), dtype, gain))
 
 
 def init_backbone(seed: int, d: int, layers: int, heads: int,

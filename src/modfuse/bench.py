@@ -26,6 +26,7 @@ from itertools import combinations, product
 
 import numpy as np
 
+from modfuse.errors import ConfigError, at_least
 from modfuse.rng import component_rng
 
 TEMPLATES = ("unimodal", "equal", "count")
@@ -33,6 +34,15 @@ TRAIN_STREAM = 0
 TEST_STREAM = 1
 PAD_TOKEN = 3  # question slots: 0..2 template ids, 3 pad, then modalities, symbols
 QUESTION_LEN = 3  # tokens per question: template id, first argument, second or pad
+
+
+def check_names(names, key: str) -> None:
+    """At least one modality name under config ``key``, none twice."""
+    if not names:
+        raise ConfigError(f"{key} must list at least one name", key)
+    for name in names:
+        if names.count(name) > 1:
+            raise ConfigError(f"{key} names '{name}' twice", key)
 
 
 @dataclass(frozen=True)
@@ -52,27 +62,17 @@ class BenchSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.alphabet < 2:
-            raise ValueError("alphabet size must be at least 2")
-        if not self.modalities:
-            raise ValueError("at least one modality required")
-        names = [m.name for m in self.modalities]
-        for name in names:
-            if names.count(name) > 1:
-                raise ValueError(f"duplicate modality name '{name}'")
-        if self.train_size < 1 or self.test_size < 1:
-            raise ValueError("train and test sizes must be positive")
+        at_least("bench.alphabet", self.alphabet, 2)
+        check_names(self.names, "modalities")
+        at_least("bench.train_size", self.train_size, 1)
+        at_least("bench.test_size", self.test_size, 1)
         if not (math.isfinite(self.noise) and self.noise >= 0):
-            raise ValueError(f"bench.noise must be finite and non-negative, "
-                             f"got {self.noise}")
-        if self.seed < 0:
-            raise ValueError(f"bench.seed must be non-negative, "
-                             f"got {self.seed}")
+            raise ConfigError(f"bench.noise must be finite and non-negative, "
+                              f"got {self.noise}", "bench.noise")
+        at_least("bench.seed", self.seed, 0)
         for m in self.modalities:
-            for name in ("feat_dim", "seq_len"):
-                if getattr(m, name) < 1:
-                    raise ValueError(f"modality '{m.name}': {name} must be "
-                                     f"positive, got {getattr(m, name)}")
+            at_least(f"modality.{m.name}.feat_dim", m.feat_dim, 1)
+            at_least(f"modality.{m.name}.seq_len", m.seq_len, 1)
 
     @property
     def n(self) -> int:

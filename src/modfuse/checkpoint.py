@@ -28,7 +28,8 @@ restores fail on a tensor holding NaN or Inf, naming it. The config
 text is the only description of the run, so the modality order and the
 fusion strategy are read from it alone. A file of any other version
 fails to load, with or without ``force``; it is retrained, not
-converted. A config error in a loaded file names its path and line.
+converted. Every error about a loaded file starts with its path, and a
+config error in it with ``path:line``.
 ``force`` skips the digest check and downgrades tensor mismatches to
 warnings, skipping tensors whose name or shape no longer fits, which is
 how a checkpoint from a smaller modality set is carried into an extended
@@ -61,11 +62,10 @@ class CheckpointError(ValueError):
 
 @dataclass
 class Checkpoint:
-    version: int
     digest: str
     config_text: str
     tensors: dict[str, np.ndarray] = field(default_factory=dict)
-    # where the bytes came from, named by config errors; set on load
+    # where the bytes came from, named by every error; set on load
     source: str = "<checkpoint>"
 
 
@@ -176,14 +176,17 @@ def parse_checkpoint(data: bytes, force: bool = False) -> Checkpoint:
     if off != len(data):
         raise CheckpointError(f"{len(data) - off} trailing bytes after "
                               f"the end marker")
-    return Checkpoint(version=version, digest=digest,
-                      config_text=config_text, tensors=tensors)
+    return Checkpoint(digest=digest, config_text=config_text,
+                      tensors=tensors)
 
 
 def load_checkpoint(path: str, force: bool = False) -> Checkpoint:
     with open(path, "rb") as f:
         data = f.read()
-    ckpt = parse_checkpoint(data, force=force)
+    try:
+        ckpt = parse_checkpoint(data, force=force)
+    except CheckpointError as e:
+        raise CheckpointError(f"{path}: {e}") from None
     ckpt.source = path
     return ckpt
 
@@ -200,33 +203,26 @@ def restore_into(registry: ParamRegistry, ckpt: Checkpoint,
     """
     for name, arr in ckpt.tensors.items():
         if not np.isfinite(arr).all():
-            raise CheckpointError(f"'{name}' holds non-finite values; the "
-                                  f"file is corrupt")
-    warnings: list[str] = []
-    names = {name for name, _ in registry.named()}
+            raise CheckpointError(f"{ckpt.source}: '{name}' holds non-finite "
+                                  f"values; the file is corrupt")
+    problems: list[str] = []
     for name, t in registry.named():
         arr = ckpt.tensors.get(name)
         if arr is None:
-            msg = f"'{name}' is not in the checkpoint"
+            problems.append(f"'{name}' is not in the checkpoint")
         elif arr.shape != t.data.shape:
-            msg = (f"'{name}' shape {arr.shape} does not match model shape "
-                   f"{t.data.shape}")
+            problems.append(f"'{name}' shape {arr.shape} does not match "
+                            f"model shape {t.data.shape}")
         elif arr.dtype != t.data.dtype:
-            msg = (f"'{name}' dtype {arr.dtype} does not match model dtype "
-                   f"{t.data.dtype}")
+            problems.append(f"'{name}' dtype {arr.dtype} does not match "
+                            f"model dtype {t.data.dtype}")
         else:
             t.data[...] = arr
-            continue
-        if not force:
-            raise CheckpointError(msg)
-        warnings.append(f"skipped: {msg}")
-    for name in ckpt.tensors:
-        if name not in names:
-            msg = f"'{name}' from the checkpoint is not in the model"
-            if not force:
-                raise CheckpointError(msg)
-            warnings.append(f"skipped: {msg}")
-    return warnings
+    problems += [f"'{name}' from the checkpoint is not in the model"
+                 for name in ckpt.tensors if name not in registry.entries]
+    if problems and not force:
+        raise CheckpointError(f"{ckpt.source}: {problems[0]}")
+    return [f"skipped: {msg}" for msg in problems]
 
 
 def model_from_checkpoint(ckpt: Checkpoint, force: bool = False):

@@ -3,7 +3,7 @@
 Grammar: one ``key = value`` pair per line; ``#`` starts a comment; blank
 lines are ignored. Keys are dotted lowercase identifiers. Values are
 integers, floats, booleans (``true``/``false``), bare strings, or
-comma-separated lists. Errors carry the line number and field name.
+comma-separated lists. Errors carry the source, line and key.
 
 A run is described by the modality list plus three blocks: ``bench.*``
 (synthetic data), ``model.*`` (architecture), ``train.*`` (optimization),
@@ -14,11 +14,11 @@ itself; a new field there is a new key. ``to_text`` emits a canonical
 sorted form whose SHA-256 is the config digest stored in checkpoints.
 
 Each of those dataclasses is frozen and checks its own ranges when built;
-``RunConfig`` adds the rules across blocks (``major``,
-``model.modalities``, the strategy, ``model.seed``). ``parse_config``
-reports any of them as a ``ConfigError``, and fills in the one default
-that depends on another key: an absent ``model.modalities`` attaches
-every benchmark modality.
+``RunConfig`` adds the rules across blocks (``model.check_modalities`` on
+both name lists, ``fusion.check_strategy``, ``model.seed``). Each rule
+raises a ``ConfigError`` naming its keys, and ``parse_config`` prefixes
+``source:line`` of the first of them that the text sets. An absent
+``model.modalities`` attaches every benchmark modality.
 """
 
 from __future__ import annotations
@@ -29,14 +29,10 @@ from dataclasses import dataclass, fields
 from typing import get_type_hints
 
 from modfuse.bench import BenchModality, BenchSpec
-from modfuse.fusion import STRATEGIES
-from modfuse.model import RESERVED_NAMES, FusionModel, ModelDims
+from modfuse.errors import ConfigError, at_least
+from modfuse.fusion import check_strategy
+from modfuse.model import FusionModel, ModelDims, check_modalities
 from modfuse.training import TrainConfig
-
-
-class ConfigError(ValueError):
-    """Malformed or inconsistent configuration."""
-
 
 _KEY_RE = re.compile(r"^[a-z][a-z0-9_]*(\.[a-z0-9_]+)*$")
 
@@ -65,21 +61,9 @@ def parse_kv_text(text: str,
     return out
 
 
-def _convert(key: str, value: str, kind: type, where: str):
+def _convert(key: str, value: str, kind: type):
     if kind is tuple:
-        names = tuple(n.strip() for n in value.split(",") if n.strip())
-        if not names:
-            raise ConfigError(f"{where}: field '{key}' must list at least "
-                              f"one name")
-        if len(set(names)) != len(names):
-            raise ConfigError(f"{where}: field '{key}' has duplicate names")
-        for name in names:
-            if name in RESERVED_NAMES:
-                raise ConfigError(f"{where}: field '{key}' names '{name}', "
-                                  f"which is reserved; "
-                                  f"{', '.join(RESERVED_NAMES)} name other "
-                                  f"parts of the model")
-        return names
+        return tuple(n.strip() for n in value.split(",") if n.strip())
     try:
         if kind is bool:
             low = value.lower()
@@ -92,8 +76,8 @@ def _convert(key: str, value: str, kind: type, where: str):
             return float(value)
         return value
     except ValueError:
-        raise ConfigError(f"{where}: field '{key}' expects "
-                          f"{kind.__name__}, got {value!r}") from None
+        raise ConfigError(f"field '{key}' expects {kind.__name__}, "
+                          f"got {value!r}", key) from None
 
 
 def _format(value) -> str:
@@ -118,26 +102,18 @@ class RunConfig:
     outdir: str = ""
 
     def __post_init__(self):
-        names = [m.name for m in self.spec.modalities]
-        if self.major not in names:
-            raise ConfigError(f"major modality '{self.major}' is not in "
-                              f"modalities {names}")
-        if len(set(self.model_modalities)) != len(self.model_modalities):
-            raise ConfigError("model.modalities has duplicate names")
+        # the model's rules on names hold for the benchmark's list too,
+        # since an absent model.modalities attaches all of it
+        check_modalities(self.spec.names, self.major, "modalities")
+        check_modalities(self.model_modalities, self.major,
+                         "model.modalities")
         for n in self.model_modalities:
-            if n not in names:
+            if n not in self.spec.names:
                 raise ConfigError(f"model.modalities entry '{n}' is not in "
-                                  f"modalities {names}")
-        if self.major not in self.model_modalities:
-            raise ConfigError(f"major modality '{self.major}' must be one "
-                              f"of model.modalities "
-                              f"{list(self.model_modalities)}")
-        if self.strategy not in STRATEGIES:
-            raise ConfigError(f"unknown fusion strategy '{self.strategy}'; "
-                              f"choose from {', '.join(STRATEGIES)}")
-        if self.model_seed < 0:
-            raise ConfigError(f"model.seed must be non-negative, got "
-                              f"{self.model_seed}")
+                                  f"modalities {self.spec.names}",
+                                  "model.modalities")
+        check_strategy(self.strategy)
+        at_least("model.seed", self.model_seed, 0)
 
     def to_text(self) -> str:
         """Canonical sorted key-value form; parsing it reproduces self."""
@@ -181,26 +157,31 @@ KEYS: dict[str, tuple[str | None, str, type]] = {
 
 def parse_config(text: str, source: str = "<config>") -> RunConfig:
     """Parse a full run configuration; every range is checked as its
-    dataclass is built."""
+    dataclass is built, and every error is prefixed with ``source:line``."""
     entries = parse_kv_text(text, source)
-    raw = {key: value for key, (value, _) in entries.items()}
+    try:
+        return _build({key: value for key, (value, _) in entries.items()})
+    except ConfigError as e:
+        line = next((entries[k][1] for k in e.keys if k in entries), None)
+        where = source if line is None else f"{source}:{line}"
+        raise ConfigError(f"{where}: {e}") from None
 
-    def at(key: str) -> str:
-        return f"{source}:{entries[key][1]}"
 
+def _build(raw: dict[str, str]) -> RunConfig:
     if "modalities" not in raw:
         raise ConfigError("field 'modalities' is required")
-    names = _convert("modalities", raw.pop("modalities"), tuple,
-                     at("modalities"))
-    major = raw.pop("major", names[0])
+    names = _convert("modalities", raw.pop("modalities"), tuple)
+    major = raw.pop("major", names[0] if names else "")
+    # before the list's own modality.<m>.* keys are read
+    check_modalities(names, major, "modalities")
 
     mods = []
     for n in names:
         fd_key, sl_key = f"modality.{n}.feat_dim", f"modality.{n}.seq_len"
         if fd_key not in raw:
             raise ConfigError(f"field '{fd_key}' is required")
-        feat_dim = _convert(fd_key, raw.pop(fd_key), int, at(fd_key))
-        seq_len = (_convert(sl_key, raw.pop(sl_key), int, at(sl_key))
+        feat_dim = _convert(fd_key, raw.pop(fd_key), int)
+        seq_len = (_convert(sl_key, raw.pop(sl_key), int)
                    if sl_key in raw else 8)
         mods.append(BenchModality(n, feat_dim, seq_len))
 
@@ -209,23 +190,19 @@ def parse_config(text: str, source: str = "<config>") -> RunConfig:
     for key, value in raw.items():
         if key in KEYS:
             block, name, kind = KEYS[key]
-            kwargs[block][name] = _convert(key, value, kind, at(key))
+            kwargs[block][name] = _convert(key, value, kind)
         elif key.startswith("modality."):
-            raise ConfigError(f"{at(key)}: field '{key}' refers to a "
-                              f"modality not in 'modalities'")
+            raise ConfigError(f"field '{key}' refers to a modality not in "
+                              f"'modalities'", key)
         else:
-            raise ConfigError(f"{at(key)}: unknown key '{key}'")
+            raise ConfigError(f"unknown key '{key}'", key)
 
     # an absent model.modalities attaches every benchmark modality
     kwargs[None].setdefault("model_modalities", names)
-    try:
-        return RunConfig(spec=BenchSpec(modalities=tuple(mods),
-                                        **kwargs["spec"]),
-                         dims=ModelDims(**kwargs["dims"]),
-                         train=TrainConfig(**kwargs["train"]), major=major,
-                         **kwargs[None])
-    except ValueError as e:
-        raise ConfigError(str(e)) from None
+    return RunConfig(spec=BenchSpec(modalities=tuple(mods), **kwargs["spec"]),
+                     dims=ModelDims(**kwargs["dims"]),
+                     train=TrainConfig(**kwargs["train"]), major=major,
+                     **kwargs[None])
 
 
 def load_config(path: str) -> RunConfig:

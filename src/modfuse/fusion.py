@@ -28,6 +28,7 @@ import numpy as np
 
 from modfuse import tensor as T
 from modfuse.backbone import affine, attention, attention_weights, normal
+from modfuse.errors import ConfigError
 from modfuse.rng import component_rng
 
 STRATEGIES = ("SelfGated", "Concat", "Linear", "MoE", "CrossAttention")
@@ -50,7 +51,9 @@ class FusionModule:
 
 def check_strategy(strategy: str) -> None:
     if strategy not in STRATEGIES:
-        raise ValueError(f"unknown fusion strategy '{strategy}'")
+        raise ConfigError(f"model.strategy must be one of "
+                          f"{', '.join(STRATEGIES)}, got '{strategy}'",
+                          "model.strategy")
 
 
 def block_count(strategy: str, n: int) -> int:

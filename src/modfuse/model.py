@@ -1,15 +1,15 @@
 """Full model assembly: backbone, adapters, fusion, prefixes, answer head.
 
-Builds a parameter registry over every component from uniquely named
-modalities, one of them named the major; every other is supportive. No
-modality may take one of ``RESERVED_NAMES``.
-The forward pass is a pure function of registered parameters and the
-input batch.
+Builds a parameter registry over every component from its modalities,
+one of them named the major; every other is supportive. The forward pass
+is a pure function of registered parameters and the input batch.
 
-``ModelDims`` is frozen and checks its ranges when built; the component
-constructors take its sizes as given, and the answer head's size follows
-from ``d`` (``reasoner.head_width``). ``FusionModel`` rejects an unknown
-strategy through ``prefix_schedule``.
+``check_modalities`` states the rules on a model's modality names once;
+``FusionModel`` calls it, and so does ``config.RunConfig`` for both of
+its name lists. ``ModelDims`` is frozen and checks its ranges when
+built; the component constructors take its sizes as given, and the
+answer head's size follows from ``d`` (``reasoner.head_width``).
+``FusionModel`` rejects an unknown strategy through ``prefix_schedule``.
 """
 
 from __future__ import annotations
@@ -22,17 +22,19 @@ import numpy as np
 from modfuse import tensor as T
 from modfuse.adapters import (STRUCTURAL_TAGS, FeatureBatch, MMQAdapter,
                               ParamRegistry, mmqa_create, named_tensors)
-from modfuse.backbone import Backbone, init_backbone, qformer_forward
-from modfuse.bench import BenchModality
+from modfuse.backbone import (FF_EXPANSION, Backbone, init_backbone,
+                              qformer_forward)
+from modfuse.bench import BenchModality, check_names
+from modfuse.errors import ConfigError, at_least
 from modfuse.fusion import (FUSED_TAG, FusionModule, create_fusion,
                             create_prefixes, fuse_variant, prefix_schedule)
 from modfuse.reasoner import (AnswerHead, assemble_input, create_head,
                               head_width, input_length, predict)
 
 # Byte budget for the answer head's widest activation in forward-only
-# prediction, its feed-forward hidden [rows, seq, 4*width]. Kept within a
-# per-core L2 (1-2 MiB), every elementwise pass over it stays in cache;
-# the whole eval batch at once streams each pass from L3.
+# prediction, its feed-forward hidden [rows, seq, FF_EXPANSION * width].
+# Kept within a per-core L2 (1-2 MiB), every elementwise pass over it
+# stays in cache; the whole eval batch at once streams each pass from L3.
 HEAD_TILE_BYTES = 3 << 18
 
 # Rows per query-transformer pass in forward-only prediction (evaluation,
@@ -55,16 +57,29 @@ class ModelDims:
 
     def __post_init__(self):
         for name in ("d", "layers", "heads", "tokens"):
-            value = getattr(self, name)
-            if value < 1:
-                raise ValueError(f"model.{name} must be at least 1, "
-                                 f"got {value}")
+            at_least(f"model.{name}", getattr(self, name), 1)
         if not 1 <= self.rank < self.d:
-            raise ValueError(f"model.rank must be at least 1 and below "
-                             f"model.d ({self.d}), got {self.rank}")
+            raise ConfigError(f"model.rank must be at least 1 and below "
+                              f"model.d ({self.d}), got {self.rank}",
+                              "model.rank", "model.d")
         # the answer head, twice as wide, is then divisible too
         if self.d % self.heads:
-            raise ValueError("model.d must be divisible by model.heads")
+            raise ConfigError("model.d must be divisible by model.heads",
+                              "model.d", "model.heads")
+
+
+def check_modalities(names: Sequence[str], major: str, key: str) -> None:
+    """The rules on modality names listed under config ``key``: those of
+    ``bench.check_names``, none reserved, and ``major`` among them."""
+    check_names(names, key)
+    for name in names:
+        if name in RESERVED_NAMES:
+            raise ConfigError(f"{key} names '{name}', which is reserved; "
+                              f"{', '.join(RESERVED_NAMES)} name other parts "
+                              f"of the model", key)
+    if major not in names:
+        raise ConfigError(f"major modality '{major}' must be one of {key} "
+                          f"{list(names)}", "major", key)
 
 
 class FusionModel:
@@ -75,15 +90,7 @@ class FusionModel:
                  seed: int, train_classifier: bool = False,
                  dtype=np.float32):
         names = [m.name for m in modalities]
-        if len(set(names)) != len(names):
-            raise ValueError("duplicate modality names")
-        for name in names:
-            if name in RESERVED_NAMES:
-                raise ValueError(f"modality name '{name}' is reserved; "
-                                 f"{', '.join(RESERVED_NAMES)} name other "
-                                 f"parts of the model")
-        if major not in names:
-            raise ValueError(f"major modality '{major}' is not one of {names}")
+        check_modalities(names, major, "model.modalities")
         self.dims = dims
         self.dtype = dtype
         self.strategy = strategy
@@ -203,7 +210,7 @@ class FusionModel:
         the most whose head feed-forward hidden fits HEAD_TILE_BYTES, for
         questions of ``q_len`` tokens; at least one."""
         seq = input_length(len(self.schedule), self.dims.tokens, q_len)
-        row_bytes = (seq * 4 * head_width(self.dims.d)
+        row_bytes = (seq * FF_EXPANSION * head_width(self.dims.d)
                      * np.dtype(self.dtype).itemsize)
         return max(1, HEAD_TILE_BYTES // row_bytes)
 

@@ -24,8 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from modfuse import tensor as T
-from modfuse.backbone import (Affine, AttentionWeights, FeedForward,
-                              LayerNormWeights, affine, attention,
+from modfuse.backbone import (FF_EXPANSION, Affine, AttentionWeights,
+                              FeedForward, LayerNormWeights, affine, attention,
                               attention_weights, feed_forward, ffn,
                               layer_norm_weights, normal)
 from modfuse.fusion import block_count
@@ -138,7 +138,7 @@ def reasoner_flops(n: int, tokens: int, q_len: int, strategy: str,
     seq = input_length(block_count(strategy, n), tokens, q_len)
     per_layer = 4 * seq * width * width      # q, k, v, o projections
     per_layer += 2 * seq * seq * width       # scores and weighted sum
-    per_layer += 8 * seq * width * width     # feed-forward, expansion 4x
+    per_layer += 2 * FF_EXPANSION * seq * width * width  # feed-forward
     total = HEAD_LAYERS * per_layer
     total += seq * d * width                 # input projection
     total += width                           # pooling

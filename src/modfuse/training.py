@@ -37,6 +37,7 @@ import numpy as np
 from modfuse import tensor as T
 from modfuse.adapters import ParamRegistry, count_trainable, total_scalars
 from modfuse.bench import Dataset, accuracy_by_template
+from modfuse.errors import ConfigError, at_least
 from modfuse.model import EVAL_BATCH, FusionModel
 
 MODES = ("sequential", "joint")
@@ -56,21 +57,24 @@ class TrainConfig:
     def __post_init__(self):
         # with lr <= 0 no step descends, and a NaN lr fails only inside fit
         if not (math.isfinite(self.lr) and self.lr > 0):
-            raise ValueError(f"lr must be finite and positive, got {self.lr}")
+            raise ConfigError(f"train.lr must be finite and positive, "
+                              f"got {self.lr}", "train.lr")
         if self.mode not in MODES:
-            raise ValueError(f"unknown training mode '{self.mode}'")
+            raise ConfigError(f"train.mode must be one of "
+                              f"{', '.join(MODES)}, got '{self.mode}'",
+                              "train.mode")
         # a NaN tau makes every exit indicator NaN, an infinite one makes
         # every indicator 0
         if not (math.isfinite(self.tau) and self.tau > 0):
-            raise ValueError(f"train.tau must be finite and positive, "
-                             f"got {self.tau}")
-        if self.seed < 0:
-            raise ValueError(f"train.seed must be non-negative, "
-                             f"got {self.seed}")
+            raise ConfigError(f"train.tau must be finite and positive, "
+                              f"got {self.tau}", "train.tau")
+        at_least("train.seed", self.seed, 0)
+        at_least("train.batch_size", self.batch_size, 1)
+        at_least("train.epochs", self.epochs, 1)
         if self.early_exit and self.epochs < 2:
-            raise ValueError("early exit needs at least 2 epochs of history")
-        if self.batch_size < 1 or self.epochs < 1:
-            raise ValueError("batch size and epochs must be positive")
+            raise ConfigError(f"train.early_exit needs at least 2 epochs of "
+                              f"history, got train.epochs = {self.epochs}",
+                              "train.early_exit", "train.epochs")
 
 
 @dataclass

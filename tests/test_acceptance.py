@@ -110,7 +110,7 @@ def test_sequential_steps_update_only_target_and_fusion():
     batch = train.slice(np.arange(4))
     order = model.order
     fusion_names = {n for n, _ in model.registry.named()
-                    if model.registry[n].tag == "fusion"}
+                    if model.registry.entries[n].tag == "fusion"}
     for step in range(100):
         target = order[step % len(order)]
         before = _tensor_digests(model.registry)
@@ -118,7 +118,7 @@ def test_sequential_steps_update_only_target_and_fusion():
         after = _tensor_digests(model.registry)
         changed = {n for n in before if before[n] != after[n]}
         allowed = {n for n in before
-                   if model.registry[n].tag in (target, "fusion")}
+                   if model.registry.entries[n].tag in (target, "fusion")}
         leaked = changed - allowed
         assert not leaked, f"step {step} ({target}) moved {sorted(leaked)}"
         assert changed & fusion_names, f"step {step}: no fusion tensor moved"

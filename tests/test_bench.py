@@ -382,13 +382,14 @@ class TestSpecValidation:
             toy_spec(alphabet=1)
 
     def test_no_modalities_rejected(self):
-        with pytest.raises(ValueError, match="modality"):
+        with pytest.raises(ValueError,
+                           match="^modalities must list at least one name$"):
             toy_spec(modalities=())
 
     def test_empty_splits_rejected(self):
-        with pytest.raises(ValueError, match="sizes must be positive"):
+        with pytest.raises(ValueError, match="^bench.train_size must be"):
             toy_spec(train_size=0)
-        with pytest.raises(ValueError, match="sizes must be positive"):
+        with pytest.raises(ValueError, match="^bench.test_size must be"):
             toy_spec(test_size=0)
 
     @pytest.mark.parametrize("value", [0, -2])
@@ -396,8 +397,8 @@ class TestSpecValidation:
     def test_empty_modality_shape_rejected(self, field, value):
         audio = dataclasses.replace(BenchModality("audio", 24, 4),
                                     **{field: value})
-        with pytest.raises(ValueError,
-                           match=f"modality 'audio': {field} must be positive"):
+        with pytest.raises(ValueError, match=f"^modality.audio.{field} must "
+                                             f"be at least 1, got {value}$"):
             toy_spec(modalities=(BenchModality("video", 16, 5), audio))
 
     @pytest.mark.parametrize("widths", [(16, 8), (16, 16)])
@@ -407,7 +408,7 @@ class TestSpecValidation:
         # the first one's features
         mods = tuple(BenchModality("video", w, 4) for w in widths)
         with pytest.raises(ValueError,
-                           match="^duplicate modality name 'video'$"):
+                           match="^modalities names 'video' twice$"):
             toy_spec(modalities=(BenchModality("audio", 24, 4), *mods))
 
     def test_spec_is_frozen(self):

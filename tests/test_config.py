@@ -8,7 +8,8 @@ import pytest
 
 from modfuse.config import (KEYS, ConfigError, RunConfig, build_model,
                             load_config, parse_config, parse_kv_text)
-from modfuse.model import RESERVED_NAMES
+from modfuse.model import RESERVED_NAMES, ModelDims
+from modfuse.training import TrainConfig
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -117,33 +118,6 @@ class TestFullParse:
             "train.epochs", "train.exit_on_rise", "train.lr", "train.mode",
             "train.seed", "train.tau"]
 
-    @pytest.mark.parametrize("value,message", [
-        ("video,audio,video", "has duplicate names"),
-        (" , ", "must list at least one name"),
-        ("video,total", "names 'total', which is reserved"),
-    ])
-    def test_modalities_value_errors_name_the_line(self, value, message):
-        text = BASE.replace("modalities = video,audio,depth",
-                            f"modalities = {value}")
-        with pytest.raises(ConfigError,
-                           match=f"^my.cfg:3: field 'modalities' {message}"):
-            parse_config(text, source="my.cfg")
-
-    @pytest.mark.parametrize("name", RESERVED_NAMES)
-    @pytest.mark.parametrize("key", ["modalities", "model.modalities"])
-    def test_every_reserved_name_rejected_at_its_line(self, key, name):
-        # both keys read the one list FusionModel checks, so every reserved
-        # name fails at parse time with source:line, not later in build_model
-        if key == "modalities":
-            text, line = BASE.replace("modalities = video,audio,depth",
-                                      f"modalities = video,{name}"), 3
-        else:
-            text, line = BASE + f"model.modalities = video,{name}\n", APPENDED
-        with pytest.raises(ConfigError,
-                           match=f"^my.cfg:{line}: field '{key}' names "
-                                 f"'{name}', which is reserved"):
-            parse_config(text, source="my.cfg")
-
     def test_readme_config_block_matches_parser(self):
         block = README.read_text().split("```ini\n", 1)[1].split("```")[0]
         # every key it sets parses, once the two omitted feat_dims are added
@@ -161,39 +135,6 @@ class TestFullParse:
                            match="'modality.video.feat_dim' is required"):
             parse_config("modalities = video\n")
 
-    def test_major_must_be_listed(self):
-        with pytest.raises(ConfigError, match="major modality 'flow'"):
-            parse_config(BASE.replace("major = video", "major = flow"))
-
-    def test_strategy_validated(self):
-        with pytest.raises(ConfigError, match="unknown fusion strategy"):
-            parse_config(BASE.replace("model.strategy = SelfGated",
-                                      "model.strategy = Mean"))
-        with pytest.raises(ConfigError, match="unknown fusion strategy"):
-            parse_config(BASE.replace("model.strategy = SelfGated",
-                                      "model.strategy = Bypass"))
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ConfigError, match="unknown training mode"):
-            parse_config(BASE + "train.mode = parallel\n")
-
-    def test_empty_train_split_rejected(self):
-        # would record a NaN epoch loss
-        with pytest.raises(ConfigError, match="sizes must be positive"):
-            parse_config(BASE.replace("bench.train_size = 128",
-                                      "bench.train_size = 0"))
-
-    @pytest.mark.parametrize("value", [0, -1])
-    @pytest.mark.parametrize("line", ["modality.audio.feat_dim = 24",
-                                      "modality.audio.seq_len = 6"])
-    def test_empty_modality_shape_rejected(self, line, value):
-        # would fail inside fit with a bare numpy error
-        key = line.split(" = ")[0]
-        field = key.rsplit(".", 1)[1]
-        with pytest.raises(ConfigError,
-                           match=f"modality 'audio': {field} must be positive"):
-            parse_config(BASE.replace(line, f"{key} = {value}"))
-
     @pytest.mark.parametrize("value", ["-0.003", "0", "nan", "inf"])
     def test_bad_lr_rejected(self, value):
         # a negative lr raised the loss, 0 moved nothing, and nan failed
@@ -201,14 +142,6 @@ class TestFullParse:
         with pytest.raises(ConfigError, match="lr must be finite and positive"):
             parse_config(BASE.replace("train.lr = 0.003",
                                       f"train.lr = {value}"))
-
-    @pytest.mark.parametrize("field", ["d", "layers", "heads", "tokens"])
-    def test_empty_model_dim_rejected(self, field):
-        # heads = 0 raised ZeroDivisionError, the others a plain
-        # ValueError from build_model
-        with pytest.raises(ConfigError,
-                           match=f"model.{field} must be at least 1, got 0"):
-            parse_config(BASE + f"model.{field} = 0\n")
 
     @pytest.mark.parametrize("rank", [0, -1, 32, 33])
     def test_rank_outside_hidden_size_rejected(self, rank):
@@ -224,25 +157,6 @@ class TestFullParse:
                            "model.rank = 1\n")
         assert cfg.dims.rank == 1
         assert build_model(cfg).head.input.w.shape == (2, 4)
-
-    def test_head_divisibility(self):
-        with pytest.raises(ConfigError, match="divisible"):
-            parse_config(BASE + "model.d = 30\n")
-
-    def test_early_exit_needs_history(self):
-        with pytest.raises(ConfigError, match="2 epochs"):
-            parse_config(BASE.replace("train.epochs = 2",
-                                      "train.epochs = 1")
-                         + "train.early_exit = true\n")
-
-    @pytest.mark.parametrize("field", ["bench.seed", "model.seed",
-                                       "train.seed"])
-    def test_negative_seed_rejected(self, field):
-        # each failed later, in gen_dataset, build_model or fit, with
-        # numpy's "expected non-negative integer", naming no field
-        with pytest.raises(ConfigError,
-                           match=rf"{field} must be non-negative, got -1"):
-            parse_config(BASE + f"{field} = -1\n")
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-0.05"])
     def test_bad_bench_noise_rejected(self, value):
@@ -267,10 +181,120 @@ class TestFullParse:
         assert cfg.spec.seed == cfg.model_seed == cfg.train.seed == 0
         assert cfg.spec.noise == 0.0
 
-    def test_bench_validation_surfaces(self):
-        with pytest.raises(ConfigError, match="alphabet"):
-            parse_config(BASE.replace("bench.alphabet = 5",
-                                      "bench.alphabet = 1"))
+
+# One setting per documented rule (README, "Config format"), as
+# (settings, key, message): a setting of a key BASE sets replaces its
+# line, any other is appended. The error must carry the line of ``key``,
+# the first key of the rule that the text sets, and its message must
+# start with ``message``, which names that key.
+NAME_LISTS = [
+    ([f"{key} = {value}"], key, message)
+    for key in ("modalities", "model.modalities")
+    for value, message in [
+        ("video,audio,video", f"{key} names 'video' twice"),
+        (",", f"{key} must list at least one name"),
+        ("", f"{key} must list at least one name"),
+        *[(f"video,{name}", f"{key} names '{name}', which is reserved")
+          for name in RESERVED_NAMES]]]
+VIOLATIONS = [
+    # model.* (ModelDims); heads = 0 once raised ZeroDivisionError
+    *[([f"model.{f} = 0"], f"model.{f}", f"model.{f} must be at least 1, "
+       f"got 0") for f in ("d", "layers", "heads", "tokens")],
+    (["model.rank = 0"], "model.rank", "model.rank must be at least 1 and "
+     "below model.d (32), got 0"),
+    # rank 4 is not below d = 4; the rule reads model.rank first, which
+    # the text does not set
+    (["model.d = 4"], "model.d", "model.rank must be at least 1 and below "
+     "model.d (4), got 4"),
+    (["model.heads = 3"], "model.heads",
+     "model.d must be divisible by model.heads"),
+    # train.* (TrainConfig)
+    (["train.lr = -1"], "train.lr",
+     "train.lr must be finite and positive, got -1.0"),
+    (["train.tau = 0"], "train.tau",
+     "train.tau must be finite and positive, got 0.0"),
+    (["train.seed = -1"], "train.seed", "train.seed must be at least 0, "
+     "got -1"),
+    (["train.batch_size = 0"], "train.batch_size",
+     "train.batch_size must be at least 1, got 0"),
+    (["train.epochs = 0"], "train.epochs",
+     "train.epochs must be at least 1, got 0"),
+    (["train.early_exit = true", "train.epochs = 1"], "train.early_exit",
+     "train.early_exit needs at least 2 epochs of history, got "
+     "train.epochs = 1"),
+    (["train.mode = parallel"], "train.mode",
+     "train.mode must be one of sequential, joint, got 'parallel'"),
+    # bench.* (BenchSpec); an empty split recorded a NaN epoch loss
+    (["bench.alphabet = 1"], "bench.alphabet",
+     "bench.alphabet must be at least 2, got 1"),
+    (["bench.train_size = 0"], "bench.train_size",
+     "bench.train_size must be at least 1, got 0"),
+    (["bench.test_size = 0"], "bench.test_size",
+     "bench.test_size must be at least 1, got 0"),
+    (["bench.noise = -0.05"], "bench.noise",
+     "bench.noise must be finite and non-negative, got -0.05"),
+    (["bench.seed = -1"], "bench.seed", "bench.seed must be at least 0, "
+     "got -1"),
+    # an empty modality shape failed inside fit with a bare numpy error
+    (["modality.audio.feat_dim = 0"], "modality.audio.feat_dim",
+     "modality.audio.feat_dim must be at least 1, got 0"),
+    (["modality.audio.seq_len = 0"], "modality.audio.seq_len",
+     "modality.audio.seq_len must be at least 1, got 0"),
+    # RunConfig, across blocks; a negative seed once failed later, with
+    # numpy's "expected non-negative integer", naming no key
+    (["major = flow"], "major", "major modality 'flow' must be one of "
+     "modalities ['video', 'audio', 'depth']"),
+    (["model.modalities = audio,depth"], "major", "major modality 'video' "
+     "must be one of model.modalities ['audio', 'depth']"),
+    (["model.modalities = video,flow"], "model.modalities",
+     "model.modalities entry 'flow' is not in modalities"),
+    (["model.strategy = Mean"], "model.strategy",
+     "model.strategy must be one of SelfGated, Concat, Linear, MoE, "
+     "CrossAttention, got 'Mean'"),
+    (["model.strategy = Bypass"], "model.strategy",
+     "model.strategy must be one of"),
+    (["model.seed = -1"], "model.seed", "model.seed must be at least 0, "
+     "got -1"),
+    *NAME_LISTS,
+]
+
+
+class TestRangeErrors:
+    @pytest.mark.parametrize("settings,key,message", VIOLATIONS,
+                             ids=["; ".join(v[0]) for v in VIOLATIONS])
+    def test_names_the_line_and_key(self, settings, key, message):
+        lines = BASE.splitlines()
+        for setting in settings:
+            at = [i for i, line in enumerate(lines)
+                  if line.startswith(setting.split(" = ")[0] + " = ")]
+            if at:
+                lines[at[0]] = setting
+            else:
+                lines.append(setting)
+        line = 1 + next(i for i, text in enumerate(lines)
+                        if text.startswith(f"{key} = "))
+        assert key in message
+        with pytest.raises(ConfigError,
+                           match=f"^my.cfg:{line}: {re.escape(message)}"):
+            parse_config("\n".join(lines) + "\n", source="my.cfg")
+
+    @pytest.mark.parametrize("build,message", [
+        (lambda cfg: ModelDims(rank=0), "model.rank must be at least 1"),
+        (lambda cfg: TrainConfig(epochs=1, early_exit=True),
+         "train.early_exit needs at least 2 epochs"),
+        (lambda cfg: dataclasses.replace(cfg.spec, alphabet=1),
+         "bench.alphabet must be at least 2"),
+        (lambda cfg: dataclasses.replace(
+            cfg, model_modalities=("video", "video")),
+         "model.modalities names 'video' twice"),
+        (lambda cfg: dataclasses.replace(cfg, strategy="Mean"),
+         "model.strategy must be one of"),
+    ], ids=["dims", "train", "bench", "run-names", "run-strategy"])
+    def test_direct_construction_raises_value_error(self, build, message):
+        # the rules live on the dataclasses: one built without the parser
+        # fails as loudly, only without a source line
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            build(parse_config(BASE))
 
 
 class TestFrozen:
@@ -347,38 +371,6 @@ class TestModelModalitySubset:
         cfg = parse_config(BASE.replace("major = video", "major = depth")
                            + "model.modalities = depth,audio\n")
         assert build_model(cfg).order == ["depth", "audio"]
-
-    def test_subset_must_come_from_benchmark(self):
-        with pytest.raises(ConfigError, match="entry 'flow' is not in"):
-            parse_config(BASE + "model.modalities = video,flow\n")
-
-    def test_major_must_be_attached(self):
-        with pytest.raises(ConfigError, match="must be one of"):
-            parse_config(BASE + "model.modalities = audio,depth\n")
-
-    def test_duplicates_rejected(self):
-        with pytest.raises(ConfigError, match="duplicate"):
-            parse_config(BASE + "model.modalities = video,video\n")
-
-    @pytest.mark.parametrize("value,message", [
-        ("video,video", "has duplicate names"),
-        (",", "must list at least one name"),
-        ("", "must list at least one name"),
-        ("video,fused", "names 'fused', which is reserved"),
-    ])
-    def test_value_errors_name_the_line(self, value, message):
-        # an explicit empty list is an error; only an absent key means
-        # every benchmark modality
-        with pytest.raises(ConfigError, match=f"^my.cfg:{APPENDED}: field "
-                                              f"'model.modalities' {message}"):
-            parse_config(BASE + f"model.modalities = {value}\n",
-                         source="my.cfg")
-
-    def test_direct_config_duplicates_rejected(self):
-        cfg = parse_config(BASE)
-        with pytest.raises(ConfigError,
-                           match="^model.modalities has duplicate names"):
-            dataclasses.replace(cfg, model_modalities=("video", "video"))
 
     def test_subset_round_trips(self):
         cfg = parse_config(BASE + "model.modalities = video\n")

@@ -41,7 +41,7 @@ class TestTokenBudget:
         assert token_budget("Linear", 4, 4) == 4
 
     def test_unknown_strategy_rejected(self):
-        with pytest.raises(ValueError, match="unknown"):
+        with pytest.raises(ValueError, match="got 'Gated'"):
             token_budget("Gated", 2, 4)
 
     def test_measured_counts_match_budget(self):
@@ -159,8 +159,8 @@ class TestVariants:
         # the strategy, not fail on a missing parameter
         fusion = build("Mixer", 3)
         sets = token_sets(3)
-        with pytest.raises(ValueError,
-                           match="^unknown fusion strategy 'Mixer'$"):
+        with pytest.raises(ValueError, match="^model.strategy must be one "
+                                             "of .*, got 'Mixer'$"):
             fuse_variant(fusion, sets[0], sets[1:])
 
     def test_single_modality_passthrough(self):

@@ -265,11 +265,32 @@ class TestCli:
                                                          capsys):
         cfg = parse_config(SMALL)
         model = build_model(cfg)
-        model.registry["audio.queries"].tensor.data[0, 0] = np.nan
+        model.registry.entries["audio.queries"].tensor.data[0, 0] = np.nan
         ckpt = str(tmp_path / "nan.ckpt")
         save_checkpoint(ckpt, model.registry, cfg)
         assert main(["eval", ckpt]) == 2
-        assert "'audio.queries' holds non-finite" in capsys.readouterr().err
+        assert f"error: {ckpt}: 'audio.queries' holds non-finite" in \
+            capsys.readouterr().err
+
+    def test_corrupt_checkpoint_error_names_its_file(self, tmp_path, capsys):
+        # with --reference there are two files; the error says which one
+        # failed
+        cfg = parse_config(SMALL)
+        good = str(tmp_path / "good.ckpt")
+        save_checkpoint(good, build_model(cfg).registry, cfg)
+        bad = str(tmp_path / "bad_name.ckpt")
+        with open(good, "rb") as f:
+            raw = bytearray(f.read())
+        # magic, version, digest, the config text and the tensor count
+        # come first, then the first name's u16 length
+        name_at = 4 + 4 + 32 + 4 + len(cfg.to_text().encode()) + 4 + 2
+        raw[name_at] = 0xFF
+        with open(bad, "wb") as f:
+            f.write(raw)
+        for args in ([bad], [good, "--reference", bad]):
+            assert main(["eval", *args]) == 2
+            assert (f"error: {bad}: tensor name is not utf-8: bad byte at "
+                    f"{name_at}") in capsys.readouterr().err
 
     def test_version_1_checkpoint_exits_2(self, tmp_path, capsys):
         # version 1 copied model.modalities and model.strategy into its

@@ -62,12 +62,13 @@ class TestAssembly:
     def test_reserved_modality_name_rejected(self, name):
         mods = [BenchModality("video", 16, 5), BenchModality(name, 24, 4)]
         for major in ("video", name):
-            with pytest.raises(ValueError, match=f"^modality name '{name}' "
-                                                 f"is reserved"):
+            with pytest.raises(ValueError,
+                               match=f"^model.modalities names '{name}', "
+                                     f"which is reserved"):
                 FusionModel(ModelDims(), mods, major, "SelfGated", 12, 11, 0)
 
     def test_unknown_strategy_rejected(self):
-        with pytest.raises(ValueError, match="unknown fusion strategy 'Mixer'"):
+        with pytest.raises(ValueError, match="model.strategy .* got 'Mixer'"):
             build_model("Mixer")
 
     def test_major_must_be_a_modality(self):
@@ -77,7 +78,7 @@ class TestAssembly:
 
     def test_duplicate_modality_rejected(self):
         mods = [BenchModality("video", 16, 5), BenchModality("video", 24, 4)]
-        with pytest.raises(ValueError, match="duplicate"):
+        with pytest.raises(ValueError, match="names 'video' twice"):
             FusionModel(ModelDims(), mods, "video", "SelfGated", 12, 11, 0)
 
     def test_registry_tags_cover_components(self):
@@ -112,8 +113,8 @@ class TestAssembly:
                                            model.major)
                 assert sorted(names) == sorted(
                     f"prefix.{m}" for m in expected), (strategy, n)
-                assert {model.registry[name].tag for name in names} == \
-                    {"fusion"}
+                entries = model.registry.entries
+                assert {entries[name].tag for name in names} == {"fusion"}
 
     def test_trainable_classifier_adds_to_fusion_tag(self):
         base = count_trainable(build_model().registry, "fusion")
@@ -222,7 +223,7 @@ class TestNamespace:
         got = [name for name in model.registry.entries
                if name.startswith("fusion.")]
         assert got == [f"fusion.{n}" for n in FUSION_NAMES[strategy]]
-        assert {model.registry[n].tag for n in got} <= {"fusion"}
+        assert {model.registry.entries[n].tag for n in got} <= {"fusion"}
 
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_float64_model_is_the_float32_model_widened(self, strategy):
@@ -236,7 +237,7 @@ class TestNamespace:
             [(name, e.tag, e.tensor.requires_grad)
              for name, e in narrow.registry.entries.items()]
         for name, e in narrow.registry.entries.items():
-            twin = wide.registry[name].tensor.data
+            twin = wide.registry.entries[name].tensor.data
             assert twin.dtype == np.float64 and e.tensor.dtype == np.float32
             assert e.tensor.data.tobytes() == \
                 twin.astype(np.float32).tobytes(), name

@@ -117,7 +117,8 @@ class TestSequentialStep:
         assert after["fusion"] != before["fusion"]
         # the prefixes are fusion tensors: a sequential step trains them
         for name, data in prefixes.items():
-            assert not np.array_equal(reg[name].tensor.data, data), name
+            assert not np.array_equal(reg.entries[name].tensor.data,
+                                      data), name
         for tag in ("video", "depth", "frozen"):
             assert after[tag] == before[tag]
 
@@ -410,7 +411,7 @@ class TestRegistry:
         with pytest.raises(ValueError,
                            match="'head.w': tag 'frozen' disagrees"):
             reg.register("head.w", t, "frozen")
-        assert "head.w" not in reg
+        assert "head.w" not in reg.entries
 
     def test_modality_tag_on_frozen_tensor_rejected(self):
         reg = ParamRegistry()
@@ -418,7 +419,7 @@ class TestRegistry:
         with pytest.raises(ValueError,
                            match="'video.queries': tag 'video' disagrees"):
             reg.register("video.queries", t, "video")
-        assert "video.queries" not in reg
+        assert "video.queries" not in reg.entries
 
 
 # Hard top-1 routing can leave an MoE expert without a single token of a
