@@ -5,16 +5,16 @@ tokens (with optional low-rank adaptation on the query and value
 projections), cross-attention from query tokens to modality features,
 and a feed-forward sublayer, all with residual connections. The backbone
 is initialized once and never trained; all task capacity lives in the
-per-modality adapters.
+per-modality adapters. Its layer norms hold no weights.
 
 Every tensor is a dataclass field, registered under its field path
 (``backbone.layers.<i>.selfattn.wq``). The constructors here (``normal``,
-``zeros``, ``affine``, ``layer_norm_weights``, ``attention_weights``,
-``feed_forward``) build every weight of the model, the adapters', the
-fusion module's, the prefixes' and the answer head's as well. ``normal``
-alone reads ``INIT_STD``, scaled by a ``gain``; ``trainable`` sets
-``requires_grad``, which is what the registry reads each non-adapter
-tag off, so a constructor call is the one statement of what trains.
+``zeros``, ``affine``, ``attention_weights``, ``feed_forward``) build
+every weight of the model, the adapters', the fusion module's, the
+prefixes' and the answer head's as well. ``normal`` alone reads
+``INIT_STD``, scaled by a ``gain``; ``trainable`` sets ``requires_grad``,
+which is what the registry reads each non-adapter tag off, so a
+constructor call is the one statement of what trains.
 
 ``align_features`` maps a modality's features onto the hidden size with
 its adapter's ``align`` map before the first cross-attention.
@@ -47,12 +47,6 @@ class AttentionWeights:
 
 
 @dataclass
-class LayerNormWeights:
-    gain: T.Tensor
-    bias: T.Tensor
-
-
-@dataclass
 class Affine:
     w: T.Tensor
     b: T.Tensor
@@ -66,11 +60,8 @@ class FeedForward:
 
 @dataclass
 class BackboneLayer:
-    ln1: LayerNormWeights
     selfattn: AttentionWeights
-    ln2: LayerNormWeights
     crossattn: AttentionWeights
-    ln3: LayerNormWeights
     ffn: FeedForward
 
 
@@ -98,11 +89,6 @@ def affine(rng: np.random.Generator, rows: int, cols: int, dtype,
                   b=zeros(cols, dtype, trainable))
 
 
-def layer_norm_weights(d: int, dtype) -> LayerNormWeights:
-    return LayerNormWeights(gain=T.Tensor(np.ones(d), dtype=dtype),
-                            bias=zeros(d, dtype))
-
-
 def attention_weights(rng: np.random.Generator, d: int, dtype,
                       qk_gain: float = 1.0, vo_gain: float = 1.0,
                       trainable: bool = False) -> AttentionWeights:
@@ -126,11 +112,8 @@ def init_backbone(seed: int, d: int, layers: int, heads: int,
     dims are taken as ``ModelDims`` checked them."""
     rng = component_rng(seed, "backbone")
     return Backbone(heads=heads, layers=[BackboneLayer(
-        ln1=layer_norm_weights(d, dtype),
         selfattn=attention_weights(rng, d, dtype),
-        ln2=layer_norm_weights(d, dtype),
         crossattn=attention_weights(rng, d, dtype),
-        ln3=layer_norm_weights(d, dtype),
         ffn=feed_forward(rng, d, dtype),
     ) for _ in range(layers)])
 
@@ -197,13 +180,13 @@ def qformer_forward(backbone: Backbone, adapter, feats,
     x = T.broadcast_to(T.reshape(adapter.queries, (1, tcount, d)), (b, tcount, d))
     for i, layer in enumerate(backbone.layers):
         site = adapter.lora[i]
-        h = T.layer_norm(x, layer.ln1.gain, layer.ln1.bias)
+        h = T.layer_norm(x)
         x = x + attention(h, h, layer.selfattn, backbone.heads,
                           lora_q=site["q"], lora_v=site["v"],
                           attn_probes=attn_probes)
-        h = T.layer_norm(x, layer.ln2.gain, layer.ln2.bias)
+        h = T.layer_norm(x)
         x = x + attention(h, aligned, layer.crossattn, backbone.heads,
                           attn_probes=attn_probes)
-        h = T.layer_norm(x, layer.ln3.gain, layer.ln3.bias)
+        h = T.layer_norm(x)
         x = x + ffn(h, layer.ffn)
     return x

@@ -255,6 +255,9 @@ def unimodal_bayes_accuracy(spec: BenchSpec, visible) -> dict[str, float]:
         raise ValueError(f"unimodal_bayes_accuracy is exact only for noise "
                          f"in [0, {MAX_BAYES_NOISE}], got {spec.noise}")
     names = spec.names
+    unknown = [v for v in visible if v not in names]
+    if unknown:
+        raise ValueError(f"unknown modalities {unknown}; spec has {names}")
     visible_idx = sorted({names.index(v) for v in visible})
     grids = np.array(list(product(range(spec.alphabet), repeat=spec.n)),
                      dtype=np.int64)

@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
+import math
 import os
 import secrets
 import struct
@@ -166,8 +167,8 @@ def parse_checkpoint(data: bytes, force: bool = False) -> Checkpoint:
         dtype = _DTYPES[code]
         rank, = unpack("<B", f"rank of '{name}'")
         dims = tuple(unpack("<I", f"dim of '{name}'")[0] for _ in range(rank))
-        count = int(np.prod(dims, dtype=np.int64)) if dims else 1
-        buf = raw(count * dtype.itemsize, f"data of '{name}'")
+        # an exact count: an int64 product would wrap on huge dims
+        buf = raw(math.prod(dims) * dtype.itemsize, f"data of '{name}'")
         if name in tensors:
             raise CheckpointError(f"duplicate tensor '{name}'")
         tensors[name] = np.frombuffer(buf, dtype=dtype).reshape(dims).copy()

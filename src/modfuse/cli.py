@@ -104,7 +104,11 @@ def cmd_report(args) -> int:
             # plain run files are all named metrics.jsonl; the run
             # directory is the distinguishing part
             label = norm.rsplit("/", 2)[-2]
-        rows.append({"label": label, **summarize(records)})
+        try:
+            summary = summarize(records)
+        except ValueError as e:
+            raise ValueError(f"{path}: {e}") from None
+        rows.append({"label": label, **summary})
     _print_table(rows)
     for row in rows:
         if row["exits"]:

@@ -57,10 +57,19 @@ def write_jsonl(path: str, records: list[dict]) -> None:
 def read_jsonl(path: str) -> list[dict]:
     records = []
     with open(path, "r", encoding="utf-8") as f:
-        for line in f:
+        for lineno, line in enumerate(f, start=1):
             line = line.strip()
-            if line:
-                records.append(json.loads(line))
+            if not line:
+                continue
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError as e:
+                raise ValueError(f"{path}:{lineno}: {e.msg} at column "
+                                 f"{e.colno}") from None
+            if not isinstance(record, dict):
+                raise ValueError(f"{path}:{lineno}: expected a JSON object, "
+                                 f"got {type(record).__name__}")
+            records.append(record)
     return records
 
 
@@ -68,6 +77,11 @@ def summarize(records: list[dict]) -> dict:
     """Final-epoch snapshot of one run's record stream."""
     if not records:
         raise ValueError("no records to summarize")
+    for i, rec in enumerate(records, start=1):
+        for key in ("epoch", "mode", "loss", "accuracy", "active", "census",
+                    "token_budget", "flops"):
+            if key not in rec:
+                raise ValueError(f"record {i} has no '{key}'")
     last = records[-1]
     exits = {}
     for rec in records:

@@ -3,12 +3,13 @@
 Consumes [prefix tokens; fused modality tokens; question tokens],
 projects them into its own hidden size (:func:`head_width`, twice the
 token width d), runs a frozen transformer encoder of ``HEAD_LAYERS``
-layers with full attention, mean-pools, and classifies over the closed
-answer vocabulary. Like the frozen language model it stands in for, its
-shape is fixed rather than configured. Frozen after random init, so all
-task-solving capacity must come from the adapters and the fusion
-module. A config flag may make the final classifier trainable; that
-escape hatch is reported in metrics whenever it is on.
+layers with full attention and weightless layer norms, mean-pools, and
+classifies over the closed answer vocabulary. Like the frozen language
+model it stands in for, its shape is fixed rather than configured.
+Frozen after random init, so all task-solving capacity must come from
+the adapters and the fusion module. A config flag may make the final
+classifier trainable; that escape hatch is reported in metrics whenever
+it is on.
 
 ``AnswerHead`` declares its tensors in checkpoint order (``embed``,
 ``input``, ``layers``, ``classifier``); the registry names them by field
@@ -25,9 +26,8 @@ import numpy as np
 
 from modfuse import tensor as T
 from modfuse.backbone import (FF_EXPANSION, Affine, AttentionWeights,
-                              FeedForward, LayerNormWeights, affine, attention,
-                              attention_weights, feed_forward, ffn,
-                              layer_norm_weights, normal)
+                              FeedForward, affine, attention, attention_weights,
+                              feed_forward, ffn, normal)
 from modfuse.fusion import block_count
 from modfuse.rng import component_rng
 
@@ -55,9 +55,7 @@ def head_width(d: int) -> int:
 
 @dataclass
 class HeadLayer:
-    ln1: LayerNormWeights
     attn: AttentionWeights
-    ln2: LayerNormWeights
     ffn: FeedForward
 
 
@@ -83,10 +81,8 @@ def create_head(seed: int, d: int, heads: int, vocab: int, classes: int,
                         trainable=train_classifier)
     return AnswerHead(heads=heads, embed=embed, input=input_map, layers=[
         HeadLayer(
-            ln1=layer_norm_weights(width, dtype),
             attn=attention_weights(rng, width, dtype, qk_gain=ATTN_GAIN,
                                    vo_gain=HEAD_GAIN),
-            ln2=layer_norm_weights(width, dtype),
             ffn=feed_forward(rng, width, dtype, gain=HEAD_GAIN),
         ) for _ in range(HEAD_LAYERS)], classifier=classifier)
 
@@ -119,9 +115,9 @@ def predict(head: AnswerHead, assembled: T.Tensor) -> T.Tensor:
     """Deterministic answer logits [B, classes]; argmax is the prediction."""
     x = T.matmul(assembled, head.input.w) + head.input.b
     for layer in head.layers:
-        h = T.layer_norm(x, layer.ln1.gain, layer.ln1.bias)
+        h = T.layer_norm(x)
         x = x + attention(h, h, layer.attn, head.heads)
-        h = T.layer_norm(x, layer.ln2.gain, layer.ln2.bias)
+        h = T.layer_norm(x)
         x = x + ffn(h, layer.ffn)
     pooled = T.tmean(x, axis=1)
     return T.matmul(pooled, head.classifier.w) + head.classifier.b

@@ -31,8 +31,8 @@ an op passes ``owned`` to :meth:`Tensor.accumulate` only for an array it
 allocated in that call for that parent alone, which the parent then keeps
 as its first gradient without a copy; an op that hands on the upstream
 gradient, a view of it or an array that two parents receive (``add``,
-``reshape``, ``transpose``, ``concat``, ``broadcast_to``, ``tsum``, a
-``layer_norm`` bias) lets accumulate copy it.
+``reshape``, ``transpose``, ``concat``, ``broadcast_to``, ``tsum``) lets
+accumulate copy it.
 """
 
 from __future__ import annotations
@@ -446,36 +446,28 @@ def _mean_last(x: np.ndarray) -> np.ndarray:
 LAYER_NORM_EPS = 1e-5
 
 
-def layer_norm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
-    """Normalize the last axis to zero mean and unit variance, then affine."""
+def layer_norm(a: Tensor) -> Tensor:
+    """Normalize the last axis to zero mean and unit variance. No affine
+    follows: a frozen gain of ones and bias of zeros would move no byte."""
     xhat = a.data - _mean_last(a.data)
-    out = xhat * xhat                    # the squares, then the output
-    inv_std = _mean_last(out)
+    inv_std = _mean_last(xhat * xhat)
     inv_std += LAYER_NORM_EPS
     np.sqrt(inv_std, out=inv_std)
     np.divide(1.0, inv_std, out=inv_std)
     xhat *= inv_std
-    np.multiply(xhat, gain.data, out=out)
-    out += bias.data
 
     def backward_fn(g):
-        if bias.requires_grad:
-            bias.accumulate(unbroadcast(g, bias.shape))
-        if gain.requires_grad:
-            gain.accumulate(unbroadcast(g * xhat, gain.shape), owned=True)
         if a.requires_grad:
-            gx = g * gain.data
-            gxh = gx * xhat
-            term1 = _mean_last(gx)
+            gxh = g * xhat
             term2 = _mean_last(gxh)
-            # inv_std * ((gx - term1) - xhat * term2)
-            gx -= term1
+            # inv_std * ((g - mean(g)) - xhat * term2)
+            gx = g - _mean_last(g)
             np.multiply(xhat, term2, out=gxh)
             gx -= gxh
             gx *= inv_std
             a.accumulate(gx, owned=True)
 
-    return _make(out, (a, gain, bias), "layer_norm", backward_fn)
+    return _make(xhat, (a,), "layer_norm", backward_fn)
 
 
 def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:

@@ -32,11 +32,11 @@ class TestBackboneInit:
         assert backbone_bytes(a) != backbone_bytes(b)
 
     def test_census_formula(self):
-        # per layer: two attention blocks of 4 d^2 each, feed-forward 8 d^2,
-        # three layer norms of 2d
+        # per layer: two attention blocks of 4 d^2 each, feed-forward 8 d^2;
+        # the layer norms hold no weights
         d, layers = 32, 2
         bb = init_backbone(0, d, layers, 4)
-        expected = layers * (16 * d * d + 6 * d)
+        expected = layers * 16 * d * d
         assert sum(t.size for _, t in named_tensors(bb, "backbone")) == \
             expected
 

@@ -1,6 +1,7 @@
 """Tests for the synthetic benchmark and its exact Bayes oracle."""
 
 import dataclasses
+import re
 from collections import Counter, namedtuple
 from itertools import combinations
 
@@ -275,6 +276,13 @@ class TestBayesBounds:
         for noise in (0.2, -0.05):
             with pytest.raises(ValueError, match="noise"):
                 unimodal_bayes_accuracy(toy_spec(noise=noise), ["video"])
+
+    def test_unknown_modality_named(self):
+        # it failed as "'vidoe' is not in list"
+        with pytest.raises(ValueError, match=re.escape(
+                "unknown modalities ['vidoe']; spec has "
+                "['video', 'audio', 'depth']")):
+            unimodal_bayes_accuracy(toy_spec(), ["vidoe"])
 
     def test_equal_one_visible(self):
         bounds = unimodal_bayes_accuracy(toy_spec(), ["video"])

@@ -1,7 +1,9 @@
 """Checkpoint format: round trips, corruption handling, force loads."""
 
+import math
 import os
 import re
+import struct
 import sys
 import threading
 
@@ -10,6 +12,7 @@ import pytest
 
 from modfuse import tensor as T
 from modfuse.adapters import ParamRegistry
+from modfuse.bench import gen_dataset
 from modfuse.checkpoint import (MAGIC, CheckpointError, checkpoint_bytes,
                                 load_checkpoint, model_from_checkpoint,
                                 parse_checkpoint, restore_into,
@@ -216,6 +219,26 @@ class TestCorruption:
                                f"checkpoint version {version}$"):
                 parse_checkpoint(bytes(raw), force=force)
 
+    @pytest.mark.parametrize("dims", [(65536,) * 4, (2**32 - 1,) * 3])
+    def test_overflowing_dims_need_their_exact_size(self, tmp_path, dims):
+        # an int64 element count wrapped: to 0 for the first, which failed
+        # as a bare reshape error, and to a wrong byte count for the second
+        cfg = parse_config(TWO)
+        raw = checkpoint_bytes(small_registry("a.x"), cfg)
+        # the tensor count, name length and name, the dtype code, then the
+        # [2, 3] tensor's rank and dims
+        rank_at = self.CONFIG_AT + len(cfg.to_text().encode()) + 4 + 2 + 3 + 1
+        forged = (raw[:rank_at]
+                  + struct.pack(f"<B{len(dims)}I", len(dims), *dims)
+                  + raw[rank_at + 1 + 2 * 4:])
+        path = tmp_path / "huge.ckpt"
+        path.write_bytes(forged)
+        data_at = rank_at + 1 + 4 * len(dims)
+        with pytest.raises(CheckpointError, match=(
+                rf"^{re.escape(str(path))}: truncated at byte {data_at}: "
+                rf"needed {math.prod(dims) * 4} bytes for data of 'a.x'$")):
+            load_checkpoint(str(path))
+
 
 class TestForceRestore:
     def test_strict_restore_rejects_missing(self, tmp_path):
@@ -290,6 +313,51 @@ class TestForceRestore:
         assert warnings == ["skipped: 'prefix.audio' from the checkpoint "
                             "is not in the model"]
         assert other.registry.checksum() == model.registry.checksum()
+
+    def test_checkpoint_with_layer_norm_weights(self, tmp_path):
+        # checkpoints written while layer norms held a frozen gain of ones
+        # and bias of zeros store 20 tensors the model no longer has:
+        # strict restore names the first, force skips each one and keeps
+        # the predictions of the model that wrote the file
+        model, cfg = make(TWO)
+        for _, t in model.registry.named():
+            t.data += 0.01
+        # each old layer norm, by the weight its output fed
+        ln_before = {"backbone": {"selfattn.wq": "ln1", "crossattn.wq": "ln2",
+                                  "ffn.w1": "ln3"},
+                     "head": {"attn.wq": "ln1", "ffn.w1": "ln2"}}
+        old = ParamRegistry()
+        for name, t in model.registry.named():
+            parts = name.split(".")
+            ln = ln_before.get(parts[0], {}).get(".".join(parts[3:]))
+            if ln is not None:
+                layer, width = ".".join(parts[:3]), t.shape[0]
+                old.register(f"{layer}.{ln}.gain",
+                             T.Tensor(np.ones(width), dtype=t.dtype), "frozen")
+                old.register(f"{layer}.{ln}.bias",
+                             T.Tensor(np.zeros(width), dtype=t.dtype),
+                             "frozen")
+            old.register(name, t, model.registry.entries[name].tag)
+        assert len(old.entries) == len(model.registry.entries) + 20
+        path = str(tmp_path / "old.ckpt")
+        with open(path, "wb") as f:
+            f.write(checkpoint_bytes(old, cfg))
+        ckpt = load_checkpoint(path)
+        with pytest.raises(CheckpointError, match=(
+                rf"^{re.escape(path)}: 'backbone.layers.0.ln1.gain' from "
+                rf"the checkpoint is not in the model$")):
+            restore_into(make(TWO)[0].registry, ckpt)
+        other, _ = make(TWO)
+        warnings = restore_into(other.registry, ckpt, force=True)
+        assert len(warnings) == 20
+        assert all(w.startswith("skipped: '") and ".ln" in w
+                   and w.endswith("' from the checkpoint is not in the model")
+                   for w in warnings)
+        assert other.registry.checksum() == model.registry.checksum()
+        _, test = gen_dataset(cfg.spec)
+        np.testing.assert_array_equal(
+            other.predict_classes(test.features, test.questions),
+            model.predict_classes(test.features, test.questions))
 
 
 def small_registry(*names, dtype=np.float32):

@@ -379,6 +379,40 @@ class TestCli:
         # directory so they stay distinguishable
         assert "alpha" in stdout and "beta" in stdout
 
+    # the fields summarize reads, one epoch's worth
+    RECORD = {"epoch": 1, "mode": "joint", "loss": 0.5,
+              "accuracy": {"overall": 0.5}, "active": [],
+              "census": {"trainable": 1, "total": 2}, "token_budget": 4,
+              "flops": 8}
+
+    def report_error(self, tmp_path, capsys, lines):
+        path = tmp_path / "bad.jsonl"
+        path.write_text("".join(line + "\n" for line in lines))
+        assert main(["report", str(path)]) == 2
+        return str(path), capsys.readouterr().err
+
+    @pytest.mark.parametrize("line, message", [
+        # it printed "Expecting value: line 1 column 1 (char 0)"
+        ("oops", "Expecting value at column 1"),
+        # it died with an uncaught AttributeError
+        ("[1]", "expected a JSON object, got list")])
+    def test_report_bad_line_names_file_and_line(self, tmp_path, capsys,
+                                                 line, message):
+        path, err = self.report_error(tmp_path, capsys,
+                                      [json.dumps(self.RECORD), line])
+        assert err == f"error: {path}:2: {message}\n"
+
+    def test_report_empty_file_names_it(self, tmp_path, capsys):
+        path, err = self.report_error(tmp_path, capsys, [])
+        assert err == f"error: {path}: no records to summarize\n"
+
+    def test_report_missing_key_names_it(self, tmp_path, capsys):
+        # it died with an uncaught KeyError
+        partial = {k: v for k, v in self.RECORD.items() if k != "epoch"}
+        path, err = self.report_error(
+            tmp_path, capsys, [json.dumps(self.RECORD), json.dumps(partial)])
+        assert err == f"error: {path}: record 2 has no 'epoch'\n"
+
     def test_out_root_env(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("MODFUSE_OUT_ROOT", str(tmp_path / "root"))
         cfg_path = self.write_config(tmp_path)

@@ -130,20 +130,14 @@ class TestAssembly:
 # answer head has its fixed two layers): every registry name with its tag,
 # in registry (and so checkpoint) order.
 NAMESPACE = """\
-backbone.layers.0.ln1.gain frozen
-backbone.layers.0.ln1.bias frozen
 backbone.layers.0.selfattn.wq frozen
 backbone.layers.0.selfattn.wk frozen
 backbone.layers.0.selfattn.wv frozen
 backbone.layers.0.selfattn.wo frozen
-backbone.layers.0.ln2.gain frozen
-backbone.layers.0.ln2.bias frozen
 backbone.layers.0.crossattn.wq frozen
 backbone.layers.0.crossattn.wk frozen
 backbone.layers.0.crossattn.wv frozen
 backbone.layers.0.crossattn.wo frozen
-backbone.layers.0.ln3.gain frozen
-backbone.layers.0.ln3.bias frozen
 backbone.layers.0.ffn.w1 frozen
 backbone.layers.0.ffn.w2 frozen
 video.queries video
@@ -165,24 +159,16 @@ prefix.fused fusion
 head.embed frozen
 head.input.w frozen
 head.input.b frozen
-head.layers.0.ln1.gain frozen
-head.layers.0.ln1.bias frozen
 head.layers.0.attn.wq frozen
 head.layers.0.attn.wk frozen
 head.layers.0.attn.wv frozen
 head.layers.0.attn.wo frozen
-head.layers.0.ln2.gain frozen
-head.layers.0.ln2.bias frozen
 head.layers.0.ffn.w1 frozen
 head.layers.0.ffn.w2 frozen
-head.layers.1.ln1.gain frozen
-head.layers.1.ln1.bias frozen
 head.layers.1.attn.wq frozen
 head.layers.1.attn.wk frozen
 head.layers.1.attn.wv frozen
 head.layers.1.attn.wo frozen
-head.layers.1.ln2.gain frozen
-head.layers.1.ln2.bias frozen
 head.layers.1.ffn.w1 frozen
 head.layers.1.ffn.w2 frozen
 head.classifier.w fusion

@@ -33,9 +33,7 @@ class TestFrozenValues:
 
     def test_layer_norm_1234(self):
         x = T.Tensor([[1.0, 2.0, 3.0, 4.0]], dtype=np.float64)
-        gain = T.Tensor(np.ones(4), dtype=np.float64)
-        bias = T.Tensor(np.zeros(4), dtype=np.float64)
-        out = T.layer_norm(x, gain, bias)
+        out = T.layer_norm(x)
         np.testing.assert_allclose(
             out.data[0], [-1.3416, -0.4472, 0.4472, 1.3416], atol=1e-3)
 
@@ -99,9 +97,7 @@ class TestOpProperties:
     def test_layer_norm_output_stats(self):
         rng = np.random.default_rng(9)
         x = T.Tensor(rng.normal(size=(4, 7, 16)) * 3.0 + 2.0, dtype=np.float64)
-        gain = T.Tensor(np.ones(16), dtype=np.float64)
-        bias = T.Tensor(np.zeros(16), dtype=np.float64)
-        out = T.layer_norm(x, gain, bias)
+        out = T.layer_norm(x)
         np.testing.assert_allclose(out.data.mean(axis=-1), 0.0, atol=1e-10)
         np.testing.assert_allclose(out.data.std(axis=-1), 1.0, atol=1e-4)
 
@@ -218,18 +214,16 @@ def ref_softmax(a, axis=-1):
     return T._make(y, (a,), "softmax", backward_fn)
 
 
-def ref_layer_norm(x, gain, bias, g, eps=1e-5):
-    """Output and (input, gain, bias) gradients for upstream gradient g."""
+def ref_layer_norm(x, g, eps=1e-5):
+    """Output and input gradient for upstream gradient g."""
     mu = x.mean(axis=-1, keepdims=True)
     centered = x - mu
     var = (centered * centered).mean(axis=-1, keepdims=True)
     inv_std = 1.0 / np.sqrt(var + eps)
     xhat = centered * inv_std
-    gx = g * gain
-    term1 = gx.mean(axis=-1, keepdims=True)
-    term2 = (gx * xhat).mean(axis=-1, keepdims=True)
-    return (xhat * gain + bias, inv_std * (gx - term1 - xhat * term2),
-            T.unbroadcast(g * xhat, gain.shape), T.unbroadcast(g, bias.shape))
+    term1 = g.mean(axis=-1, keepdims=True)
+    term2 = (g * xhat).mean(axis=-1, keepdims=True)
+    return xhat, inv_std * (g - term1 - xhat * term2)
 
 
 def ref_silu(x, g):
@@ -390,14 +384,11 @@ class TestLeanKernels:
     def test_layer_norm(self, d, dtype):
         rng = np.random.default_rng(d)
         x = (rng.normal(size=(5, 7, d)) * 3.0 + 100.0).astype(dtype)
-        gain = rng.normal(size=d).astype(dtype)
-        bias = rng.normal(size=d).astype(dtype)
         g = rng.normal(size=(5, 7, d)).astype(dtype)
-        a, w, b = (T.Tensor(v, requires_grad=True) for v in (x, gain, bias))
-        out = T.layer_norm(a, w, b)
+        a = T.Tensor(x, requires_grad=True)
+        out = T.layer_norm(a)
         out._backward_fn(g)
-        got = (out.data, a.grad, w.grad, b.grad)
-        for gv, wv in zip(got, ref_layer_norm(x, gain, bias, g)):
+        for gv, wv in zip((out.data, a.grad), ref_layer_norm(x, g)):
             assert gv.dtype == dtype and gv.tobytes() == wv.tobytes()
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -453,8 +444,7 @@ def _op_cases():
         "softmax": ([(3, 4, 8)], lambda a, p: T.softmax(a)),
         "attention": ([(3, 4, 8), (3, 5, 8), (3, 5, 8)],
                       lambda q, k, v, p: T.attention(q, k, v, 2, probes=p)),
-        "layer_norm": ([(3, 4, 8), (8,), (8,)],
-                       lambda a, w, b, p: T.layer_norm(a, w, b)),
+        "layer_norm": ([(3, 4, 8)], lambda a, p: T.layer_norm(a)),
         "cross_entropy": ([(6, 4)],
                           lambda a, p: T.cross_entropy(a, np.arange(6) % 4)),
         "embedding": ([(5, 8)],
@@ -663,16 +653,14 @@ class TestGradCheck:
     def test_composite_ops_pass(self):
         rng = np.random.default_rng(12)
         w = T.Tensor(rng.normal(size=(5, 5)), requires_grad=True, dtype=np.float64)
-        gain = T.Tensor(np.ones(5), requires_grad=True, dtype=np.float64)
-        bias = T.Tensor(np.zeros(5), requires_grad=True, dtype=np.float64)
         x = rng.normal(size=(3, 5))
 
         def f():
-            h = T.layer_norm(T.Tensor(x, dtype=np.float64) @ w, gain, bias)
+            h = T.layer_norm(T.Tensor(x, dtype=np.float64) @ w)
             att = T.softmax(h)
             return T.tmean(T.silu(att @ w) * h)
 
-        report = T.grad_check(f, {"w": w, "gain": gain, "bias": bias})
+        report = T.grad_check(f, {"w": w})
         assert report.passed, report.summary()
 
     def test_detects_wrong_gradient(self):
