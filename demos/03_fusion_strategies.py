@@ -23,8 +23,8 @@ rng = np.random.default_rng(0)
 
 
 def token_sets(n):
-    return [T.Tensor(rng.normal(size=(2, TOKENS, D)).astype(np.float32))
-            for _ in range(n)]
+    # float64, as the fusion weights come from their constructor
+    return [T.Tensor(rng.normal(size=(2, TOKENS, D))) for _ in range(n)]
 
 
 print("=== what each strategy emits for 3 modalities ===")

@@ -3,7 +3,7 @@
 An adapter is everything one modality owns: learnable query tokens, one
 low-rank pair per self-attention q/v projection per backbone layer, and
 (when the modality's native feature width differs from the hidden size)
-an affine alignment map (``align``).
+an affine alignment map (``align``), all drawn in float64.
 
 ``named_tensors`` names every tensor of a component by its path through
 dataclass fields, list indices and dict keys; the model registers each
@@ -47,15 +47,14 @@ class MMQAdapter:
 
 
 def mmqa_create(name: str, d: int, r: int, tokens: int, layers: int,
-                feat_dim: int, seed: int, dtype=np.float32) -> MMQAdapter:
+                feat_dim: int, seed: int) -> MMQAdapter:
     """Deterministic adapter init: down-projections zero, the rest scaled-normal."""
     rng = component_rng(seed, f"adapter.{name}")
-    queries = normal(rng, (tokens, d), dtype, trainable=True)
-    lora = [{key: LoraPair(down=zeros((d, r), dtype, trainable=True),
-                           up=normal(rng, (r, d), dtype, trainable=True))
+    queries = normal(rng, (tokens, d), trainable=True)
+    lora = [{key: LoraPair(down=zeros((d, r), trainable=True),
+                           up=normal(rng, (r, d), trainable=True))
              for key in ("q", "v")} for _ in range(layers)]
-    align = (affine(rng, feat_dim, d, dtype, trainable=True)
-             if feat_dim != d else None)
+    align = affine(rng, feat_dim, d, trainable=True) if feat_dim != d else None
     return MMQAdapter(name=name, queries=queries, lora=lora, align=align,
                       feat_dim=feat_dim)
 

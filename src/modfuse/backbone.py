@@ -14,7 +14,8 @@ every weight of the model, the adapters', the fusion module's, the
 prefixes' and the answer head's as well. ``normal`` alone reads
 ``INIT_STD``, scaled by a ``gain``; ``trainable`` sets ``requires_grad``,
 which is what the registry reads each non-adapter tag off, so a
-constructor call is the one statement of what trains.
+constructor call is the one statement of what trains. Each returns a
+float64 draw, which ``FusionModel`` rounds to its ``dtype``.
 
 ``align_features`` maps a modality's features onto the hidden size with
 its adapter's ``align`` map before the first cross-attention.
@@ -71,50 +72,49 @@ class Backbone:
     layers: list[BackboneLayer]
 
 
-def normal(rng: np.random.Generator, shape, dtype, gain: float = 1.0,
+def normal(rng: np.random.Generator, shape, gain: float = 1.0,
            trainable: bool = False) -> T.Tensor:
     """A scaled-normal draw: zero mean, standard deviation gain * INIT_STD."""
     return T.Tensor(rng.normal(0.0, gain * INIT_STD, size=shape),
-                    requires_grad=trainable, dtype=dtype)
+                    requires_grad=trainable)
 
 
-def zeros(shape, dtype, trainable: bool = False) -> T.Tensor:
-    return T.Tensor(np.zeros(shape), requires_grad=trainable, dtype=dtype)
+def zeros(shape, trainable: bool = False) -> T.Tensor:
+    return T.Tensor(np.zeros(shape), requires_grad=trainable)
 
 
-def affine(rng: np.random.Generator, rows: int, cols: int, dtype,
-           gain: float = 1.0, trainable: bool = False) -> Affine:
+def affine(rng: np.random.Generator, rows: int, cols: int, gain: float = 1.0,
+           trainable: bool = False) -> Affine:
     """A scaled-normal [rows, cols] map with a zero bias."""
-    return Affine(w=normal(rng, (rows, cols), dtype, gain, trainable),
-                  b=zeros(cols, dtype, trainable))
+    return Affine(w=normal(rng, (rows, cols), gain, trainable),
+                  b=zeros(cols, trainable))
 
 
-def attention_weights(rng: np.random.Generator, d: int, dtype,
-                      qk_gain: float = 1.0, vo_gain: float = 1.0,
+def attention_weights(rng: np.random.Generator, d: int, qk_gain: float = 1.0,
+                      vo_gain: float = 1.0,
                       trainable: bool = False) -> AttentionWeights:
     """Four [d, d] projections, drawn in the order q, k, v, o."""
-    return AttentionWeights(wq=normal(rng, (d, d), dtype, qk_gain, trainable),
-                            wk=normal(rng, (d, d), dtype, qk_gain, trainable),
-                            wv=normal(rng, (d, d), dtype, vo_gain, trainable),
-                            wo=normal(rng, (d, d), dtype, vo_gain, trainable))
+    return AttentionWeights(wq=normal(rng, (d, d), qk_gain, trainable),
+                            wk=normal(rng, (d, d), qk_gain, trainable),
+                            wv=normal(rng, (d, d), vo_gain, trainable),
+                            wo=normal(rng, (d, d), vo_gain, trainable))
 
 
-def feed_forward(rng: np.random.Generator, d: int, dtype,
+def feed_forward(rng: np.random.Generator, d: int,
                  gain: float = 1.0) -> FeedForward:
     """A frozen d -> FF_EXPANSION * d -> d feed-forward pair."""
-    return FeedForward(w1=normal(rng, (d, FF_EXPANSION * d), dtype, gain),
-                       w2=normal(rng, (FF_EXPANSION * d, d), dtype, gain))
+    return FeedForward(w1=normal(rng, (d, FF_EXPANSION * d), gain),
+                       w2=normal(rng, (FF_EXPANSION * d, d), gain))
 
 
-def init_backbone(seed: int, d: int, layers: int, heads: int,
-                  dtype=np.float32) -> Backbone:
+def init_backbone(seed: int, d: int, layers: int, heads: int) -> Backbone:
     """Deterministic scaled-normal init; every tensor stays frozen. The
     dims are taken as ``ModelDims`` checked them."""
     rng = component_rng(seed, "backbone")
     return Backbone(heads=heads, layers=[BackboneLayer(
-        selfattn=attention_weights(rng, d, dtype),
-        crossattn=attention_weights(rng, d, dtype),
-        ffn=feed_forward(rng, d, dtype),
+        selfattn=attention_weights(rng, d),
+        crossattn=attention_weights(rng, d),
+        ffn=feed_forward(rng, d),
     ) for _ in range(layers)])
 
 

@@ -29,7 +29,7 @@ from dataclasses import dataclass, fields
 from typing import get_type_hints
 
 from modfuse.bench import BenchModality, BenchSpec
-from modfuse.errors import ConfigError, at_least
+from modfuse.errors import ConfigError, at_least, read_text
 from modfuse.fusion import check_strategy
 from modfuse.model import FusionModel, ModelDims, check_modalities
 from modfuse.training import TrainConfig
@@ -206,9 +206,7 @@ def _build(raw: dict[str, str]) -> RunConfig:
 
 
 def load_config(path: str) -> RunConfig:
-    with open(path, "r", encoding="utf-8") as f:
-        text = f.read()
-    return parse_config(text, source=path)
+    return parse_config(read_text(path), source=path)
 
 
 def build_model(config: RunConfig):

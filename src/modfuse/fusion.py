@@ -17,7 +17,7 @@ A strategy's parameters are built, all trainable, by the backbone's
 constructors (``affine``, ``attention_weights``, ``normal``) and held in
 ``FusionModule.params`` under their field names, so the model's walk
 names them (``fusion.merge.w``, ``fusion.experts.2.b``,
-``fusion.attn.wq``).
+``fusion.attn.wq``) and rounds them from float64 to its dtype.
 """
 
 from __future__ import annotations
@@ -71,7 +71,7 @@ def token_budget(strategy: str, n: int, tokens: int) -> int:
 
 
 def create_fusion(strategy: str, n: int, tokens: int, d: int, heads: int,
-                  seed: int, dtype=np.float32) -> FusionModule:
+                  seed: int) -> FusionModule:
     """Initialize strategy parameters for ``n`` total modalities."""
     module = FusionModule(strategy=strategy, heads=heads)
     if n == 1 or strategy == "Concat":
@@ -80,17 +80,16 @@ def create_fusion(strategy: str, n: int, tokens: int, d: int, heads: int,
     wide = (n - 1) * d
     p = module.params
     if strategy == "SelfGated":
-        p["merge"] = affine(rng, wide, d, dtype, trainable=True)
+        p["merge"] = affine(rng, wide, d, trainable=True)
     elif strategy == "Linear":
-        p["mix"] = TokenMix(w=normal(rng, (n * tokens, tokens), dtype,
-                                     trainable=True))
+        p["mix"] = TokenMix(w=normal(rng, (n * tokens, tokens), trainable=True))
     elif strategy == "MoE":
-        p["gate"] = affine(rng, wide, MOE_EXPERTS, dtype, trainable=True)
-        p["experts"] = [affine(rng, wide, d, dtype, trainable=True)
+        p["gate"] = affine(rng, wide, MOE_EXPERTS, trainable=True)
+        p["experts"] = [affine(rng, wide, d, trainable=True)
                         for _ in range(MOE_EXPERTS)]
     elif strategy == "CrossAttention":
-        p["prompts"] = normal(rng, (tokens, d), dtype, trainable=True)
-        p["attn"] = attention_weights(rng, d, dtype, trainable=True)
+        p["prompts"] = normal(rng, (tokens, d), trainable=True)
+        p["attn"] = attention_weights(rng, d, trainable=True)
     return module
 
 
@@ -176,8 +175,8 @@ def fuse_variant(fusion: FusionModule, q_major: T.Tensor,
     return _fuse_cross_attention(fusion, q_major, supportive)
 
 
-def create_prefixes(order: list[str], schedule: list[str], d: int, seed: int,
-                    dtype=np.float32) -> dict[str, T.Tensor]:
+def create_prefixes(order: list[str], schedule: list[str], d: int,
+                    seed: int) -> dict[str, T.Tensor]:
     """The learnable d-vectors that ``schedule`` names, in draw order.
 
     One vector is drawn per modality of ``order`` and then one for the
@@ -185,7 +184,7 @@ def create_prefixes(order: list[str], schedule: list[str], d: int, seed: int,
     do not depend on which others are kept.
     """
     rng = component_rng(seed, "prefixes")
-    drawn = {name: normal(rng, (d,), dtype, trainable=True)
+    drawn = {name: normal(rng, (d,), trainable=True)
              for name in [*order, FUSED_TAG]}
     return {name: t for name, t in drawn.items() if name in schedule}
 

@@ -10,6 +10,8 @@ its name lists. ``ModelDims`` is frozen and checks its ranges when
 built; the component constructors take its sizes as given, and the
 answer head's size follows from ``d`` (``reasoner.head_width``).
 ``FusionModel`` rejects an unknown strategy through ``prefix_schedule``.
+Its ``dtype`` states the precision once: the constructors draw in
+float64, and each tensor is rounded to ``dtype`` as it is registered.
 """
 
 from __future__ import annotations
@@ -22,14 +24,13 @@ import numpy as np
 from modfuse import tensor as T
 from modfuse.adapters import (STRUCTURAL_TAGS, FeatureBatch, MMQAdapter,
                               ParamRegistry, mmqa_create, named_tensors)
-from modfuse.backbone import (FF_EXPANSION, Backbone, init_backbone,
-                              qformer_forward)
+from modfuse.backbone import FF_EXPANSION, init_backbone, qformer_forward
 from modfuse.bench import BenchModality, check_names
 from modfuse.errors import ConfigError, at_least
-from modfuse.fusion import (FUSED_TAG, FusionModule, create_fusion,
-                            create_prefixes, fuse_variant, prefix_schedule)
-from modfuse.reasoner import (AnswerHead, assemble_input, create_head,
-                              head_width, input_length, predict)
+from modfuse.fusion import (FUSED_TAG, create_fusion, create_prefixes,
+                            fuse_variant, prefix_schedule)
+from modfuse.reasoner import (assemble_input, create_head, head_width,
+                              input_length, predict)
 
 # Byte budget for the answer head's widest activation in forward-only
 # prediction, its feed-forward hidden [rows, seq, FF_EXPANSION * width].
@@ -100,39 +101,32 @@ class FusionModel:
         self.classes = classes
 
         self.schedule = prefix_schedule(strategy, names, major)
-        self.backbone: Backbone = init_backbone(
-            seed, dims.d, dims.layers, dims.heads, dtype=dtype)
-        self.adapters: dict[str, MMQAdapter] = {}
-        for m in modalities:
-            self.adapters[m.name] = mmqa_create(
-                m.name, dims.d, dims.rank, dims.tokens, dims.layers,
-                m.feat_dim, seed, dtype=dtype)
-        self.fusion: FusionModule = create_fusion(
-            strategy, len(names), dims.tokens, dims.d, dims.heads, seed,
-            dtype=dtype)
-        self.prefixes = create_prefixes(names, self.schedule, dims.d, seed,
-                                        dtype=dtype)
-        self.head: AnswerHead = create_head(
-            seed, dims.d, dims.heads, vocab, classes,
-            train_classifier=train_classifier, dtype=dtype)
+        self.backbone = init_backbone(seed, dims.d, dims.layers, dims.heads)
+        self.adapters: dict[str, MMQAdapter] = {
+            m.name: mmqa_create(m.name, dims.d, dims.rank, dims.tokens,
+                                dims.layers, m.feat_dim, seed)
+            for m in modalities}
+        self.fusion = create_fusion(
+            strategy, len(names), dims.tokens, dims.d, dims.heads, seed)
+        self.prefixes = create_prefixes(names, self.schedule, dims.d, seed)
+        self.head = create_head(seed, dims.d, dims.heads, vocab, classes,
+                                train_classifier=train_classifier)
         self.registry = self._build_registry()
 
     def _build_registry(self) -> ParamRegistry:
-        """Every tensor under its path through the components. An
-        adapter's tensors take its modality's tag; any other tensor is
-        "fusion" if it trains and "frozen" if not, as its constructor's
-        ``trainable`` flag set it."""
+        """Every tensor under its path through the components, rounded to
+        ``dtype``. An adapter's tensors take its modality's tag; any other
+        tensor is "fusion" if it trains and "frozen" if not, as its
+        constructor's ``trainable`` flag set it."""
         reg = ParamRegistry()
         for part, node in [("backbone", self.backbone),
                            *self.adapters.items(),
                            ("fusion", self.fusion.params),
                            ("prefix", self.prefixes), ("head", self.head)]:
             for name, t in named_tensors(node, part):
-                if isinstance(node, MMQAdapter):
-                    tag = part
-                else:
-                    tag = "fusion" if t.requires_grad else "frozen"
-                reg.register(name, t, tag)
+                t.data = t.data.astype(self.dtype, copy=False)
+                reg.register(name, t, part if isinstance(node, MMQAdapter)
+                             else "fusion" if t.requires_grad else "frozen")
         return reg
 
     @property
@@ -146,22 +140,21 @@ class FusionModel:
         """Query-transformer tokens per modality.
 
         Only the modalities in ``taped`` (every one when None) are put on
-        the tape; the rest run forward-only and carry no gradient. A
-        forward-only modality's token array is taken from ``cache`` when
-        it holds one, and stored there when it does not, so whoever
+        the tape; the rest carry no gradient. A forward-only modality's
+        token array is taken from ``cache`` when it holds one, and else
+        made by :meth:`forward_only_tokens` and stored there, so whoever
         updates an adapter must drop that modality's entry.
         """
         self._check_features(features)
-        if cache is None:
-            cache = {}
+        cache = {} if cache is None else cache
         out = {}
         for m in self.order:
             if taped is None or m in taped:
                 out[m] = self._qformer(m, features[m])
                 continue
             if m not in cache:
-                with T.no_grad():
-                    cache[m] = self._qformer(m, features[m]).data
+                cache[m] = self.forward_only_tokens(m, features[m],
+                                                    EVAL_BATCH)
             out[m] = T.Tensor(cache[m])
         return out
 

@@ -14,15 +14,13 @@ it is on.
 ``AnswerHead`` declares its tensors in checkpoint order (``embed``,
 ``input``, ``layers``, ``classifier``); the registry names them by field
 path (``head.input.w``, ``head.layers.<i>.ffn.w1``, ``head.classifier.b``).
-The backbone's constructors build them, at the gains below; only the
-classifier can be built trainable.
+The backbone's constructors build them in float64, at the gains below;
+only the classifier can be built trainable.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 from modfuse import tensor as T
 from modfuse.backbone import (FF_EXPANSION, Affine, AttentionWeights,
@@ -69,21 +67,20 @@ class AnswerHead:
 
 
 def create_head(seed: int, d: int, heads: int, vocab: int, classes: int,
-                train_classifier: bool = False,
-                dtype=np.float32) -> AnswerHead:
+                train_classifier: bool = False) -> AnswerHead:
     rng = component_rng(seed, "head")
     width = head_width(d)
     # drawn in the order embed, input, classifier, layers: the classifier
     # comes before the layers it follows in the checkpoint
-    embed = normal(rng, (vocab, d), dtype)
-    input_map = affine(rng, d, width, dtype, gain=HEAD_GAIN)
-    classifier = affine(rng, width, classes, dtype, gain=HEAD_GAIN,
+    embed = normal(rng, (vocab, d))
+    input_map = affine(rng, d, width, gain=HEAD_GAIN)
+    classifier = affine(rng, width, classes, gain=HEAD_GAIN,
                         trainable=train_classifier)
     return AnswerHead(heads=heads, embed=embed, input=input_map, layers=[
         HeadLayer(
-            attn=attention_weights(rng, width, dtype, qk_gain=ATTN_GAIN,
+            attn=attention_weights(rng, width, qk_gain=ATTN_GAIN,
                                    vo_gain=HEAD_GAIN),
-            ffn=feed_forward(rng, width, dtype, gain=HEAD_GAIN),
+            ffn=feed_forward(rng, width, gain=HEAD_GAIN),
         ) for _ in range(HEAD_LAYERS)], classifier=classifier)
 
 

@@ -18,7 +18,7 @@ from modfuse.bench import (TEST_STREAM, TRAIN_STREAM, BenchModality,
                            gen_split, split_easy_hard)
 from modfuse.checkpoint import (load_checkpoint, model_from_checkpoint,
                                 save_checkpoint)
-from modfuse.config import RunConfig, build_model
+from modfuse.config import KEYS, ConfigError, RunConfig, build_model
 from modfuse.fusion import STRATEGIES
 from modfuse.metrics import run_records, summarize, write_jsonl
 from modfuse.model import FusionModel, ModelDims
@@ -28,9 +28,12 @@ OUT_ROOT_ENV = "MODFUSE_OUT_ROOT"
 CHECKPOINT_NAME = "model.ckpt"
 METRICS_NAME = "metrics.jsonl"
 
-ABLATE_AXES = ("fusion", "rank", "tokens", "mode")
-_RANK_GRID = (2, 4, 8)
-_TOKEN_GRID = (2, 4, 8)
+# axis -> the config key it varies, its grid, the variant label's prefix
+_GRIDS = {"fusion": ("model.strategy", STRATEGIES, ""),
+          "rank": ("model.rank", (2, 4, 8), "rank"),
+          "tokens": ("model.tokens", (2, 4, 8), "tokens"),
+          "mode": ("train.mode", MODES, "")}
+ABLATE_AXES = tuple(_GRIDS)
 
 
 def resolve_outdir(config: RunConfig, cli_out: str | None = None,
@@ -114,25 +117,25 @@ def run_eval(ckpt_path: str, modalities: list[str] | None = None,
 
 
 def _variant_configs(config: RunConfig, axis: str):
-    """The ablation grid along one axis, as (label, config) pairs."""
-    if axis == "fusion":
-        for strategy in STRATEGIES:
-            yield strategy, dataclasses.replace(config, strategy=strategy)
-    elif axis == "rank":
-        for rank in _RANK_GRID:
-            dims = dataclasses.replace(config.dims, rank=rank)
-            yield f"rank{rank}", dataclasses.replace(config, dims=dims)
-    elif axis == "tokens":
-        for tokens in _TOKEN_GRID:
-            dims = dataclasses.replace(config.dims, tokens=tokens)
-            yield f"tokens{tokens}", dataclasses.replace(config, dims=dims)
-    elif axis == "mode":
-        for mode in MODES:
-            train = dataclasses.replace(config.train, mode=mode)
-            yield mode, dataclasses.replace(config, train=train)
-    else:
+    """The ablation grid along one axis, as (label, config) pairs. A
+    variant that breaks a config rule is named in the error."""
+    if axis not in _GRIDS:
         raise ValueError(f"unknown ablation axis '{axis}'; choose from "
                          f"{', '.join(ABLATE_AXES)}")
+    key, grid, prefix = _GRIDS[axis]
+    block, name, _ = KEYS[key]
+    for value in grid:
+        label = f"{prefix}{value}"
+        changed = {name: value}
+        try:
+            if block is not None:
+                changed = {block: dataclasses.replace(getattr(config, block),
+                                                      **changed)}
+            variant = dataclasses.replace(config, **changed)
+        except ConfigError as e:
+            raise ConfigError(f"ablation variant '{label}': {e}",
+                              *e.keys) from None
+        yield label, variant
 
 
 def run_ablate(config: RunConfig, axis: str, outdir: str, log=None) -> list:
@@ -161,15 +164,14 @@ def run_gradcheck(sample: int | None = None) -> T.GradCheckReport:
     batch of 2, every seed 0."""
     spec = BenchSpec(modalities=(BenchModality("video", 6, 3),
                                  BenchModality("audio", 5, 3)))
-    batch_data = gen_split(spec, 2, TRAIN_STREAM)
+    batch = gen_split(spec, 2, TRAIN_STREAM)
     dims = ModelDims(d=16, layers=2, heads=2, tokens=2, rank=2)
     model = FusionModel(dims, spec.modalities, "video", "SelfGated",
                         spec.vocab, spec.classes, 0, dtype=np.float64)
-    features = {m: f.astype(np.float64) for m, f in
-                batch_data.features.items()}
 
     def f():
-        return model.loss(features, batch_data.questions, batch_data.answers)
+        # the query transformers widen the float32 features to float64
+        return model.loss(batch.features, batch.questions, batch.answers)
 
     params = dict(model.registry.named(trainable_only=True))
     # Down projections are zero at init, which silences the gradient of

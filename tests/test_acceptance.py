@@ -72,11 +72,11 @@ def test_fresh_adapters_neutral_and_full_rank_matches_dense():
     # Tolerances: freshly created adapters must be bit-identical to the
     # adapter-free path; at full rank the two thin products must match
     # the dense summed weight within 1e-5 max abs at 32-bit.
-    bb = init_backbone(7, 32, 2, 4, dtype=np.float64)
+    bb = init_backbone(7, 32, 2, 4)
     feats = FeatureBatch(
         "video", np.random.default_rng(7).normal(size=(2, 5, 16)))
-    fresh = mmqa_create("video", 32, 4, 4, 2, 16, seed=7, dtype=np.float64)
-    bare = mmqa_create("video", 32, 4, 4, 2, 16, seed=7, dtype=np.float64)
+    fresh = mmqa_create("video", 32, 4, 4, 2, 16, seed=7)
+    bare = mmqa_create("video", 32, 4, 4, 2, 16, seed=7)
     bare.lora = [{"q": None, "v": None} for _ in bare.lora]
     out = qformer_forward(bb, fresh, feats)
     reference = qformer_forward(bb, bare, feats)
@@ -161,7 +161,7 @@ def test_fused_token_budget_and_flop_scaling():
     for strategy in STRATEGIES:
         for n in range(2, 7):
             fusion = create_fusion(strategy, n, tokens, d, heads, seed=0)
-            sets = [T.Tensor(rng.normal(size=(2, tokens, d)).astype(np.float32))
+            sets = [T.Tensor(rng.normal(size=(2, tokens, d)))
                     for _ in range(n)]
             fused = fuse_variant(fusion, sets[0], sets[1:])
             assert fused.shape[1] == token_budget(strategy, n, tokens), \

@@ -10,9 +10,8 @@ from modfuse.backbone import init_backbone, lora_linear, qformer_forward
 from modfuse.tensor import Tensor
 
 
-def make_adapter(name="video", d=32, r=4, tokens=4, layers=2, f=16, seed=0,
-                 dtype=np.float64):
-    return mmqa_create(name, d, r, tokens, layers, f, seed, dtype=dtype)
+def make_adapter(name="video", d=32, r=4, tokens=4, layers=2, f=16, seed=0):
+    return mmqa_create(name, d, r, tokens, layers, f, seed)
 
 
 def backbone_bytes(bb):
@@ -49,9 +48,9 @@ class TestBackboneInit:
 class TestLoraLinear:
     def test_zero_down_equals_frozen_path(self):
         rng = np.random.default_rng(0)
-        x = Tensor(rng.normal(size=(2, 5, 16)).astype(np.float32))
-        w = Tensor(rng.normal(size=(16, 16)).astype(np.float32))
-        adapter = make_adapter(d=16, f=16, dtype=np.float32)
+        x = Tensor(rng.normal(size=(2, 5, 16)))
+        w = Tensor(rng.normal(size=(16, 16)))
+        adapter = make_adapter(d=16, f=16)
         pair = adapter.lora[0]["q"]
         with_lora = lora_linear(x, w, pair)
         plain = lora_linear(x, w, None)
@@ -132,7 +131,7 @@ class TestAdapterCreate:
 
 class TestQformerForward:
     def setup_method(self):
-        self.bb = init_backbone(7, 32, 2, 4, dtype=np.float64)
+        self.bb = init_backbone(7, 32, 2, 4)
         self.adapter = make_adapter(seed=7)
         self.rng = np.random.default_rng(7)
         self.feats = FeatureBatch(
@@ -259,7 +258,7 @@ class TestRegistryCensus:
                          "video")
 
     def test_modality_isolation(self):
-        bb = init_backbone(1, 32, 2, 4, dtype=np.float64)
+        bb = init_backbone(1, 32, 2, 4)
         video = make_adapter(name="video", seed=1)
         audio = make_adapter(name="audio", f=24, seed=1)
         rng = np.random.default_rng(1)

@@ -337,6 +337,17 @@ class TestCanonicalText:
         with pytest.raises(ConfigError, match="run.cfg:1"):
             load_config(str(p))
 
+    def test_non_utf8_file_names_path_and_line(self, tmp_path):
+        # it raised the bare decode error, naming neither
+        raw = b"modalities = video\nmodality.video.feat_dim = 16\n" \
+              b"run.name = caf\xe9\n"
+        p = tmp_path / "run.cfg"
+        p.write_bytes(raw)
+        with pytest.raises(ValueError) as exc:
+            load_config(str(p))
+        assert str(exc.value) == (f"{p}:3: not UTF-8: invalid continuation "
+                                  f"byte at byte {raw.index(0xE9)}")
+
 
 class TestBuildModel:
     def test_model_matches_config(self):

@@ -13,14 +13,13 @@ from modfuse.reasoner import (HEAD_LAYERS, assemble_input, create_head,
                               predict, reasoner_flops)
 
 
-def token_sets(n, tokens=4, d=32, batch=2, seed=0, dtype=np.float64):
+def token_sets(n, tokens=4, d=32, batch=2, seed=0):
     rng = np.random.default_rng(seed)
-    return [T.Tensor(rng.normal(size=(batch, tokens, d)), dtype=dtype)
-            for _ in range(n)]
+    return [T.Tensor(rng.normal(size=(batch, tokens, d))) for _ in range(n)]
 
 
-def build(strategy, n, tokens=4, d=32, dtype=np.float64):
-    return create_fusion(strategy, n, tokens, d, heads=4, seed=0, dtype=dtype)
+def build(strategy, n, tokens=4, d=32):
+    return create_fusion(strategy, n, tokens, d, heads=4, seed=0)
 
 
 class TestTokenBudget:
@@ -221,11 +220,9 @@ class TestPrefixes:
 
 class TestAnswerHead:
     def setup_method(self):
-        self.head = create_head(seed=0, d=32, heads=4, vocab=12, classes=11,
-                                dtype=np.float64)
+        self.head = create_head(seed=0, d=32, heads=4, vocab=12, classes=11)
         order = ["video", "audio", "depth"]
-        self.prefixes = create_prefixes(order, order + ["fused"], 32, 0,
-                                        dtype=np.float64)
+        self.prefixes = create_prefixes(order, order + ["fused"], 32, 0)
 
     def assembled(self, strategy="SelfGated", n=3, batch=2):
         order = ["video", "audio", "depth"][:n]

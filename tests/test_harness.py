@@ -9,7 +9,8 @@ import pytest
 from modfuse.bench import gen_dataset
 from modfuse.checkpoint import save_checkpoint
 from modfuse.cli import main
-from modfuse.config import RunConfig, build_model, parse_config
+from modfuse.config import (ConfigError, RunConfig, build_model, load_config,
+                            parse_config)
 from modfuse.metrics import (SCHEMA_VERSION, read_jsonl, run_records,
                              summarize, write_jsonl)
 from modfuse.runner import (resolve_outdir, run_ablate, run_eval,
@@ -412,6 +413,43 @@ class TestCli:
         path, err = self.report_error(
             tmp_path, capsys, [json.dumps(self.RECORD), json.dumps(partial)])
         assert err == f"error: {path}: record 2 has no 'epoch'\n"
+
+    @pytest.mark.parametrize("field, value, key", [
+        # each died with a traceback: KeyError: 'total', KeyError:
+        # 'overall' and "'int' object is not subscriptable"
+        ("census", {"trainable": 1}, "census.total"),
+        ("accuracy", {}, "accuracy.overall"),
+        ("accuracy", 5, "accuracy.overall")])
+    def test_report_missing_nested_key_names_it(self, tmp_path, capsys,
+                                                field, value, key):
+        bad = {**self.RECORD, field: value}
+        path, err = self.report_error(
+            tmp_path, capsys, [json.dumps(self.RECORD), json.dumps(bad)])
+        assert err == f"error: {path}: record 2 has no '{key}'\n"
+
+    def test_report_non_utf8_names_file_and_line(self, tmp_path, capsys):
+        # it printed the bare decode error, naming neither
+        first = json.dumps(self.RECORD).encode() + b"\n"
+        path = tmp_path / "bad.jsonl"
+        path.write_bytes(first + b"\xff\xfe{}\n")
+        assert main(["report", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}:2: not UTF-8: invalid start byte at byte "
+            f"{len(first)}\n")
+
+    def test_ablate_names_the_rejected_variant(self, tmp_path, capsys):
+        # the file's rank 2 is valid; the grid's rank 8 is not, at d = 8,
+        # and the error named no variant
+        cfg_path = self.write_config(
+            tmp_path, SMALL + "model.d = 8\nmodel.heads = 2\nmodel.rank = 2\n")
+        out = str(tmp_path / "ab")
+        assert main(["ablate", cfg_path, "--axis", "rank", "--out", out]) == 2
+        assert capsys.readouterr().err == (
+            "error: ablation variant 'rank8': model.rank must be at least 1 "
+            "and below model.d (8), got 8\n")
+        with pytest.raises(ConfigError) as exc:
+            run_ablate(load_config(cfg_path), "rank", out)
+        assert exc.value.keys == ("model.rank", "model.d")
 
     def test_out_root_env(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("MODFUSE_OUT_ROOT", str(tmp_path / "root"))

@@ -8,9 +8,13 @@ import pytest
 from modfuse import model as model_module
 from modfuse import reasoner
 from modfuse import tensor as T
-from modfuse.adapters import count_trainable, total_scalars
+from modfuse.adapters import (count_trainable, mmqa_create, named_tensors,
+                              total_scalars)
+from modfuse.backbone import init_backbone
 from modfuse.bench import BenchModality
-from modfuse.fusion import STRATEGIES, prefix_schedule
+from modfuse.fusion import (STRATEGIES, create_fusion, create_prefixes,
+                            prefix_schedule)
+from modfuse.reasoner import create_head
 from modfuse.model import FusionModel, ModelDims
 
 
@@ -227,6 +231,31 @@ class TestNamespace:
             assert twin.dtype == np.float64 and e.tensor.dtype == np.float32
             assert e.tensor.data.tobytes() == \
                 twin.astype(np.float32).tobytes(), name
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_every_tensor_has_the_model_dtype(self, strategy, dtype):
+        # the model states precision once and rounds every tensor to it
+        for model in (build_model(strategy, dtype=dtype),
+                      build_model(strategy, dtype=dtype,
+                                  train_classifier=True),
+                      FusionModel(ModelDims(), toy_modalities()[:1], "video",
+                                  strategy, vocab=12, classes=11, seed=0,
+                                  dtype=dtype)):
+            assert {e.tensor.dtype for e in model.registry.entries.values()} \
+                == {np.dtype(dtype)}
+
+    def test_component_constructors_draw_float64(self):
+        # no constructor takes a dtype; the model rounds what they return
+        parts = [init_backbone(0, 32, 2, 4),
+                 mmqa_create("audio", 32, 4, 4, 2, 24, seed=0),
+                 create_prefixes(["video", "audio"], ["video", "fused"], 32, 0),
+                 create_head(0, 32, 4, 12, 11, train_classifier=True)]
+        parts += [create_fusion(s, 3, 4, 32, 4, seed=0).params
+                  for s in STRATEGIES]
+        dtypes = {t.dtype for part in parts
+                  for _, t in named_tensors(part, "part")}
+        assert dtypes == {np.dtype(np.float64)}
 
 
 class TestForward:
