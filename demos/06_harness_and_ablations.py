@@ -5,8 +5,10 @@ builds the benchmark and the model, trains, and writes two artifacts
 into the output directory: a binary checkpoint that embeds the config
 (so evaluation can rebuild the model from the file alone) and a metrics
 log with one JSON record per epoch. Identical config and seed produce
-byte-identical artifacts. The same machinery sweeps one axis at a time
-for ablation tables. Everything here is also reachable from the shell:
+byte-identical artifacts. The same training run, once per variant,
+sweeps one axis at a time for ablation tables; each row is read off that
+variant's last metrics record. Everything here is also reachable from
+the shell:
 
     modfuse train  <cfg>            modfuse ablate <cfg> --axis fusion
     modfuse eval   <ckpt>           modfuse gradcheck
@@ -74,7 +76,7 @@ with tempfile.TemporaryDirectory() as top:
           f"{'head MACs':>12}")
     for row in rows:
         print(f"{row['label']:>16} {row['accuracy']['overall']:>8.3f} "
-              f"{row['trainable']:>10,} {row['token_budget']:>7} "
+              f"{row['census']['trainable']:>10,} {row['token_budget']:>7} "
               f"{row['flops']:>12,}")
     print()
     print("Two epochs on a few hundred examples will not rank strategies")

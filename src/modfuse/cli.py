@@ -18,8 +18,8 @@ import sys
 
 from modfuse.checkpoint import CheckpointError
 from modfuse.config import ConfigError, load_config
-from modfuse.runner import (ABLATE_AXES, resolve_outdir, run_ablate, run_eval,
-                            run_gradcheck, run_train)
+from modfuse.runner import (ABLATE_AXES, METRICS_NAME, resolve_outdir,
+                            run_ablate, run_eval, run_gradcheck, run_train)
 
 
 def _accuracy_line(acc: dict) -> str:
@@ -69,10 +69,11 @@ def _print_table(rows: list[dict]) -> None:
     print(header)
     print("-" * len(header))
     for row in rows:
-        acc = row["accuracy"]
-        print(f"{row['label']:<20} {acc['overall']:>8.3f} "
-              f"{acc.get('unimodal', 0.0):>9.3f} {acc.get('equal', 0.0):>7.3f} "
-              f"{acc.get('count', 0.0):>7.3f} {row['trainable']:>10} "
+        # "-": the run's test split holds no question of that template
+        acc = {k: f"{v:.3f}" for k, v in row["accuracy"].items()}
+        print(f"{row['label']:<20} {acc['overall']:>8} "
+              f"{acc.get('unimodal', '-'):>9} {acc.get('equal', '-'):>7} "
+              f"{acc.get('count', '-'):>7} {row['census']['trainable']:>10} "
               f"{row['token_budget']:>7} {row['flops']:>10}")
 
 
@@ -97,13 +98,10 @@ def cmd_report(args) -> int:
     rows = []
     for path in args.metrics:
         records = read_jsonl(path)
-        norm = path.replace(os.sep, "/")
-        label = norm.rsplit("/", 1)[-1].replace(".metrics.jsonl", "")
-        label = label.replace(".jsonl", "")
-        if label == "metrics" and "/" in norm:
-            # plain run files are all named metrics.jsonl; the run
-            # directory is the distinguishing part
-            label = norm.rsplit("/", 2)[-2]
+        name = os.path.basename(path)
+        # every run writes metrics.jsonl; its directory names the run
+        label = (os.path.basename(os.path.dirname(os.path.abspath(path)))
+                 if name == METRICS_NAME else os.path.splitext(name)[0])
         try:
             summary = summarize(records)
         except ValueError as e:

@@ -2,6 +2,9 @@
 
 One record per epoch, schema-versioned, with canonical key order and no
 timestamps, so a rerun of the same config writes byte-identical files.
+The record is also the one schema a run is read through: ``summarize``
+checks the fields in ``FIELDS`` by kind and returns the final record
+with each modality's exit epoch added.
 """
 
 from __future__ import annotations
@@ -70,34 +73,67 @@ def read_jsonl(path: str) -> list[dict]:
     return records
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_number(v) -> bool:
+    return _is_int(v) or isinstance(v, float)
+
+
+_KINDS = {
+    "an integer": _is_int,
+    "a number": _is_number,
+    "a string": lambda v: isinstance(v, str),
+    "a list of names": lambda v: (isinstance(v, list)
+                                  and all(isinstance(x, str) for x in v)),
+    "a dict of numbers": lambda v: (isinstance(v, dict)
+                                    and all(map(_is_number, v.values()))),
+}
+
+# The fields a run is read through (summarize, the report table), by
+# dotted path: the kind of value each holds, and whether it may be
+# absent. A path is found before its value's kind is checked, and
+# accuracy.overall comes before accuracy, so a record whose accuracy is
+# no dict lacks accuracy.overall.
+FIELDS = (("epoch", "an integer", True),
+          ("mode", "a string", True),
+          ("loss", "a number", True),
+          ("accuracy.overall", "a number", True),
+          ("accuracy", "a dict of numbers", True),
+          ("active", "a list of names", True),
+          ("grad_mag", "a dict of numbers", False),
+          ("census.trainable", "an integer", True),
+          ("census.total", "an integer", True),
+          ("token_budget", "an integer", True),
+          ("flops", "an integer", True))
+
+
+def _check_record(i: int, rec: dict) -> None:
+    for key, kind, required in FIELDS:
+        node = rec
+        for part in key.split("."):
+            if not isinstance(node, dict) or part not in node:
+                if not required:
+                    break
+                raise ValueError(f"record {i} has no '{key}'")
+            node = node[part]
+        else:
+            if not _KINDS[kind](node):
+                raise ValueError(f"record {i}: '{key}' must be {kind}, "
+                                 f"got {json.dumps(node)}")
+
+
 def summarize(records: list[dict]) -> dict:
-    """Final-epoch snapshot of one run's record stream."""
+    """A run's final record, plus ``exits``: the epoch at which each
+    modality with a gradient magnitude first left the active set."""
     if not records:
         raise ValueError("no records to summarize")
     for i, rec in enumerate(records, start=1):
-        for key in ("epoch", "mode", "loss", "accuracy.overall", "active",
-                    "census.trainable", "census.total", "token_budget",
-                    "flops"):
-            node = rec
-            for part in key.split("."):
-                if not isinstance(node, dict) or part not in node:
-                    raise ValueError(f"record {i} has no '{key}'")
-                node = node[part]
-    last = records[-1]
+        _check_record(i, rec)
     exits = {}
     for rec in records:
         for m in rec.get("grad_mag", {}):
             if m not in rec["active"] and m not in exits:
                 exits[m] = rec["epoch"]
-    return {
-        "epochs": last["epoch"],
-        "mode": last["mode"],
-        "loss": last["loss"],
-        "accuracy": last["accuracy"],
-        "active": last["active"],
-        "exits": exits,
-        "token_budget": last["token_budget"],
-        "flops": last["flops"],
-        "trainable": last["census"]["trainable"],
-        "total": last["census"]["total"],
-    }
+    return {**records[-1], "exits": exits}

@@ -1,5 +1,9 @@
 """Run orchestration: training runs, evaluation, ablation grids.
 
+``run_train`` is the one training pipeline: it writes ``model.ckpt`` and
+``metrics.jsonl`` into its output directory, and ``run_ablate`` runs it
+once per variant, into ``<out>/<label>``.
+
 Output locations resolve in this order: an explicit --out flag, the
 ``run.outdir`` config key, ``$MODFUSE_OUT_ROOT/<run name>``, and finally
 ``./runs/<run name>``.
@@ -139,22 +143,19 @@ def _variant_configs(config: RunConfig, axis: str):
 
 
 def run_ablate(config: RunConfig, axis: str, outdir: str, log=None) -> list:
-    """Train every variant along one axis; one summary row per variant.
+    """Train every variant along one axis with ``run_train`` into
+    ``<outdir>/<label>``; one row per variant, its summary and label.
     The whole grid is built, and so checked, before the first fit."""
     variants = list(_variant_configs(config, axis))
-    os.makedirs(outdir, exist_ok=True)
     rows = []
     for label, variant in variants:
-        model = build_model(variant)
-        train, test = gen_dataset(variant.spec)
-        report = fit(model, train, test, variant.train)
-        records = run_records(model, report)
-        write_jsonl(os.path.join(outdir, f"{label}.metrics.jsonl"), records)
-        row = {"label": label, **summarize(records)}
+        result = run_train(variant, os.path.join(outdir, label))
+        row = {"label": label, **result["summary"]}
         rows.append(row)
         if log:
             log(f"  {label}: acc {row['accuracy']['overall']:.3f} "
-                f"trainable {row['trainable']} budget {row['token_budget']}")
+                f"trainable {row['census']['trainable']} "
+                f"budget {row['token_budget']}")
     return rows
 
 

@@ -90,6 +90,14 @@ class TestMetrics:
         assert summary["exits"] == {"video": 2, "audio": 2}
         assert summary["active"] == []
 
+    def test_summary_is_last_record_plus_exits(self):
+        # it restated the record under other names (epochs, trainable,
+        # total) and dropped the rest
+        _, model, report = train_once()
+        records = run_records(model, report)
+        summary = summarize(records)
+        assert summary == {**records[-1], "exits": summary["exits"]}
+
 
 class TestRunner:
     def test_outdir_precedence(self):
@@ -108,7 +116,7 @@ class TestRunner:
         assert os.path.exists(result["checkpoint"])
         assert os.path.exists(result["metrics"])
         assert 0.0 <= result["summary"]["accuracy"]["overall"] <= 1.0
-        assert result["summary"]["epochs"] == 2
+        assert result["summary"]["epoch"] == 2
 
     def test_masked_features(self):
         feats = {"a": np.ones((2, 3, 4), dtype=np.float32),
@@ -176,14 +184,31 @@ class TestRunner:
         assert [r["label"] for r in rows] == ["sequential", "joint"]
         for row in rows:
             assert os.path.exists(
-                os.path.join(str(tmp_path), f"{row['label']}.metrics.jsonl"))
+                os.path.join(str(tmp_path), row["label"], "metrics.jsonl"))
+
+    def test_ablate_variant_is_a_train_run(self, tmp_path):
+        # each variant gets run_train's layout, so its checkpoint can be
+        # evaluated; it used to leave only <label>.metrics.jsonl
+        cfg = parse_config(SMALL.replace("train.epochs = 2",
+                                         "train.epochs = 1"))
+        rows = run_ablate(cfg, "mode", str(tmp_path))
+        assert sorted(os.listdir(tmp_path)) == ["joint", "sequential"]
+        for row in rows:
+            run_dir = tmp_path / row["label"]
+            assert sorted(os.listdir(run_dir)) == ["metrics.jsonl",
+                                                   "model.ckpt"]
+            assert summarize(read_jsonl(str(run_dir / "metrics.jsonl"))) \
+                == {k: v for k, v in row.items() if k != "label"}
+            acc = run_eval(str(run_dir / "model.ckpt"))["accuracy"]
+            assert {k: round(v, 6) for k, v in acc.items()} == \
+                row["accuracy"]
 
     def test_ablate_rank_axis_census_varies(self, tmp_path):
         cfg = parse_config(SMALL.replace("train.epochs = 2",
                                          "train.epochs = 1"))
         rows = run_ablate(cfg, "rank", str(tmp_path))
         assert [r["label"] for r in rows] == ["rank2", "rank4", "rank8"]
-        trainables = [r["trainable"] for r in rows]
+        trainables = [r["census"]["trainable"] for r in rows]
         assert trainables[0] < trainables[1] < trainables[2]
 
     def test_ablate_checks_whole_grid_before_training(self, tmp_path):
@@ -194,7 +219,7 @@ class TestRunner:
                            + "model.d = 8\n")
         with pytest.raises(ValueError, match="model.rank"):
             run_ablate(cfg, "rank", str(tmp_path))
-        assert not list(tmp_path.glob("*.metrics.jsonl"))
+        assert not list(tmp_path.iterdir())
 
     def test_ablate_unknown_axis(self, tmp_path):
         cfg = parse_config(SMALL)
@@ -380,6 +405,30 @@ class TestCli:
         # directory so they stay distinguishable
         assert "alpha" in stdout and "beta" in stdout
 
+    def test_report_labels_ablation_rows_by_variant(self, tmp_path, capsys):
+        cfg_path = self.write_config(
+            tmp_path, SMALL.replace("train.epochs = 2", "train.epochs = 1"))
+        out = tmp_path / "ab"
+        assert main(["ablate", cfg_path, "--axis", "mode", "--out",
+                     str(out)]) == 0
+        capsys.readouterr()
+        files = sorted(str(p) for p in out.glob("*/metrics.jsonl"))
+        assert main(["report", *files]) == 0
+        labels = [line.split()[0]
+                  for line in capsys.readouterr().out.splitlines()[2:]]
+        assert labels == ["joint", "sequential"]
+
+    def test_report_absent_template_prints_dash(self, tmp_path, capsys):
+        # a one-modality benchmark asks only unimodal questions; its equal
+        # and count cells read 0.000, as if measured
+        path = tmp_path / "uni.jsonl"
+        path.write_text(json.dumps(
+            {**self.RECORD, "accuracy": {"overall": 0.75,
+                                         "unimodal": 0.75}}) + "\n")
+        assert main(["report", str(path)]) == 0
+        assert capsys.readouterr().out.splitlines()[2].split() == [
+            "uni", "0.750", "0.750", "-", "-", "1", "4", "8"]
+
     # the fields summarize reads, one epoch's worth
     RECORD = {"epoch": 1, "mode": "joint", "loss": 0.5,
               "accuracy": {"overall": 0.5}, "active": [],
@@ -426,6 +475,30 @@ class TestCli:
         path, err = self.report_error(
             tmp_path, capsys, [json.dumps(self.RECORD), json.dumps(bad)])
         assert err == f"error: {path}: record 2 has no '{key}'\n"
+
+    @pytest.mark.parametrize("field, value, message", [
+        # "argument of type 'int' is not iterable", uncaught
+        ("active", 5, "'active' must be a list of names, got 5"),
+        # printed "early exits 1 at epoch 1" and exited 0
+        ("grad_mag", [1], "'grad_mag' must be a dict of numbers, got [1]"),
+        # printed the table header, then "Unknown format code 'f'"
+        ("accuracy", {"overall": "x"},
+         "'accuracy.overall' must be a number, got \"x\""),
+        ("accuracy", {"overall": 0.5, "count": None},
+         "'accuracy' must be a dict of numbers, got "
+         "{\"overall\": 0.5, \"count\": null}"),
+        # printed x in the trainable column and exited 0
+        ("census", {"trainable": "x", "total": 2},
+         "'census.trainable' must be an integer, got \"x\""),
+        ("flops", True, "'flops' must be an integer, got true")])
+    def test_report_wrong_kind_names_field(self, tmp_path, capsys, field,
+                                           value, message):
+        path = tmp_path / "bad.jsonl"
+        path.write_text(json.dumps({**self.RECORD, field: value}) + "\n")
+        assert main(["report", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {path}: record 1: {message}\n"
 
     def test_report_non_utf8_names_file_and_line(self, tmp_path, capsys):
         # it printed the bare decode error, naming neither
