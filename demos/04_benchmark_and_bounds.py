@@ -21,7 +21,7 @@ from modfuse.bench import (BenchModality, BenchSpec, TEMPLATES, gen_dataset,
 spec = BenchSpec(modalities=(BenchModality("video", 16, 8),
                              BenchModality("audio", 24, 6),
                              BenchModality("depth", 48, 4)),
-                 alphabet=5, train_size=512, test_size=4096, seed=0)
+                 train_size=512, test_size=4096, seed=0)
 train, test = gen_dataset(spec)
 
 print("=== one decoded example per template ===")

@@ -20,7 +20,7 @@ from modfuse.training import TrainConfig, fit, replay_exits
 spec = BenchSpec(modalities=(BenchModality("video", 16, 8),
                              BenchModality("audio", 24, 6),
                              BenchModality("depth", 48, 4)),
-                 alphabet=5, train_size=1024, test_size=512, seed=0)
+                 train_size=1024, test_size=512, seed=0)
 train, test = gen_dataset(spec)
 model = FusionModel(ModelDims(rank=8), spec.modalities, "video", "SelfGated",
                     spec.vocab, spec.classes, seed=0, train_classifier=True)

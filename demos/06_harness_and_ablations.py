@@ -14,7 +14,7 @@ the shell:
     modfuse eval   <ckpt>           modfuse gradcheck
     modfuse report <metrics...>
 
-with $MODFUSE_OUT_ROOT as the default artifact root.
+with runs/<run.name> as the default artifact directory (--out overrides).
 """
 
 import json
@@ -33,7 +33,6 @@ modality.audio.feat_dim = 24
 modality.audio.seq_len = 6
 modality.depth.feat_dim = 48
 modality.depth.seq_len = 4
-bench.alphabet = 5
 bench.train_size = 512
 bench.test_size = 256
 model.strategy = SelfGated

@@ -9,7 +9,7 @@ A run is described by the modality list plus three blocks: ``bench.*``
 (synthetic data), ``model.*`` (architecture), ``train.*`` (optimization),
 and ``run.*``. ``KEYS`` lists every block key with its field and type, read
 from the dataclass fields of ``BenchSpec`` (all but ``modalities``),
-``ModelDims`` and ``TrainConfig``, plus the six kept on ``RunConfig``
+``ModelDims`` and ``TrainConfig``, plus the five kept on ``RunConfig``
 itself; a new field there is a new key. ``to_text`` emits a canonical
 sorted form whose SHA-256 is the config digest stored in checkpoints.
 
@@ -99,7 +99,6 @@ class RunConfig:
     model_seed: int = 0
     train_classifier: bool = False
     name: str = "run"
-    outdir: str = ""
 
     def __post_init__(self):
         # the model's rules on names hold for the benchmark's list too,
@@ -151,7 +150,7 @@ KEYS: dict[str, tuple[str | None, str, type]] = {
         ("model.strategy", "strategy"), ("model.seed", "model_seed"),
         ("model.train_classifier", "train_classifier"),
         ("model.modalities", "model_modalities"),
-        ("run.name", "name"), ("run.outdir", "outdir"))},
+        ("run.name", "name"))},
 }
 
 

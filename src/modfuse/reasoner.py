@@ -8,8 +8,9 @@ classifies over the closed answer vocabulary. Like the frozen language
 model it stands in for, its shape is fixed rather than configured.
 Frozen after random init, so all task-solving capacity must come from
 the adapters and the fusion module. A config flag may make the final
-classifier trainable; that escape hatch is reported in metrics whenever
-it is on.
+classifier trainable; no metrics field names that escape hatch, but its
+scalars are counted in the census's ``fusion`` and ``trainable`` entries
+and the checkpoint's config text records the flag.
 
 ``AnswerHead`` declares its tensors in checkpoint order (``embed``,
 ``input``, ``layers``, ``classifier``); the registry names them by field

@@ -4,9 +4,7 @@
 ``metrics.jsonl`` into its output directory, and ``run_ablate`` runs it
 once per variant, into ``<out>/<label>``.
 
-Output locations resolve in this order: an explicit --out flag, the
-``run.outdir`` config key, ``$MODFUSE_OUT_ROOT/<run name>``, and finally
-``./runs/<run name>``.
+A run writes to its --out directory, or else to ``runs/<run name>``.
 """
 
 from __future__ import annotations
@@ -28,7 +26,6 @@ from modfuse.metrics import run_records, summarize, write_jsonl
 from modfuse.model import FusionModel, ModelDims
 from modfuse.training import MODES, fit, predict_dataset
 
-OUT_ROOT_ENV = "MODFUSE_OUT_ROOT"
 CHECKPOINT_NAME = "model.ckpt"
 METRICS_NAME = "metrics.jsonl"
 
@@ -40,17 +37,8 @@ _GRIDS = {"fusion": ("model.strategy", STRATEGIES, ""),
 ABLATE_AXES = tuple(_GRIDS)
 
 
-def resolve_outdir(config: RunConfig, cli_out: str | None = None,
-                   env: dict | None = None) -> str:
-    env = os.environ if env is None else env
-    if cli_out:
-        return cli_out
-    if config.outdir:
-        return config.outdir
-    root = env.get(OUT_ROOT_ENV, "")
-    if root:
-        return os.path.join(root, config.name)
-    return os.path.join("runs", config.name)
+def resolve_outdir(config: RunConfig, cli_out: str | None = None) -> str:
+    return cli_out or os.path.join("runs", config.name)
 
 
 def run_train(config: RunConfig, outdir: str, log=None) -> dict:

@@ -39,8 +39,7 @@ def _toy_spec(train_size=64, test_size=32, seed=0):
     return BenchSpec(modalities=(BenchModality("video", 16, 8),
                                  BenchModality("audio", 24, 6),
                                  BenchModality("depth", 48, 4)),
-                     alphabet=5, train_size=train_size, test_size=test_size,
-                     seed=seed)
+                     train_size=train_size, test_size=test_size, seed=seed)
 
 
 def _toy_model(strategy="SelfGated", seed=0, **dim_kwargs):

@@ -23,7 +23,6 @@ modality.depth.feat_dim = 48
 modality.video.seq_len = 8
 modality.audio.seq_len = 6
 modality.depth.seq_len = 4
-bench.alphabet = 5
 bench.train_size = 128
 bench.test_size = 64
 model.strategy = SelfGated
@@ -35,7 +34,8 @@ APPENDED = len(BASE.splitlines()) + 1
 # keys that parse_config once accepted; checkpoints of that time name them
 REMOVED_KEYS = ["train.shuffle_modalities", "train.warm_start",
                 "train.beta1", "train.beta2", "train.eval_batch",
-                "model.head_width", "model.head_layers"]
+                "model.head_width", "model.head_layers", "bench.alphabet",
+                "bench.noise", "run.outdir"]
 
 
 class TestRawParser:
@@ -61,11 +61,10 @@ class TestFullParse:
         cfg = parse_config(BASE)
         assert list(cfg.spec.names) == ["video", "audio", "depth"]
         assert cfg.major == "video"
-        assert cfg.spec.noise == pytest.approx(0.05)
         assert cfg.dims.d == 32 and cfg.dims.rank == 4
         assert cfg.train.epochs == 2 and cfg.train.lr == pytest.approx(3e-3)
         assert cfg.strategy == "SelfGated"
-        assert cfg.name == "run" and cfg.outdir == ""
+        assert cfg.name == "run"
 
     def test_major_defaults_to_first(self):
         text = BASE.replace("major = video\n", "")
@@ -110,13 +109,12 @@ class TestFullParse:
         # a new dataclass field is a new key, and a new line in the config
         # text of every checkpoint; that must be a deliberate change
         assert sorted(KEYS) == [
-            "bench.alphabet", "bench.noise", "bench.seed", "bench.test_size",
-            "bench.train_size", "model.d", "model.heads", "model.layers",
-            "model.modalities", "model.rank", "model.seed", "model.strategy",
-            "model.tokens", "model.train_classifier", "run.name",
-            "run.outdir", "train.batch_size", "train.early_exit",
-            "train.epochs", "train.exit_on_rise", "train.lr", "train.mode",
-            "train.seed", "train.tau"]
+            "bench.seed", "bench.test_size", "bench.train_size", "model.d",
+            "model.heads", "model.layers", "model.modalities", "model.rank",
+            "model.seed", "model.strategy", "model.tokens",
+            "model.train_classifier", "run.name", "train.batch_size",
+            "train.early_exit", "train.epochs", "train.exit_on_rise",
+            "train.lr", "train.mode", "train.seed", "train.tau"]
 
     def test_readme_config_block_matches_parser(self):
         block = README.read_text().split("```ini\n", 1)[1].split("```")[0]
@@ -158,15 +156,6 @@ class TestFullParse:
         assert cfg.dims.rank == 1
         assert build_model(cfg).head.input.w.shape == (2, 4)
 
-    @pytest.mark.parametrize("value", ["nan", "inf", "-0.05"])
-    def test_bad_bench_noise_rejected(self, value):
-        # nan and inf failed inside fit as a FloatingPointError from op
-        # 'leaf'
-        with pytest.raises(ConfigError,
-                           match="bench.noise must be finite and "
-                                 "non-negative"):
-            parse_config(BASE + f"bench.noise = {value}\n")
-
     @pytest.mark.parametrize("value", ["nan", "inf", "0", "-0.9"])
     def test_bad_tau_rejected(self, value):
         # nan made every exit indicator NaN, written to metrics.jsonl as
@@ -175,11 +164,10 @@ class TestFullParse:
                            match="train.tau must be finite and positive"):
             parse_config(BASE + f"train.tau = {value}\n")
 
-    def test_zero_seeds_and_noise_accepted(self):
+    def test_zero_seeds_accepted(self):
         cfg = parse_config(BASE + "bench.seed = 0\nmodel.seed = 0\n"
-                           "train.seed = 0\nbench.noise = 0\n")
+                           "train.seed = 0\n")
         assert cfg.spec.seed == cfg.model_seed == cfg.train.seed == 0
-        assert cfg.spec.noise == 0.0
 
 
 # One setting per documented rule (README, "Config format"), as
@@ -225,14 +213,10 @@ VIOLATIONS = [
     (["train.mode = parallel"], "train.mode",
      "train.mode must be one of sequential, joint, got 'parallel'"),
     # bench.* (BenchSpec); an empty split recorded a NaN epoch loss
-    (["bench.alphabet = 1"], "bench.alphabet",
-     "bench.alphabet must be at least 2, got 1"),
     (["bench.train_size = 0"], "bench.train_size",
      "bench.train_size must be at least 1, got 0"),
     (["bench.test_size = 0"], "bench.test_size",
      "bench.test_size must be at least 1, got 0"),
-    (["bench.noise = -0.05"], "bench.noise",
-     "bench.noise must be finite and non-negative, got -0.05"),
     (["bench.seed = -1"], "bench.seed", "bench.seed must be at least 0, "
      "got -1"),
     # an empty modality shape failed inside fit with a bare numpy error
@@ -282,8 +266,8 @@ class TestRangeErrors:
         (lambda cfg: ModelDims(rank=0), "model.rank must be at least 1"),
         (lambda cfg: TrainConfig(epochs=1, early_exit=True),
          "train.early_exit needs at least 2 epochs"),
-        (lambda cfg: dataclasses.replace(cfg.spec, alphabet=1),
-         "bench.alphabet must be at least 2"),
+        (lambda cfg: dataclasses.replace(cfg.spec, train_size=0),
+         "bench.train_size must be at least 1"),
         (lambda cfg: dataclasses.replace(
             cfg, model_modalities=("video", "video")),
          "model.modalities names 'video' twice"),

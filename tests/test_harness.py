@@ -100,15 +100,10 @@ class TestMetrics:
 
 
 class TestRunner:
-    def test_outdir_precedence(self):
+    def test_outdir_is_out_flag_else_runs_name(self):
         cfg = parse_config(SMALL)
-        env = {"MODFUSE_OUT_ROOT": "/tmp/root"}
-        assert resolve_outdir(cfg, "explicit", env) == "explicit"
-        assert resolve_outdir(cfg, None, env) == os.path.join("/tmp/root",
-                                                              "small")
-        assert resolve_outdir(cfg, None, {}) == os.path.join("runs", "small")
-        cfg2 = parse_config(SMALL + "run.outdir = /tmp/fixed\n")
-        assert resolve_outdir(cfg2, None, env) == "/tmp/fixed"
+        assert resolve_outdir(cfg, "explicit") == "explicit"
+        assert resolve_outdir(cfg) == os.path.join("runs", "small")
 
     def test_train_writes_artifacts(self, tmp_path):
         cfg = parse_config(SMALL)
@@ -356,6 +351,26 @@ class TestCli:
             assert (f"error: {bad}:{line}: unknown key "
                     f"'model.head_layers'") in capsys.readouterr().err
 
+    @pytest.mark.parametrize("setting", ["bench.alphabet = 5",
+                                         "bench.noise = 0.05",
+                                         "run.outdir = "])
+    def test_checkpoint_with_fixed_bench_key_exits_2(self, tmp_path, capsys,
+                                                     monkeypatch, setting):
+        # checkpoints written while the alphabet, the noise and the output
+        # path were settings hold these lines in their config text
+        cfg = parse_config(SMALL)
+        lines = sorted(cfg.to_text().splitlines() + [setting])
+        line = lines.index(setting) + 1
+        monkeypatch.setattr(RunConfig, "to_text",
+                            lambda self: "\n".join(lines) + "\n")
+        bad = str(tmp_path / "old.ckpt")
+        save_checkpoint(bad, build_model(cfg).registry, cfg)
+        monkeypatch.undo()
+        key = setting.split(" = ")[0]
+        assert main(["eval", bad]) == 2
+        assert f"error: {bad}:{line}: unknown key '{key}'" in \
+            capsys.readouterr().err
+
     def test_removed_ablate_axis_rejected(self, tmp_path, capsys):
         cfg_path = self.write_config(tmp_path)
         with pytest.raises(SystemExit) as exc:
@@ -524,9 +539,10 @@ class TestCli:
             run_ablate(load_config(cfg_path), "rank", out)
         assert exc.value.keys == ("model.rank", "model.d")
 
-    def test_out_root_env(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("MODFUSE_OUT_ROOT", str(tmp_path / "root"))
+    def test_train_without_out_writes_runs_name(self, tmp_path, monkeypatch,
+                                                capsys):
+        monkeypatch.chdir(tmp_path)
         cfg_path = self.write_config(tmp_path)
         assert main(["train", cfg_path]) == 0
         assert os.path.exists(
-            str(tmp_path / "root" / "small" / "model.ckpt"))
+            str(tmp_path / "runs" / "small" / "model.ckpt"))

@@ -1,5 +1,6 @@
 """The tools: byte_digests.py prints the same bytes on every run of a
-checkout, and bench_record.py applies the claim rule and the bounds."""
+checkout, bench_record.py applies the claim rule and the bounds, and
+perfbench's tracer finds the layer boundaries it wraps."""
 
 import importlib.util
 import json
@@ -91,3 +92,23 @@ def test_bench_record_summary_applies_claim_rule_and_bounds():
     assert rss["change_over_parent"] == 1.15
     assert row["failed_of_attempted"] == {"parent": [0, 70],
                                           "change": [1, 70]}
+
+
+def test_perfbench_tracer_boundaries(monkeypatch):
+    # perfbench/run.py imports tracer.py as the top-level module "tracer";
+    # load it the same way, writing no bytecode beside it
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location(
+        "tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, "tracer", tracer)
+    spec.loader.exec_module(tracer)
+    recorder = tracer.Recorder()
+    recorder.install()
+    try:
+        # fusion_only_step went when train_step took over every update
+        assert recorder.missing == ["modfuse.training.fusion_only_step"]
+        assert len(recorder.op_names) == 15
+        assert {"matmul", "reshape", "transpose"} <= set(recorder.op_names)
+    finally:
+        recorder.uninstall()
