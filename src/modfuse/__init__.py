@@ -27,6 +27,7 @@ from modfuse.tensor import (
     no_grad,
     reshape,
     silu,
+    silu_ffn,
     softmax,
     tmean,
     transpose,

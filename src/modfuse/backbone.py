@@ -147,7 +147,7 @@ def attention(q_in: T.Tensor, kv_in: T.Tensor, weights: AttentionWeights,
 
 
 def ffn(x: T.Tensor, weights: FeedForward) -> T.Tensor:
-    return T.matmul(T.silu(T.matmul(x, weights.w1)), weights.w2)
+    return T.silu_ffn(x, weights.w1, weights.w2)
 
 
 def align_features(adapter, feats) -> T.Tensor:

@@ -68,7 +68,8 @@ class BenchSpec:
         at_least("bench.test_size", self.test_size, 1)
         at_least("bench.seed", self.seed, 0)
         for m in self.modalities:
-            at_least(f"modality.{m.name}.feat_dim", m.feat_dim, 1)
+            # one-wide unit-norm codebook rows are only +1 and -1
+            at_least(f"modality.{m.name}.feat_dim", m.feat_dim, 2)
             at_least(f"modality.{m.name}.seq_len", m.seq_len, 1)
 
     @property
@@ -239,11 +240,11 @@ def unimodal_bayes_accuracy(spec: BenchSpec, visible) -> dict[str, float]:
 
     ``visible`` names the modalities whose features the predictor sees;
     each visible symbol counts as decodable, as it is at ``NOISE`` when
-    the modality's unit-norm codebook rows lie well apart (at
-    ``feat_dim`` 1 they are only +1 and -1, and symbols collide). For
-    each question, latent grids are grouped by what the predictor
-    observes and the majority answer inside each group is counted
-    correct.
+    the modality's unit-norm codebook rows lie well apart (``BenchSpec``
+    requires ``feat_dim`` of at least 2: one-wide rows are only +1 and
+    -1, and symbols would collide). For each question, latent grids are
+    grouped by what the predictor observes and the majority answer
+    inside each group is counted correct.
     """
     names = spec.names
     unknown = [v for v in visible if v not in names]

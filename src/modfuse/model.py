@@ -172,9 +172,10 @@ class FusionModel:
         """Modality ``m``'s forward-only tokens for every row of
         ``features`` [N, S, f], ``batch_size`` rows per pass: [N, T, d]."""
         with T.no_grad():
-            return np.concatenate([
-                self._qformer(m, features[lo:lo + batch_size]).data
-                for lo in range(0, len(features), batch_size)])
+            chunks = [self._qformer(m, features[lo:lo + batch_size]).data
+                      for lo in range(0, len(features), batch_size)]
+        # one chunk, as in every pass inside a step, needs no copy
+        return chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
 
     def forward(self, features: dict[str, np.ndarray],
                 question_ids: np.ndarray,

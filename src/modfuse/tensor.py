@@ -24,15 +24,18 @@ of every product and sum (the last-axis softmax sweeps its columns for the
 row maximum, which is exact; layer norm makes the calls ``np.mean``
 makes), so their bytes equal those of the plain formulas.
 
-Two rules keep backward lean. A weight shared across the batch (a 2-D
+Three rules keep backward lean. A weight shared across the batch (a 2-D
 ``b`` in :func:`matmul`) gets both gradients from one GEMM over the
-flattened leading rows, never from one small BLAS call per batch row. And
-an op passes ``owned`` to :meth:`Tensor.accumulate` only for an array it
+flattened leading rows, never from one small BLAS call per batch row. An
+op passes ``owned`` to :meth:`Tensor.accumulate` only for an array it
 allocated in that call for that parent alone, which the parent then keeps
 as its first gradient without a copy; an op that hands on the upstream
 gradient, a view of it or an array that two parents receive (``add``,
 ``reshape``, ``transpose``, ``concat``, ``broadcast_to``, ``tsum``) lets
-accumulate copy it.
+accumulate copy it. And a composite op (:func:`attention`,
+:func:`silu_ffn`) keeps only the arrays its backward reads: the
+intermediates of the composition it stands for get no tape node, so no
+data or gradient of theirs lives until the tape is freed.
 """
 
 from __future__ import annotations
@@ -342,6 +345,44 @@ def silu(a: Tensor) -> Tensor:
             a.accumulate(gx, owned=True)
 
     return _make(xs, (a,), "silu", backward_fn)
+
+
+def silu_ffn(x: Tensor, w1: Tensor, w2: Tensor) -> Tensor:
+    """silu(x @ w1) @ w2 for frozen 2-D weights: the feed-forward sublayer.
+
+    One op stands for the two products and the silu between them; it runs
+    their kernels on arrays of the same layout, so its bytes equal the
+    composition. Its tape keeps the gate and the activation, not the
+    pre-activation (the activation overwrites it) and no hidden-width
+    gradient of an intermediate node. A trainable weight raises
+    ``ValueError``: the op has no gradient for it.
+    """
+    w1 = _coerce(w1, x)
+    w2 = _coerce(w2, x)
+    if w1.requires_grad or w2.requires_grad:
+        raise ValueError("silu_ffn takes frozen weights only")
+    if w1.ndim != 2 or w2.ndim != 2:
+        raise ValueError("silu_ffn takes 2-D weights")
+    xs = x.data @ w1.data         # the pre-activation, until xs *= s
+    _check_finite(xs, "silu_ffn")
+    s = _sigmoid_data(xs)
+    xs *= s
+    _check_finite(xs, "silu_ffn")
+
+    def backward_fn(g):
+        if x.requires_grad:
+            # matmul's input gradient through w2, silu's ((x * s) * (1 - s)
+            # + s) * g, then matmul's through w1, each product one GEMM over
+            # the flattened rows
+            g_xs = g.reshape(-1, g.shape[-1]) @ w2.data.T
+            gh = 1.0 - s
+            gh *= xs
+            gh += s
+            gh *= g_xs.reshape(gh.shape)
+            gx = gh.reshape(-1, gh.shape[-1]) @ w1.data.T
+            x.accumulate(gx.reshape(x.shape), owned=True)
+
+    return _make(xs @ w2.data, (x,), "silu_ffn", backward_fn)
 
 
 def _softmax_data(x: np.ndarray) -> np.ndarray:

@@ -392,13 +392,16 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="^bench.test_size must be"):
             toy_spec(test_size=0)
 
-    @pytest.mark.parametrize("value", [0, -2])
-    @pytest.mark.parametrize("field", ["feat_dim", "seq_len"])
+    @pytest.mark.parametrize("field,value", [
+        ("feat_dim", 1), ("feat_dim", 0), ("feat_dim", -2), ("seq_len", 0),
+        ("seq_len", -2)])
     def test_empty_modality_shape_rejected(self, field, value):
+        low = {"feat_dim": 2, "seq_len": 1}[field]
         audio = dataclasses.replace(BenchModality("audio", 24, 4),
                                     **{field: value})
         with pytest.raises(ValueError, match=f"^modality.audio.{field} must "
-                                             f"be at least 1, got {value}$"):
+                                             f"be at least {low}, got "
+                                             f"{value}$"):
             toy_spec(modalities=(BenchModality("video", 16, 5), audio))
 
     @pytest.mark.parametrize("widths", [(16, 8), (16, 16)])

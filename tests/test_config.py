@@ -219,9 +219,12 @@ VIOLATIONS = [
      "bench.test_size must be at least 1, got 0"),
     (["bench.seed = -1"], "bench.seed", "bench.seed must be at least 0, "
      "got -1"),
-    # an empty modality shape failed inside fit with a bare numpy error
+    # an empty modality shape failed inside fit with a bare numpy error; a
+    # one-wide codebook has only the rows +1 and -1, so symbols collide
     (["modality.audio.feat_dim = 0"], "modality.audio.feat_dim",
-     "modality.audio.feat_dim must be at least 1, got 0"),
+     "modality.audio.feat_dim must be at least 2, got 0"),
+    (["modality.audio.feat_dim = 1"], "modality.audio.feat_dim",
+     "modality.audio.feat_dim must be at least 2, got 1"),
     (["modality.audio.seq_len = 0"], "modality.audio.seq_len",
      "modality.audio.seq_len must be at least 1, got 0"),
     # RunConfig, across blocks; a negative seed once failed later, with

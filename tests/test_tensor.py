@@ -9,8 +9,10 @@ import numpy as np
 import pytest
 
 from modfuse import tensor as T
+from modfuse.backbone import FF_EXPANSION
 from modfuse.bench import BenchModality, BenchSpec, gen_dataset
 from modfuse.model import FusionModel, ModelDims
+from modfuse.reasoner import head_width
 from modfuse.training import train_step
 
 
@@ -329,6 +331,67 @@ class TestAttention:
             T.attention(q, k, v, 2)
 
 
+def ffn_weights(dtype, d, hidden, seed=0):
+    """A frozen [d, hidden] and [hidden, d] pair for silu_ffn."""
+    rng = np.random.default_rng(seed)
+    return (T.Tensor(rng.normal(size=(d, hidden)), dtype=dtype),
+            T.Tensor(rng.normal(size=(hidden, d)), dtype=dtype))
+
+
+class TestSiluFfn:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("lead", [(6,), (3, 5)])
+    def test_bit_equal_to_composition(self, lead, dtype):
+        rng = np.random.default_rng(len(lead))
+        w1, w2 = ffn_weights(dtype, 12, 48, seed=1)
+        x_data = rng.normal(size=(*lead, 12)) * 2.0
+        upstream = T.Tensor(rng.normal(size=(*lead, 12)), dtype=dtype)
+
+        def run(ffn):
+            x = T.Tensor(x_data, requires_grad=True, dtype=dtype)
+            out = ffn(x)
+            T.backward(T.tsum(out * upstream))
+            return out.data, x.grad
+
+        got = run(lambda x: T.silu_ffn(x, w1, w2))
+        want = run(lambda x: T.matmul(T.silu(T.matmul(x, w1)), w2))
+        for g, w in zip(got, want):
+            assert g.dtype == dtype and g.shape == (*lead, 12)
+            assert g.tobytes() == w.tobytes()
+
+    def test_grad_check(self):
+        rng = np.random.default_rng(5)
+        w1, w2 = ffn_weights(np.float64, 6, 24, seed=2)
+        x = T.Tensor(rng.normal(size=(2, 3, 6)), requires_grad=True,
+                     dtype=np.float64)
+        upstream = T.Tensor(rng.normal(size=(2, 3, 6)), dtype=np.float64)
+
+        def f():
+            return T.tsum(T.silu_ffn(x, w1, w2) * upstream)
+
+        report = T.grad_check(f, {"x": x})
+        assert report.max_rel_err < 1e-4, report.summary()
+
+    @pytest.mark.parametrize("trainable", ["w1", "w2"])
+    def test_trainable_weight_rejected(self, trainable):
+        weights = dict(zip(("w1", "w2"), ffn_weights(np.float64, 4, 16)))
+        weights[trainable].requires_grad = True
+        x = T.Tensor(np.ones((2, 4)), requires_grad=True, dtype=np.float64)
+        with pytest.raises(ValueError, match="frozen weights only"):
+            T.silu_ffn(x, weights["w1"], weights["w2"])
+
+    @pytest.mark.parametrize("taped", [True, False])
+    def test_overflowing_hidden_layer_names_the_op(self, taped):
+        # x @ w1 is 4e40, beyond float32
+        x = T.Tensor(np.full((2, 3, 4), 1e20), requires_grad=taped,
+                     dtype=np.float32)
+        w1 = T.Tensor(np.full((4, 16), 1e20), dtype=np.float32)
+        w2 = T.Tensor(np.ones((16, 4)), dtype=np.float32)
+        with pytest.raises(FloatingPointError, match="op 'silu_ffn'"), \
+                pytest.warns(RuntimeWarning, match="overflow"):
+            T.silu_ffn(x, w1, w2)
+
+
 def softmax_rows(dtype, keys, seed=0):
     """Scores with tied maxima, signed zeros and large magnitudes."""
     rng = np.random.default_rng(seed)
@@ -441,6 +504,8 @@ def _op_cases():
         "tsum": ([(3, 4, 8)], lambda a, p: T.tsum(a, axis=1)),
         "tmean": ([(3, 4, 8)], lambda a, p: T.tmean(a, axis=-1)),
         "silu": ([(3, 4, 8)], lambda a, p: T.silu(a)),
+        "silu_ffn": ([(3, 4, 8)], lambda a, p: T.silu_ffn(
+            a, *ffn_weights(a.dtype, 8, 32))),
         "softmax": ([(3, 4, 8)], lambda a, p: T.softmax(a)),
         "attention": ([(3, 4, 8), (3, 5, 8), (3, 5, 8)],
                       lambda q, k, v, p: T.attention(q, k, v, 2, probes=p)),
@@ -450,6 +515,40 @@ def _op_cases():
         "embedding": ([(5, 8)],
                       lambda t, p: T.embedding(t, np.array([[0, 2], [2, 4]]))),
     }
+
+
+def _tape(root):
+    """Every tensor on the tape under ``root``, frozen ones included, and
+    every array the tape holds: tensor data and the arrays each backward
+    closure saved."""
+    nodes, arrays, stack = {}, [], [root]
+    while stack:
+        node = stack.pop()
+        if id(node) in nodes:
+            continue
+        nodes[id(node)] = node
+        arrays.append(node.data)
+        cells = getattr(node._backward_fn, "__closure__", None) or ()
+        arrays += [c.cell_contents for c in cells
+                   if isinstance(c.cell_contents, np.ndarray)]
+        stack.extend(node._parents)
+    return list(nodes.values()), arrays
+
+
+def _step_tape(model, batch, tags, monkeypatch):
+    """The tape of one train_step of ``model`` on ``batch``, as
+    :func:`_tape` lists it after backward."""
+    taped = []
+    backward = T.backward
+
+    def recording(loss, leaves=None):
+        backward(loss, leaves)
+        taped.append(_tape(loss))
+
+    monkeypatch.setattr(T, "backward", recording)
+    train_step(model, T.Adam(), batch, tags)
+    (tape,) = taped
+    return tape
 
 
 class TestNoAliasing:
@@ -491,24 +590,6 @@ class TestNoAliasing:
             assert t.grad is not None and t.grad.shape == t.shape
             assert not any(np.shares_memory(t.grad, a) for a in arrays + [g])
 
-    @staticmethod
-    def _tape(root):
-        """Every tensor on the tape under ``root``, frozen ones included,
-        and every array the tape holds: tensor data and the arrays each
-        backward closure saved."""
-        nodes, arrays, stack = {}, [], [root]
-        while stack:
-            node = stack.pop()
-            if id(node) in nodes:
-                continue
-            nodes[id(node)] = node
-            arrays.append(node.data)
-            cells = getattr(node._backward_fn, "__closure__", None) or ()
-            arrays += [c.cell_contents for c in cells
-                       if isinstance(c.cell_contents, np.ndarray)]
-            stack.extend(node._parents)
-        return list(nodes.values()), arrays
-
     @pytest.mark.parametrize("mode", ["sequential", "joint"])
     def test_model_step_grads_own_their_memory(self, mode, monkeypatch):
         spec = BenchSpec(modalities=(BenchModality("video", 16, 5),
@@ -520,17 +601,9 @@ class TestNoAliasing:
                             train_classifier=True)
         tags = ({"video", "fusion"} if mode == "sequential"
                 else set(model.order) | {"fusion"})
-        taped = []
-        backward = T.backward
-
-        def recording(loss, leaves=None):
-            backward(loss, leaves)
-            taped.append(self._tape(loss))
-
-        monkeypatch.setattr(T, "backward", recording)
         train, _ = gen_dataset(spec)
-        train_step(model, T.Adam(), train.slice(np.arange(8)), tags)
-        (nodes, arrays), = taped
+        nodes, arrays = _step_tape(model, train.slice(np.arange(8)), tags,
+                                    monkeypatch)
 
         def root(arr):
             while isinstance(arr.base, np.ndarray):
@@ -548,6 +621,33 @@ class TestNoAliasing:
             assert not any(np.shares_memory(t.grad, a) for a in near), t
         for name, t in model.registry.named(tags={"frozen"}):
             assert t.grad is None, name
+
+
+class TestTapeMemory:
+    @pytest.mark.parametrize("mode", ["sequential", "joint"])
+    def test_step_tape_holds_no_feed_forward_hidden_width(self, mode,
+                                                           monkeypatch):
+        # the perfbench model: silu_ffn keeps its hidden activation in its
+        # closure, so no node on the tape, frozen weights aside, has the
+        # hidden width in its data or its gradient
+        spec = BenchSpec(modalities=(BenchModality("video", 16, 8),
+                                     BenchModality("audio", 24, 6),
+                                     BenchModality("depth", 48, 4)),
+                         train_size=32, test_size=8, seed=0)
+        dims = ModelDims(rank=8)
+        model = FusionModel(dims, spec.modalities, "video", "SelfGated",
+                            spec.vocab, spec.classes, 0,
+                            train_classifier=True)
+        tags = ({"video", "fusion"} if mode == "sequential"
+                else set(model.order) | {"fusion"})
+        train, _ = gen_dataset(spec)
+        nodes, _ = _step_tape(model, train, tags, monkeypatch)
+        hidden = {FF_EXPANSION * dims.d, FF_EXPANSION * head_width(dims.d)}
+        taped = [t for t in nodes if t.requires_grad]
+        assert any(t._op == "silu_ffn" for t in taped)
+        for t in taped:
+            assert not hidden & set(t.shape[-1:]), t
+            assert t.grad is not None and t.grad.shape == t.shape, t
 
 
 class TestBackward:

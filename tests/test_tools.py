@@ -108,7 +108,8 @@ def test_perfbench_tracer_boundaries(monkeypatch):
     try:
         # fusion_only_step went when train_step took over every update
         assert recorder.missing == ["modfuse.training.fusion_only_step"]
-        assert len(recorder.op_names) == 15
-        assert {"matmul", "reshape", "transpose"} <= set(recorder.op_names)
+        assert len(recorder.op_names) == 16
+        assert {"matmul", "reshape", "transpose",
+                "silu_ffn"} <= set(recorder.op_names)
     finally:
         recorder.uninstall()
